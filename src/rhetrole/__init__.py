@@ -46,17 +46,13 @@ from .linear_model import (
     LinearParams,
     OptimizerState,
     TrainConfig,
-    backward,
-    forward,
     load_checkpoint,
-    loss_gradient,
+    logits,
+    loss_and_grads,
     optimizer_step,
-    predict,
-    predict_with_probability,
     save_checkpoint,
     softmax,
     train,
-    weighted_ce_loss,
 )
 from .metrics import (
     MetricsReport,

@@ -12,14 +12,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import PRESETS, RunConfig, config_to_json, load_config_file, resolve_config
 from .corpus import (
     LABELS,
     Corpus,
-    SplitSpec,
     class_distribution,
     length_percentile,
     load_corpus,
@@ -31,14 +28,15 @@ from .embedding import (
     TokenizerConfig,
     embed_batch,
     load_precomputed,
+    parse_provider_spec,
     tokenize,
 )
 from .errors import ConfigError, DimensionMismatchError, InputError, RhetroleError
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
     EpochStats,
-    TrainConfig,
     load_checkpoint,
+    logits,
     save_checkpoint,
     softmax,
     train,
@@ -94,54 +92,30 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _build_hashed_provider(dim: int, casing: str, max_len: int) -> HashedBowProvider:
-    return HashedBowProvider(dim, TokenizerConfig(casing=casing, max_len=max_len))
-
-
 def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int | None]:
     """Provider per config; returns (provider, resolved max_len or None)."""
-    if cfg.provider_kind == "precomputed":
-        return load_precomputed(cfg.provider_arg), None
-    dim = cfg.provider_arg
+    kind, arg, _, _ = parse_provider_spec(cfg.provider)
+    if kind == "precomputed":
+        return load_precomputed(arg), None
     max_len = cfg.max_len
     if max_len is None:
         probe = TokenizerConfig(casing=cfg.casing, max_len=_UNBOUNDED_LEN)
         max_len = length_percentile(
             corpus, lambda text: tokenize(text, probe), cfg.length_percentile_q
         )
-    return _build_hashed_provider(dim, cfg.casing, max_len), max_len
-
-
-def _provider_from_spec(spec: str, casing: str | None = None, max_len: int | None = None):
-    """Build a provider from 'hashed:<dim>', a full hashed provider id, or
-    'precomputed:<path>'. Explicit casing/max_len arguments win over values
-    embedded in the id."""
-    parts = spec.split(":")
-    if parts[0] == "hashed":
-        try:
-            if len(parts) == 2:
-                dim, id_casing, id_len = int(parts[1]), "cased", _UNBOUNDED_LEN
-            elif len(parts) == 4:
-                dim, id_casing, id_len = int(parts[1]), parts[2], int(parts[3])
-            else:
-                raise ValueError(spec)
-        except ValueError:
-            raise ConfigError(f"bad hashed provider spec {spec!r}") from None
-        return _build_hashed_provider(dim, casing or id_casing, max_len or id_len)
-    if parts[0] == "precomputed" and len(parts) > 1:
-        return load_precomputed(spec.split(":", 1)[1])
-    raise ConfigError(
-        f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got {spec!r}"
-    )
+    return HashedBowProvider(arg, TokenizerConfig(casing=cfg.casing, max_len=max_len)), max_len
 
 
 def _provider_for_inference(args, ckpt):
-    spec = args.provider or ckpt.provider_id
-    # The checkpoint id embeds the training-time casing and truncation
-    # bound; flags override them only when given explicitly.
-    provider = _provider_from_spec(
-        spec, getattr(args, "casing", None), getattr(args, "max_len", None)
-    )
+    kind, arg, id_casing, id_len = parse_provider_spec(args.provider or ckpt.provider_id)
+    if kind == "precomputed":
+        provider = load_precomputed(arg)
+    else:
+        # A full provider id embeds the training-time casing and truncation
+        # bound; flags override them only when given explicitly.
+        casing = args.casing or id_casing or "cased"
+        max_len = args.max_len if args.max_len is not None else (id_len or _UNBOUNDED_LEN)
+        provider = HashedBowProvider(arg, TokenizerConfig(casing=casing, max_len=max_len))
     if provider.dimension != ckpt.dim:
         raise DimensionMismatchError(
             f"provider dimension {provider.dimension} does not match "
@@ -182,9 +156,7 @@ def _run_training(cfg: RunConfig, out_dir: Path):
         raise InputError(f"corpus {cfg.corpus} is too small to train on")
     provider, resolved_max_len = _provider_for_training(cfg, corpus)
 
-    train_set, val_set = split(
-        corpus, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, mode=cfg.split_mode)
-    )
+    train_set, val_set = split(corpus, cfg.split_spec())
     if not train_set or not val_set:
         raise InputError("split produced an empty train or validation set")
 
@@ -201,17 +173,6 @@ def _run_training(cfg: RunConfig, out_dir: Path):
             train_set = oversample(train_set, cfg.seed)
         weights = uniform_weights(len(LABELS))
 
-    train_cfg = TrainConfig(
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        epsilon=cfg.epsilon,
-        seed=cfg.seed,
-        selection_metric=cfg.selection_metric,
-    )
     log_lines: list[str] = []
 
     def log_epoch(stats: EpochStats) -> None:
@@ -219,7 +180,7 @@ def _run_training(cfg: RunConfig, out_dir: Path):
         log_lines.append(line)
         print(line)
 
-    ckpt = train(train_set, val_set, provider, weights, train_cfg, labels=LABELS,
+    ckpt = train(train_set, val_set, provider, weights, cfg.train_config(), labels=LABELS,
                  on_epoch=log_epoch)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,7 +214,7 @@ def _evaluate_sentences(ckpt, provider, sentences):
             raise InputError(f"label {s.label!r} not in checkpoint label set")
     gold = [label_to_idx[s.label] for s in sentences]
     X = embed_batch(sentences, provider)
-    preds = np.argmax(X @ ckpt.params.W.T + ckpt.params.b, axis=1).tolist()
+    preds = logits(ckpt.params, X).argmax(axis=1).tolist()
     return evaluate_predictions(gold, preds, len(ckpt.labels))
 
 
@@ -278,12 +239,13 @@ def cmd_predict(args) -> int:
     provider = _provider_for_inference(args, ckpt)
     text = Path(args.sentences).read_bytes().decode("utf-8")
     lines = [line.rstrip("\r") for line in text.split("\n") if line.strip()]
-    out_lines = []
-    for sentence in lines:
-        z = ckpt.params.W @ provider.lookup(sentence) + ckpt.params.b
-        idx = int(np.argmax(z))
-        prob = float(softmax(z)[idx])
-        out_lines.append(f"{sentence}\t{ckpt.labels[idx]}\t{prob:.6f}")
+    Z = logits(ckpt.params, embed_batch(lines, provider))
+    best = Z.argmax(axis=1)
+    probs = softmax(Z)[range(len(lines)), best]
+    out_lines = [
+        f"{sentence}\t{ckpt.labels[idx]}\t{prob:.6f}"
+        for sentence, idx, prob in zip(lines, best.tolist(), probs.tolist())
+    ]
     output = "".join(l + "\n" for l in out_lines)
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")

@@ -13,11 +13,11 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .corpus import LABELS, SPLIT_MODES
-from .embedding import CASINGS
+from .corpus import LABELS, SplitSpec
+from .embedding import CASINGS, parse_provider_spec
 from .errors import ConfigError
 from .imbalance import WEIGHT_SCHEMES
-from .linear_model import SELECTION_METRICS
+from .linear_model import TrainConfig
 
 BALANCE_METHODS = ("loss_weighting", "undersample", "oversample", "none")
 
@@ -77,12 +77,6 @@ class RunConfig:
             )
         if self.balance not in BALANCE_METHODS:
             raise ConfigError(f"balance must be one of {BALANCE_METHODS}, got {self.balance!r}")
-        if self.split_mode not in SPLIT_MODES:
-            raise ConfigError(f"split_mode must be one of {SPLIT_MODES}")
-        if self.selection_metric not in SELECTION_METRICS:
-            raise ConfigError(f"selection_metric must be one of {SELECTION_METRICS}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie strictly between 0 and 1")
         if not 0.0 < self.length_percentile_q <= 1.0:
             raise ConfigError("length_percentile_q must lie in (0, 1]")
         if self.max_len is not None and self.max_len < 1:
@@ -93,7 +87,14 @@ class RunConfig:
                     raise ConfigError(f"weight override for unknown label {label!r}")
                 if value < 0:
                     raise ConfigError(f"weight override for {label!r} must be >= 0")
-        self._parse_provider()
+        if parse_provider_spec(self.provider)[2] is not None:
+            raise ConfigError(
+                f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got "
+                f"{self.provider!r}; casing and max_len are fields of their own"
+            )
+        # The training and split rules live in TrainConfig and SplitSpec.
+        self.train_config()
+        self.split_spec()
         # Exactly one balancing method may be active. Loss weighting needs a
         # non-uniform scheme or explicit weights; the other methods must not
         # smuggle in a weighting scheme on the side.
@@ -110,32 +111,21 @@ class RunConfig:
                     "and no weight_overrides (exactly one balancing method)"
                 )
 
-    def _parse_provider(self) -> tuple[str, Any]:
-        spec = self.provider
-        if spec.startswith("hashed:"):
-            try:
-                dim = int(spec.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"bad hashed provider spec {spec!r}") from None
-            if dim < 1:
-                raise ConfigError("hashed provider dimension must be >= 1")
-            return "hashed", dim
-        if spec.startswith("precomputed:"):
-            path = spec.split(":", 1)[1]
-            if not path:
-                raise ConfigError("precomputed provider spec needs a file path")
-            return "precomputed", path
-        raise ConfigError(
-            f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got {spec!r}"
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            learning_rate=self.learning_rate,
+            weight_decay=self.weight_decay,
+            beta1=self.beta1,
+            beta2=self.beta2,
+            epsilon=self.epsilon,
+            seed=self.seed,
+            selection_metric=self.selection_metric,
         )
 
-    @property
-    def provider_kind(self) -> str:
-        return self._parse_provider()[0]
-
-    @property
-    def provider_arg(self) -> Any:
-        return self._parse_provider()[1]
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(train_fraction=self.train_fraction, seed=self.seed, mode=self.split_mode)
 
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}

@@ -24,7 +24,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmbeddingFormatError, InputError, MissingEmbeddingError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    EmbeddingFormatError,
+    InputError,
+    MissingEmbeddingError,
+)
 
 CASINGS = ("cased", "uncased")
 
@@ -104,6 +110,36 @@ def encode_hashed_bow(tokens: Sequence[str], dim: int) -> np.ndarray:
     return vec
 
 
+def parse_provider_spec(spec: str) -> tuple[str, int | str, str | None, int | None]:
+    """Parse a provider spec into ``(kind, dim or path, casing, max_len)``.
+
+    Accepts ``hashed:<dim>``, a full hashed provider id
+    ``hashed:<dim>:<casing>:<max_len>``, and ``precomputed:<path>``. Casing
+    and max_len are None unless the spec carries them. Raises ConfigError on
+    anything else.
+    """
+    kind, _, rest = spec.partition(":")
+    if kind == "precomputed" and rest:
+        return "precomputed", rest, None, None
+    if kind != "hashed":
+        raise ConfigError(
+            f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got {spec!r}"
+        )
+    parts = rest.split(":")
+    try:
+        if len(parts) == 1:
+            dim, casing, max_len = int(parts[0]), None, None
+        elif len(parts) == 3:
+            dim, casing, max_len = int(parts[0]), parts[1], int(parts[2])
+        else:
+            raise ValueError(spec)
+    except ValueError:
+        raise ConfigError(f"bad hashed provider spec {spec!r}") from None
+    if dim < 1:
+        raise ConfigError("hashed provider dimension must be >= 1")
+    return "hashed", dim, casing, max_len
+
+
 class HashedBowProvider:
     """Self-contained deterministic encoder: tokenize then hashed BOW."""
 
@@ -137,9 +173,6 @@ class PrecomputedProvider:
             raise MissingEmbeddingError(
                 f"no precomputed embedding for sentence {text!r}"
             ) from None
-
-    def keys(self) -> Iterable[str]:
-        return self._vectors.keys()
 
     def items(self) -> Iterable[tuple[str, np.ndarray]]:
         return self._vectors.items()

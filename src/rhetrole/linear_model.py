@@ -3,6 +3,13 @@ cross-entropy with exact analytic gradients, decoupled-weight-decay adaptive
 optimizer, and the epoch/batch training loop with best-on-validation
 checkpointing.
 
+One batched core serves training, validation, evaluation and prediction:
+``logits`` maps an (n, dim) embedding matrix to (n, num_labels) logits,
+``weighted_ce`` gives per-row weighted cross-entropy and its gradient with
+respect to the logits, and ``loss_and_grads`` chains both through the linear
+layer for one mini-batch. ``optimizer_step`` updates parameters and moments
+in place.
+
 All math runs in float64. Training is deterministic given (data, config,
 seed): parameter init draws from the config seed, each epoch's shuffle from
 a generator seeded by (seed, epoch), and batch reductions keep a fixed
@@ -54,20 +61,15 @@ class LinearParams:
 class OptimizerState:
     """First/second moment accumulators plus the completed-step counter."""
 
-    m_w: np.ndarray
-    v_w: np.ndarray
-    m_b: np.ndarray
-    v_b: np.ndarray
+    m: LinearParams
+    v: LinearParams
     t: int = 0
 
     @classmethod
     def initial(cls, params: LinearParams) -> "OptimizerState":
-        return cls(
-            m_w=np.zeros_like(params.W),
-            v_w=np.zeros_like(params.W),
-            m_b=np.zeros_like(params.b),
-            v_b=np.zeros_like(params.b),
-        )
+        m = LinearParams(np.zeros_like(params.W), np.zeros_like(params.b))
+        v = LinearParams(np.zeros_like(params.W), np.zeros_like(params.b))
+        return cls(m=m, v=v)
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,14 @@ class EpochStats:
     val_score: float
 
 
-def forward(params: LinearParams, x: np.ndarray) -> np.ndarray:
-    """Logits z = W x + b for a single embedding vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.W.shape[1],):
+def logits(params: LinearParams, X: np.ndarray) -> np.ndarray:
+    """Logits Z = X W^T + b for an (n, dim) matrix of embeddings."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.W.shape[1]:
         raise DimensionMismatchError(
-            f"input has shape {x.shape}, classifier expects ({params.W.shape[1]},)"
+            f"input has shape {X.shape}, classifier expects (n, {params.W.shape[1]})"
         )
-    return params.W @ x + params.b
+    return X @ params.W.T + params.b
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -146,30 +148,35 @@ def _log_sum_exp(z: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))).squeeze(-1)
 
 
-def weighted_ce_loss(z: np.ndarray, class_index: int, weights: Sequence[float]) -> float:
-    """weights[class] * (-log softmax(z)[class]), via log-sum-exp for stability."""
-    z = np.asarray(z, dtype=np.float64)
-    w = float(weights[class_index])
-    if w < 0:
-        raise InputError("class weights must be >= 0")
-    return w * (float(_log_sum_exp(z)) - float(z[class_index]))
+def weighted_ce(
+    Z: np.ndarray, y: np.ndarray, weights: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row class-weighted cross-entropy and its gradient dLoss/dZ.
+
+    Row i's loss is weights[y_i] * (logsumexp(z_i) - z_i[y_i]), computed via
+    log-sum-exp for stability; its gradient is
+    weights[y_i] * (softmax(z_i) - onehot(y_i)). A zero weight gives an exact
+    zero loss and gradient.
+    """
+    y = np.asarray(y)
+    rows = np.arange(Z.shape[0])
+    lse = _log_sum_exp(Z)
+    sample_w = np.asarray(weights, dtype=np.float64)[y]
+    losses = sample_w * (lse - Z[rows, y])
+    G = np.exp(Z - lse[:, None])
+    G[rows, y] -= 1.0
+    G *= sample_w[:, None]
+    return losses, G
 
 
-def loss_gradient(z: np.ndarray, class_index: int, weights: Sequence[float]) -> np.ndarray:
-    """d loss / d z = weights[class] * (softmax(z) - onehot(class))."""
-    z = np.asarray(z, dtype=np.float64)
-    g = softmax(z)
-    g[class_index] -= 1.0
-    return float(weights[class_index]) * g
-
-
-def backward(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chain rule through the linear layer: dW = g (outer) x, db = g."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.ndim != 1 or g.ndim != 1:
-        raise DimensionMismatchError("backward expects 1-D x and g")
-    return np.outer(g, x), g.copy()
+def loss_and_grads(
+    params: LinearParams, X: np.ndarray, y: np.ndarray, weights: Sequence[float]
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Summed weighted CE over one batch, plus the exact gradients (dW, db)
+    of the batch-mean loss (the sum divided by the batch size)."""
+    losses, G = weighted_ce(logits(params, X), y, weights)
+    G /= X.shape[0]
+    return float(losses.sum()), (G.T @ X, G.sum(axis=0))
 
 
 def optimizer_step(
@@ -177,8 +184,9 @@ def optimizer_step(
     grads: tuple[np.ndarray, np.ndarray],
     state: OptimizerState,
     cfg: TrainConfig,
-) -> tuple[LinearParams, OptimizerState]:
-    """One bias-corrected adaptive-moment update with decoupled weight decay.
+) -> None:
+    """One bias-corrected adaptive-moment update with decoupled weight decay,
+    applied in place to ``params`` and ``state``.
 
     The decay is applied directly to the freshly updated parameters
     (p <- p * (1 - lr * weight_decay)), never through the gradient.
@@ -186,23 +194,22 @@ def optimizer_step(
     dW, db = grads
     if dW.shape != params.W.shape or db.shape != params.b.shape:
         raise DimensionMismatchError("gradient shapes do not match parameters")
-    t = state.t + 1
+    state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
 
     def update(p, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g * g
-        step = cfg.learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + cfg.epsilon)
-        p_new = p - step
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
         if cfg.weight_decay > 0.0:
-            p_new = p_new - cfg.learning_rate * cfg.weight_decay * p_new
-        return p_new, m_new, v_new
+            p -= cfg.learning_rate * cfg.weight_decay * p
 
-    w_new, m_w, v_w = update(params.W, dW, state.m_w, state.v_w)
-    b_new, m_b, v_b = update(params.b, db, state.m_b, state.v_b)
-    return LinearParams(w_new, b_new), OptimizerState(m_w, v_w, m_b, v_b, t)
+    update(params.W, dW, state.m.W, state.v.W)
+    update(params.b, db, state.m.b, state.v.b)
 
 
 def initial_params(dim: int, num_labels: int, seed: int) -> LinearParams:
@@ -213,20 +220,6 @@ def initial_params(dim: int, num_labels: int, seed: int) -> LinearParams:
         W=rng.uniform(-bound, bound, size=(num_labels, dim)),
         b=np.zeros(num_labels, dtype=np.float64),
     )
-
-
-def _batch_loss_and_grads(X, y, w_vec, params):
-    """Mean-of-sample weighted CE over one batch plus its exact gradients."""
-    nb = X.shape[0]
-    Z = X @ params.W.T + params.b
-    lse = _log_sum_exp(Z)
-    sample_w = w_vec[y]
-    losses = sample_w * (lse - Z[np.arange(nb), y])
-    G = np.exp(Z - lse[:, None])
-    G[np.arange(nb), y] -= 1.0
-    G *= sample_w[:, None]
-    G /= nb
-    return float(losses.sum()), (G.T @ X, G.sum(axis=0))
 
 
 def train(
@@ -277,9 +270,9 @@ def train(
         loss_total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch_sum, grads = _batch_loss_and_grads(X_train[idx], y_train[idx], w_vec, params)
+            batch_sum, grads = loss_and_grads(params, X_train[idx], y_train[idx], w_vec)
             loss_total += batch_sum
-            params, state = optimizer_step(params, grads, state, cfg)
+            optimizer_step(params, grads, state, cfg)
 
         score = _validation_score(X_val, y_val, w_vec, params, len(labels), cfg.selection_metric)
         improved = score > best_score if higher_is_better else score < best_score
@@ -299,30 +292,13 @@ def train(
 
 
 def _validation_score(X_val, y_val, w_vec, params, num_labels, metric):
-    Z = X_val @ params.W.T + params.b
+    Z = logits(params, X_val)
     if metric == "macro_f1":
         preds = np.argmax(Z, axis=1)
         _, report = evaluate_predictions(y_val.tolist(), preds.tolist(), num_labels)
         return report.macro_f1
-    lse = _log_sum_exp(Z)
-    losses = w_vec[y_val] * (lse - Z[np.arange(len(y_val)), y_val])
+    losses, _ = weighted_ce(Z, y_val, w_vec)
     return float(losses.sum()) / len(y_val)
-
-
-def predict_index(ckpt: LinearCheckpoint, x: np.ndarray) -> int:
-    """Argmax over logits; ties resolve to the lowest label index."""
-    return int(np.argmax(forward(ckpt.params, x)))
-
-
-def predict(ckpt: LinearCheckpoint, x: np.ndarray) -> str:
-    return ckpt.labels[predict_index(ckpt, x)]
-
-
-def predict_with_probability(ckpt: LinearCheckpoint, x: np.ndarray) -> tuple[str, float]:
-    """Predicted label plus its softmax probability."""
-    z = forward(ckpt.params, x)
-    idx = int(np.argmax(z))
-    return ckpt.labels[idx], float(softmax(z)[idx])
 
 
 def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:

@@ -23,11 +23,11 @@ from rhetrole.imbalance import (
     undersample,
 )
 from rhetrole.linear_model import (
-    backward,
-    loss_gradient,
+    LinearParams,
+    loss_and_grads,
     parse_checkpoint,
     serialize_checkpoint,
-    weighted_ce_loss,
+    weighted_ce,
 )
 from rhetrole.metrics import evaluate_predictions
 
@@ -47,21 +47,25 @@ def _report(criterion: str, detail: str = ""):
 def test_criterion_1_loss_correctness():
     start = time.perf_counter()
 
-    assert weighted_ce_loss(np.zeros(7), 0, ONES7) == pytest.approx(math.log(7), abs=1e-6)
+    losses, _ = weighted_ce(np.zeros((1, 7)), [0], ONES7)
+    assert losses[0] == pytest.approx(math.log(7), abs=1e-6)
 
     zero_w = np.ones(7)
     zero_w[3] = 0.0
-    assert weighted_ce_loss(np.array([9.0, -4.0, 0.0, 2.0, 1.0, 1.0, 5.0]), 3, zero_w) == 0.0
+    Z = np.array([[9.0, -4.0, 0.0, 2.0, 1.0, 1.0, 5.0], [0.5, 1.0, -2.0, 3.0, 0.0, 0.0, 1.0]])
+    losses, G = weighted_ce(Z, [3, 0], zero_w)
+    assert losses[0] == 0.0 and not G[0].any()
+    assert losses[1] > 0.0
 
     rng = np.random.default_rng(101)
+    Z = rng.normal(scale=6.0, size=(1000, 7))
+    y = rng.integers(0, 7, size=1000)
+    ours, _ = weighted_ce(Z, y, ONES7)
     worst = 0.0
-    for _ in range(1000):
-        z = rng.normal(scale=6.0, size=7)
-        c = int(rng.integers(0, 7))
-        ours = weighted_ce_loss(z, c, ONES7)
-        m = float(z.max())
+    for z, c, loss in zip(Z.tolist(), y.tolist(), ours.tolist()):
+        m = max(z)
         reference = m + math.log(sum(math.exp(v - m) for v in z)) - z[c]
-        worst = max(worst, abs(ours - reference) / max(abs(reference), 1e-300))
+        worst = max(worst, abs(loss - reference) / max(abs(reference), 1e-300))
     assert worst <= 1e-12
 
     elapsed = time.perf_counter() - start
@@ -70,47 +74,56 @@ def test_criterion_1_loss_correctness():
 
 
 def test_criterion_2_gradient_suite():
+    """weighted_ce's dLoss/dZ, and loss_and_grads' gradients of the
+    batch-mean loss with respect to W and b, against central differences for
+    batch sizes 1, 3 and 8 with non-uniform class weights that include a
+    zero."""
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     h = 1e-4
     d = 5
     worst = 0.0
-    for _ in range(100):
-        z = rng.normal(scale=4.0, size=7)
-        c = int(rng.integers(0, 7))
+    for trial in range(99):
+        nb = (1, 3, 8)[trial % 3]
         w = rng.uniform(0.05, 4.0, size=7)
-        x = rng.normal(size=d)
+        w[int(rng.integers(0, 7))] = 0.0
+        y = rng.integers(0, 7, size=nb)
 
-        analytic = loss_gradient(z, c, w)
-        numeric = np.zeros(7)
-        for j in range(7):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            numeric[j] = (weighted_ce_loss(zp, c, w) - weighted_ce_loss(zm, c, w)) / (2 * h)
+        Z = rng.normal(scale=4.0, size=(nb, 7))
+        _, analytic = weighted_ce(Z, y, w)
+        numeric = np.zeros_like(Z)
+        for i in range(nb):
+            for j in range(7):
+                Zp, Zm = Z.copy(), Z.copy()
+                Zp[i, j] += h
+                Zm[i, j] -= h
+                numeric[i, j] = (
+                    weighted_ce(Zp, y, w)[0].sum() - weighted_ce(Zm, y, w)[0].sum()
+                ) / (2 * h)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
         worst = max(worst, np.abs(analytic - numeric).max() / scale)
 
+        X = rng.normal(size=(nb, d))
         W = rng.normal(size=(7, d))
         b = rng.normal(size=7)
-        dW, db = backward(x, loss_gradient(W @ x + b, c, w))
+
+        def mean_loss(Wm, bm):
+            return loss_and_grads(LinearParams(Wm, bm), X, y, w)[0] / nb
+
+        _, (dW, db) = loss_and_grads(LinearParams(W, b), X, y, w)
         num_dW = np.zeros_like(W)
         for i in range(7):
             for j in range(d):
                 Wp, Wm = W.copy(), W.copy()
                 Wp[i, j] += h
                 Wm[i, j] -= h
-                num_dW[i, j] = (
-                    weighted_ce_loss(Wp @ x + b, c, w) - weighted_ce_loss(Wm @ x + b, c, w)
-                ) / (2 * h)
+                num_dW[i, j] = (mean_loss(Wp, b) - mean_loss(Wm, b)) / (2 * h)
         num_db = np.zeros_like(b)
         for i in range(7):
             bp, bm = b.copy(), b.copy()
             bp[i] += h
             bm[i] -= h
-            num_db[i] = (
-                weighted_ce_loss(W @ x + bp, c, w) - weighted_ce_loss(W @ x + bm, c, w)
-            ) / (2 * h)
+            num_db[i] = (mean_loss(W, bp) - mean_loss(W, bm)) / (2 * h)
         scale_w = max(np.abs(dW).max(), np.abs(num_dW).max(), 1e-12)
         scale_b = max(np.abs(db).max(), np.abs(num_db).max(), 1e-12)
         worst = max(

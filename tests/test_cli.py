@@ -8,8 +8,8 @@ import pytest
 from rhetrole.cli import main
 from rhetrole.config import PRESETS, RunConfig, resolve_config
 from rhetrole.corpus import LABELS
-from rhetrole.embedding import save_embeddings
-from rhetrole.errors import ConfigError
+from rhetrole.embedding import parse_provider_spec, save_embeddings
+from rhetrole.errors import ConfigError, InputError
 from rhetrole.linear_model import LinearCheckpoint, LinearParams, save_checkpoint
 
 
@@ -258,6 +258,15 @@ class TestEvaluate:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_non_positive_max_len_exit_2(self, trained, toy_tsv, capsys, max_len):
+        rc, _, stderr = run_cli(
+            capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.txt"),
+            "--corpus", str(toy_tsv), "--max-len", max_len,
+        )
+        assert rc == 2
+        assert "max_len" in stderr
+
     def test_garbage_provider_spec_exit_2(self, trained, toy_tsv, capsys):
         rc, _, stderr = run_cli(
             capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.txt"),
@@ -383,7 +392,28 @@ class TestConfigResolution:
         ).validate()
 
     def test_provider_spec_parsing(self):
-        assert RunConfig(provider="hashed:128").provider_arg == 128
-        assert RunConfig(provider="precomputed:/x/y.emb").provider_arg == "/x/y.emb"
+        assert parse_provider_spec("hashed:128") == ("hashed", 128, None, None)
+        assert parse_provider_spec("hashed:128:uncased:9") == ("hashed", 128, "uncased", 9)
+        assert parse_provider_spec("precomputed:/x/y.emb") == (
+            "precomputed", "/x/y.emb", None, None
+        )
+        with pytest.raises(ConfigError):
+            parse_provider_spec("magic:1")
         with pytest.raises(ConfigError):
             RunConfig(provider="magic:1").validate()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"epochs": 0},
+            {"batch_size": 0},
+            {"learning_rate": 0.0},
+            {"seed": -1},
+            {"train_fraction": 1.0},
+            {"split_mode": "by_page"},
+            {"selection_metric": "accuracy"},
+        ],
+    )
+    def test_training_and_split_rules_checked_at_resolution(self, override):
+        with pytest.raises(InputError):
+            resolve_config(overrides=override)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhetrole.embedding import PrecomputedProvider
+from rhetrole.embedding import PrecomputedProvider, embed_batch
 from rhetrole.errors import CheckpointFormatError, DimensionMismatchError, InputError
 from rhetrole.corpus import LabeledSentence
 from rhetrole.linear_model import (
@@ -15,19 +15,15 @@ from rhetrole.linear_model import (
     LinearParams,
     OptimizerState,
     TrainConfig,
-    backward,
-    forward,
     initial_params,
-    loss_gradient,
+    logits,
+    loss_and_grads,
     optimizer_step,
     parse_checkpoint,
-    predict,
-    predict_index,
-    predict_with_probability,
     serialize_checkpoint,
     softmax,
     train,
-    weighted_ce_loss,
+    weighted_ce,
 )
 
 from .conftest import multiclass_perceptron_separates
@@ -42,29 +38,37 @@ def reference_unweighted_ce(z, class_index):
     return lse - z[class_index]
 
 
+def row_losses(Z, y, weights):
+    return weighted_ce(np.asarray(Z, dtype=np.float64), y, weights)[0]
+
+
+def row_grads(Z, y, weights):
+    return weighted_ce(np.asarray(Z, dtype=np.float64), y, weights)[1]
+
+
 class TestForward:
     def test_zero_params(self):
         params = LinearParams(np.zeros((7, 4)), np.zeros(7))
-        assert np.array_equal(forward(params, np.ones(4)), np.zeros(7))
+        assert np.array_equal(logits(params, np.ones((3, 4))), np.zeros((3, 7)))
 
     def test_identity_weight_matrix(self):
         params = LinearParams(np.eye(7), np.zeros(7))
-        e3 = np.zeros(7)
-        e3[3] = 1.0
-        assert np.array_equal(forward(params, e3), e3)
+        assert np.array_equal(logits(params, np.eye(7)), np.eye(7))
 
     def test_row_dot_product(self):
         W = np.zeros((7, 2))
         W[0] = [1.0, 1.0]
         b = np.zeros(7)
         b[0] = 0.5
-        z = forward(LinearParams(W, b), np.array([2.0, 3.0]))
-        assert z[0] == 5.5
+        Z = logits(LinearParams(W, b), np.array([[2.0, 3.0], [0.0, 0.0]]))
+        assert Z[0, 0] == 5.5
+        assert Z[1, 0] == 0.5
 
     def test_dimension_mismatch(self):
         params = LinearParams(np.zeros((7, 4)), np.zeros(7))
-        with pytest.raises(DimensionMismatchError):
-            forward(params, np.ones(5))
+        for shape in [(2, 5), (4,)]:
+            with pytest.raises(DimensionMismatchError):
+                logits(params, np.ones(shape))
 
 
 class TestSoftmax:
@@ -93,63 +97,71 @@ class TestSoftmax:
 
 class TestWeightedCeLoss:
     def test_uniform_logits_ln7(self):
-        assert weighted_ce_loss(np.zeros(7), 0, ONES7) == pytest.approx(math.log(7), abs=1e-6)
+        losses = row_losses(np.zeros((7, 7)), np.arange(7), ONES7)
+        assert losses == pytest.approx([math.log(7)] * 7, abs=1e-6)
 
     def test_zero_weight_gives_exact_zero(self):
-        z = np.array([3.0, -2.0, 9.0, 0.0, 1.0, 1.0, 4.0])
+        Z = np.array([[3.0, -2.0, 9.0, 0.0, 1.0, 1.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]])
         weights = np.ones(7)
         weights[2] = 0.0
-        assert weighted_ce_loss(z, 2, weights) == 0.0
+        losses = row_losses(Z, [2, 0], weights)
+        assert losses[0] == 0.0
+        assert losses[1] > 0.0
 
     def test_frozen_weighted_value(self):
-        assert weighted_ce_loss(np.array([2.0, 1.0, 0.0]), 0, [2.0, 1.0, 1.0]) == pytest.approx(
+        assert row_losses([[2.0, 1.0, 0.0]], [0], [2.0, 1.0, 1.0])[0] == pytest.approx(
             0.81522, abs=1e-5
         )
 
     def test_all_ones_equals_unweighted(self):
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            z = rng.normal(scale=5.0, size=7)
-            c = int(rng.integers(0, 7))
-            ours = weighted_ce_loss(z, c, ONES7)
-            ref = reference_unweighted_ce(z.tolist(), c)
-            assert ours == pytest.approx(ref, rel=1e-12)
+        Z = rng.normal(scale=5.0, size=(200, 7))
+        y = rng.integers(0, 7, size=200)
+        ours = row_losses(Z, y, ONES7)
+        for i in range(200):
+            reference = reference_unweighted_ce(Z[i].tolist(), y[i])
+            assert ours[i] == pytest.approx(reference, rel=1e-12)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            z = rng.normal(scale=3.0, size=7)
+        for _ in range(20):
+            Z = rng.normal(scale=3.0, size=(5, 7))
             w = rng.uniform(0.1, 5.0, size=7)
-            assert weighted_ce_loss(z, int(rng.integers(0, 7)), w) >= 0.0
+            assert np.all(row_losses(Z, rng.integers(0, 7, size=5), w) >= 0.0)
 
 
 class TestLossGradient:
     def test_uniform_case(self):
-        g = loss_gradient(np.zeros(7), 0, ONES7)
+        G = row_grads(np.zeros((1, 7)), [0], ONES7)
         expected = np.full(7, 1 / 7)
         expected[0] -= 1.0
-        assert g == pytest.approx(expected, abs=1e-12)
+        assert G[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_weight(self):
         weights = np.zeros(7)
         weights[1] = 3.0
-        assert not loss_gradient(np.ones(7), 0, weights).any()
+        G = row_grads(np.ones((2, 7)), [0, 1], weights)
+        assert not G[0].any()
+        assert G[1].any()
 
     def test_matches_central_differences(self):
+        """Rows are independent, so d(sum of row losses)/dZ[i, j] is G[i, j]."""
         rng = np.random.default_rng(42)
         h = 1e-4
         worst = 0.0
-        for _ in range(100):
-            z = rng.normal(scale=4.0, size=7)
-            c = int(rng.integers(0, 7))
+        for _ in range(20):
+            Z = rng.normal(scale=4.0, size=(5, 7))
+            y = rng.integers(0, 7, size=5)
             w = rng.uniform(0.05, 4.0, size=7)
-            analytic = loss_gradient(z, c, w)
-            numeric = np.zeros(7)
-            for j in range(7):
-                zp, zm = z.copy(), z.copy()
-                zp[j] += h
-                zm[j] -= h
-                numeric[j] = (weighted_ce_loss(zp, c, w) - weighted_ce_loss(zm, c, w)) / (2 * h)
+            analytic = row_grads(Z, y, w)
+            numeric = np.zeros_like(Z)
+            for i in range(5):
+                for j in range(7):
+                    Zp, Zm = Z.copy(), Z.copy()
+                    Zp[i, j] += h
+                    Zm[i, j] -= h
+                    diff = row_losses(Zp, y, w).sum() - row_losses(Zm, y, w).sum()
+                    numeric[i, j] = diff / (2 * h)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
             worst = max(worst, np.abs(analytic - numeric).max() / scale)
         assert worst < 1e-5
@@ -158,58 +170,64 @@ class TestLossGradient:
     @settings(max_examples=30)
     def test_weight_scaling_scales_loss_and_gradient(self, lam):
         rng = np.random.default_rng(3)
-        z = rng.normal(size=7)
+        Z = rng.normal(size=(4, 7))
         w = rng.uniform(0.5, 2.0, size=7)
-        c = 4
-        assert weighted_ce_loss(z, c, lam * w) == pytest.approx(
-            lam * weighted_ce_loss(z, c, w), rel=1e-12
-        )
-        assert loss_gradient(z, c, lam * w) == pytest.approx(
-            lam * loss_gradient(z, c, w), rel=1e-12, abs=1e-15
+        y = [4, 0, 6, 4]
+        assert row_losses(Z, y, lam * w) == pytest.approx(lam * row_losses(Z, y, w), rel=1e-12)
+        assert row_grads(Z, y, lam * w) == pytest.approx(
+            lam * row_grads(Z, y, w), rel=1e-12, abs=1e-15
         )
 
 
 class TestBackward:
     def test_zero_gradient(self):
-        dW, db = backward(np.ones(4), np.zeros(7))
+        params = LinearParams(np.ones((7, 4)), np.ones(7))
+        total, (dW, db) = loss_and_grads(params, np.ones((3, 4)), [0, 1, 2], np.zeros(7))
+        assert total == 0.0
         assert not dW.any() and not db.any()
 
     def test_outer_product_structure(self):
-        g = np.zeros(7)
-        g[1] = 1.0
-        x = np.zeros(4)
-        x[2] = 1.0
-        dW, db = backward(x, g)
-        assert dW[1, 2] == 1.0
-        assert np.count_nonzero(dW) == 1
-        assert np.array_equal(db, g)
+        params = LinearParams(np.zeros((7, 4)), np.zeros(7))
+        x = np.zeros((1, 4))
+        x[0, 2] = 1.0
+        total, (dW, db) = loss_and_grads(params, x, [1], ONES7)
+        assert np.count_nonzero(dW[:, [0, 1, 3]]) == 0
+        assert np.array_equal(dW[:, 2], db)
+        # The gradients are of the batch mean: repeating the batch leaves
+        # them unchanged and doubles the summed loss.
+        total2, (dW2, db2) = loss_and_grads(params, np.vstack([x, x]), [1, 1], ONES7)
+        assert total2 == 2 * total
+        assert np.array_equal(dW2, dW) and np.array_equal(db2, db)
 
     def test_matches_finite_differences_through_linear_layer(self):
+        """Gradients of the batch-mean loss for batch sizes 1, 3 and 8, with
+        non-uniform class weights that include a zero."""
         rng = np.random.default_rng(9)
         h = 1e-4
-        W = rng.normal(size=(3, 5))
-        b = rng.normal(size=3)
-        x = rng.normal(size=5)
-        w_cls = rng.uniform(0.2, 3.0, size=3)
-        c = 1
+        for nb in (1, 3, 8):
+            W = rng.normal(size=(3, 5))
+            b = rng.normal(size=3)
+            X = rng.normal(size=(nb, 5))
+            y = np.resize([0, 2, 1], nb)  # class 2 carries zero weight
+            w_cls = rng.uniform(0.2, 3.0, size=3)
+            w_cls[2] = 0.0
 
-        def loss_at(Wm, bm):
-            return weighted_ce_loss(Wm @ x + bm, c, w_cls)
+            def loss_at(Wm, bm):
+                return loss_and_grads(LinearParams(Wm, bm), X, y, w_cls)[0] / nb
 
-        g = loss_gradient(W @ x + b, c, w_cls)
-        dW, db = backward(x, g)
-        for i in range(3):
-            for j in range(5):
-                Wp, Wm = W.copy(), W.copy()
-                Wp[i, j] += h
-                Wm[i, j] -= h
-                num = (loss_at(Wp, b) - loss_at(Wm, b)) / (2 * h)
-                assert dW[i, j] == pytest.approx(num, rel=1e-5, abs=1e-8)
-            bp, bm = b.copy(), b.copy()
-            bp[i] += h
-            bm[i] -= h
-            num = (loss_at(W, bp) - loss_at(W, bm)) / (2 * h)
-            assert db[i] == pytest.approx(num, rel=1e-5, abs=1e-8)
+            _, (dW, db) = loss_and_grads(LinearParams(W, b), X, y, w_cls)
+            for i in range(3):
+                for j in range(5):
+                    Wp, Wm = W.copy(), W.copy()
+                    Wp[i, j] += h
+                    Wm[i, j] -= h
+                    num = (loss_at(Wp, b) - loss_at(Wm, b)) / (2 * h)
+                    assert dW[i, j] == pytest.approx(num, rel=1e-5, abs=1e-8)
+                bp, bm = b.copy(), b.copy()
+                bp[i] += h
+                bm[i] -= h
+                num = (loss_at(W, bp) - loss_at(W, bm)) / (2 * h)
+                assert db[i] == pytest.approx(num, rel=1e-5, abs=1e-8)
 
 
 def scalar_setup(lr=2e-5, weight_decay=0.0):
@@ -223,29 +241,41 @@ class TestOptimizerStep:
     def test_first_step_closed_form(self):
         params, state, cfg = scalar_setup()
         grads = (np.array([[1.0]]), np.zeros(1))
-        new_params, new_state = optimizer_step(params, grads, state, cfg)
+        optimizer_step(params, grads, state, cfg)
         # bias-corrected first step: -lr * g / (|g| + eps)
-        assert new_params.W[0, 0] == pytest.approx(-2e-5, rel=1e-6)
-        assert new_state.t == 1
+        assert params.W[0, 0] == pytest.approx(-2e-5, rel=1e-6)
+        assert state.t == 1
 
     def test_zero_grad_no_decay_leaves_params(self):
         params, state, cfg = scalar_setup()
         params.W[0, 0] = 0.75
-        new_params, _ = optimizer_step(params, (np.zeros((1, 1)), np.zeros(1)), state, cfg)
-        assert new_params.W[0, 0] == 0.75
+        optimizer_step(params, (np.zeros((1, 1)), np.zeros(1)), state, cfg)
+        assert params.W[0, 0] == 0.75
 
     def test_zero_grad_with_decay_shrinks_multiplicatively(self):
         params, state, cfg = scalar_setup(weight_decay=0.01)
         params.W[0, 0] = 0.75
-        new_params, _ = optimizer_step(params, (np.zeros((1, 1)), np.zeros(1)), state, cfg)
-        assert new_params.W[0, 0] == pytest.approx(0.75 * (1 - 2e-5 * 0.01), rel=1e-15)
+        optimizer_step(params, (np.zeros((1, 1)), np.zeros(1)), state, cfg)
+        assert params.W[0, 0] == pytest.approx(0.75 * (1 - 2e-5 * 0.01), rel=1e-15)
 
     def test_step_counter_accumulates(self):
         params, state, cfg = scalar_setup()
         grads = (np.array([[0.5]]), np.array([0.1]))
         for expected_t in (1, 2, 3):
-            params, state = optimizer_step(params, grads, state, cfg)
+            optimizer_step(params, grads, state, cfg)
             assert state.t == expected_t
+
+    def test_updates_in_place(self):
+        params, state, cfg = scalar_setup(weight_decay=0.01)
+
+        def arrays():
+            return (params.W, params.b, state.m.W, state.m.b, state.v.W, state.v.b)
+
+        before = arrays()
+        assert optimizer_step(params, (np.array([[0.5]]), np.array([-0.25])), state, cfg) is None
+        assert all(a is b for a, b in zip(before, arrays()))
+        assert state.m.W[0, 0] == pytest.approx(0.05) and state.m.b[0] == pytest.approx(-0.025)
+        assert state.v.W[0, 0] == pytest.approx(0.00025) and params.b[0] > 0.0
 
 
 def two_class_toy(n=200, d=8, seed=123):
@@ -279,7 +309,8 @@ class TestTrain:
         train_set, val_set = sentences[:160], sentences[160:]
         cfg = TrainConfig(batch_size=8, epochs=20, learning_rate=1e-2, seed=42)
         ckpt = train(train_set, val_set, provider, np.ones(2), cfg, labels=self.LABELS2)
-        correct = sum(predict(ckpt, provider.lookup(s.text)) == s.label for s in val_set)
+        preds = logits(ckpt.params, embed_batch(val_set, provider)).argmax(axis=1)
+        correct = sum(ckpt.labels[i] == s.label for i, s in zip(preds, val_set))
         assert correct / len(val_set) >= 0.95
 
     def test_single_epoch_checkpoint_is_that_epoch(self):
@@ -324,34 +355,31 @@ class TestTrain:
 
 
 class TestPredict:
-    def ckpt_with(self, W, b, labels=None):
-        labels = labels or tuple(f"L{i}" for i in range(W.shape[0]))
-        return LinearCheckpoint(
-            params=LinearParams(W, b), labels=labels, provider_id="test", dim=W.shape[1]
-        )
+    """Prediction is the argmax of the logits (ties to the lowest index) and
+    its softmax probability, as evaluate and predict compute it."""
 
     def test_forced_argmax(self):
         W = np.zeros((7, 3))
         b = np.array([5.0, 0, 0, 0, 0, 0, 0])
-        ckpt = self.ckpt_with(W, b)
-        assert predict_index(ckpt, np.zeros(3)) == 0
+        Z = logits(LinearParams(W, b), np.zeros((2, 3)))
+        assert Z.argmax(axis=1).tolist() == [0, 0]
 
     def test_all_zero_params_tie_breaks_to_lowest_index(self):
-        ckpt = self.ckpt_with(np.zeros((7, 3)), np.zeros(7))
-        label, prob = predict_with_probability(ckpt, np.ones(3))
-        assert label == ckpt.labels[0]
-        assert prob == pytest.approx(1 / 7)
+        Z = logits(LinearParams(np.zeros((7, 3)), np.zeros(7)), np.ones((1, 3)))
+        idx = int(Z.argmax(axis=1)[0])
+        assert idx == 0
+        assert softmax(Z)[0, idx] == pytest.approx(1 / 7)
 
     def test_matches_exhaustive_logit_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(3):
             W = rng.normal(size=(7, 5))
             b = rng.normal(size=7)
-            x = rng.normal(size=5)
-            ckpt = self.ckpt_with(W, b)
-            logits = [sum(W[i, j] * x[j] for j in range(5)) + b[i] for i in range(7)]
-            best = max(range(7), key=lambda i: logits[i])
-            assert predict_index(ckpt, x) == best
+            X = rng.normal(size=(4, 5))
+            preds = logits(LinearParams(W, b), X).argmax(axis=1)
+            for x, pred in zip(X, preds):
+                oracle = [sum(W[i, j] * x[j] for j in range(5)) + b[i] for i in range(7)]
+                assert pred == max(range(7), key=lambda i: oracle[i])
 
     @given(st.integers(0, 6), st.integers(1, 6))
     @settings(max_examples=40)
@@ -361,8 +389,8 @@ class TestPredict:
         b = np.zeros(7)
         for pos in z_max_positions:
             b[pos] = 1.0
-        ckpt = self.ckpt_with(W, b)
-        assert predict_index(ckpt, np.zeros(1)) == z_max_positions[0]
+        Z = logits(LinearParams(W, b), np.zeros((1, 1)))
+        assert Z.argmax(axis=1)[0] == z_max_positions[0]
 
 
 class TestCheckpointIO:
