@@ -43,7 +43,6 @@ from .imbalance import (
 )
 from .linear_model import (
     LinearCheckpoint,
-    LinearParams,
     OptimizerState,
     TrainConfig,
     load_checkpoint,

@@ -35,6 +35,7 @@ from .errors import ConfigError, DimensionMismatchError, InputError, RhetroleErr
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
     EpochStats,
+    input_dim,
     load_checkpoint,
     logits,
     save_checkpoint,
@@ -107,19 +108,26 @@ def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int 
 
 
 def _provider_for_inference(args, ckpt):
-    kind, arg, id_casing, id_len = parse_provider_spec(args.provider or ckpt.provider_id)
+    """The featuriser the checkpoint was trained with. ``--provider`` may only
+    point a precomputed checkpoint at another vectors file."""
+    kind, arg, casing, max_len = parse_provider_spec(ckpt.provider_id)
+    if args.provider is not None:
+        new_kind, new_arg, _, _ = parse_provider_spec(args.provider)
+        if kind != "precomputed" or new_kind != "precomputed":
+            raise ConfigError(
+                f"--provider {args.provider!r} cannot replace the checkpoint's provider "
+                f"{ckpt.provider_id!r}; it may only name another vectors file "
+                "(precomputed:<path>) for a precomputed checkpoint"
+            )
+        arg = new_arg
     if kind == "precomputed":
         provider = load_precomputed(arg)
     else:
-        # A full provider id embeds the training-time casing and truncation
-        # bound; flags override them only when given explicitly.
-        casing = args.casing or id_casing or "cased"
-        max_len = args.max_len if args.max_len is not None else (id_len or _UNBOUNDED_LEN)
         provider = HashedBowProvider(arg, TokenizerConfig(casing=casing, max_len=max_len))
-    if provider.dimension != ckpt.dim:
+    if provider.dimension != input_dim(ckpt.params):
         raise DimensionMismatchError(
             f"provider dimension {provider.dimension} does not match "
-            f"checkpoint dimension {ckpt.dim}"
+            f"checkpoint dimension {input_dim(ckpt.params)}"
         )
     return provider
 
@@ -276,28 +284,32 @@ def cmd_reproduce_run(args) -> int:
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser, *, training: bool) -> None:
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
     p.add_argument("--provider", default=None,
                    help="embedding provider: hashed:<dim> or precomputed:<path>")
     p.add_argument("--casing", choices=["cased", "uncased"], default=None)
     p.add_argument("--max-len", dest="max_len", type=int, default=None,
                    help="token truncation bound (default: 0.98 length percentile)")
-    if training:
-        p.add_argument("--config", default=None, help="run-config JSON file")
-        p.add_argument("--weights", choices=sorted(_WEIGHT_FLAG_TO_SCHEME), default=None,
-                       help="class-weight scheme for the loss")
-        p.add_argument("--balance", choices=sorted(_BALANCE_FLAG_TO_METHOD), default=None,
-                       help="imbalance strategy")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None, help="learning rate")
-        p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-        p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-        p.add_argument("--split-mode", dest="split_mode",
-                       choices=["sentence_shuffled", "document_level"], default=None)
-        p.add_argument("--selection-metric", dest="selection_metric",
-                       choices=["macro_f1", "val_loss"], default=None)
+    p.add_argument("--config", default=None, help="run-config JSON file")
+    p.add_argument("--weights", choices=sorted(_WEIGHT_FLAG_TO_SCHEME), default=None,
+                   help="class-weight scheme for the loss")
+    p.add_argument("--balance", choices=sorted(_BALANCE_FLAG_TO_METHOD), default=None,
+                   help="imbalance strategy")
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
+    p.add_argument("--lr", type=float, default=None, help="learning rate")
+    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
+    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
+    p.add_argument("--split-mode", dest="split_mode",
+                   choices=["sentence_shuffled", "document_level"], default=None)
+    p.add_argument("--selection-metric", dest="selection_metric",
+                   choices=["macro_f1", "val_loss"], default=None)
+
+
+def _add_inference_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--provider", default=None,
+                   help="precomputed:<path>: another vectors file for a precomputed checkpoint")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,28 +333,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    _add_common_flags(p, training=True)
+    _add_training_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a labeled corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", default=None, help="metrics JSON path (default: stdout)")
-    _add_common_flags(p, training=False)
+    _add_inference_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="label raw sentences (one per line)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sentences", required=True, help="plain-text file, one sentence per line")
     p.add_argument("--out", default=None, help="TSV output path (default: stdout)")
-    _add_common_flags(p, training=False)
+    _add_inference_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("reproduce-run", help="run one of the three preset configurations")
     p.add_argument("run", help="run id: 1, 2 or 3")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", default=None, help="output directory (default: run<k>_out)")
-    _add_common_flags(p, training=True)
+    _add_training_flags(p)
     p.set_defaults(func=cmd_reproduce_run)
 
     return parser

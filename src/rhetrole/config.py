@@ -30,6 +30,11 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
+def _is_number(value: Any, types) -> bool:
+    """isinstance that refuses booleans, which Python counts as integers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     run_id: str = "custom"
@@ -62,12 +67,12 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in self._INT_FIELDS:
-            if not isinstance(getattr(self, name), int):
+            if not _is_number(getattr(self, name), int):
                 raise ConfigError(f"{name} must be an integer")
-        if self.max_len is not None and not isinstance(self.max_len, int):
+        if self.max_len is not None and not _is_number(self.max_len, int):
             raise ConfigError("max_len must be an integer")
         for name in self._REAL_FIELDS:
-            if not isinstance(getattr(self, name), (int, float)):
+            if not _is_number(getattr(self, name), (int, float)):
                 raise ConfigError(f"{name} must be a number")
         if self.casing not in CASINGS:
             raise ConfigError(f"casing must be one of {CASINGS}, got {self.casing!r}")

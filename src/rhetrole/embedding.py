@@ -216,9 +216,12 @@ def parse_embeddings(text: str, provider_id: str = "precomputed:<memory>") -> Pr
                 f"line {rec_no}: expected {dim} values, got {len(parts)}"
             )
         try:
-            vectors[key] = np.array([float(p) for p in parts], dtype=np.float64)
+            vec = np.array([float(p) for p in parts], dtype=np.float64)
         except ValueError:
             raise EmbeddingFormatError(f"line {rec_no}: non-numeric value") from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError(f"line {rec_no}: non-finite value (nan or inf)")
+        vectors[key] = vec
     return PrecomputedProvider(vectors, dim, provider_id)
 
 

@@ -3,12 +3,17 @@ cross-entropy with exact analytic gradients, decoupled-weight-decay adaptive
 optimizer, and the epoch/batch training loop with best-on-validation
 checkpointing.
 
+The classifier's parameters are one float64 array of shape
+(num_labels, dim + 1): columns ``[:, :-1]`` hold the weight matrix W and
+column ``[:, -1]`` the bias b. Only this module knows that layout.
+
 One batched core serves training, validation, evaluation and prediction:
 ``logits`` maps an (n, dim) embedding matrix to (n, num_labels) logits,
 ``weighted_ce`` gives per-row weighted cross-entropy and its gradient with
 respect to the logits, and ``loss_and_grads`` chains both through the linear
-layer for one mini-batch. ``optimizer_step`` updates parameters and moments
-in place.
+layer for one mini-batch, returning one gradient array laid out like the
+parameters. ``optimizer_step`` updates the parameters and both moment arrays
+in place with one element-wise update over the whole array.
 
 All math runs in float64. Training is deterministic given (data, config,
 seed): parameter init draws from the config seed, each epoch's shuffle from
@@ -41,35 +46,13 @@ SELECTION_METRICS = ("macro_f1", "val_loss")
 
 
 @dataclass
-class LinearParams:
-    """Classifier head: W is (num_labels, dim), b is (num_labels,)."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.ndim != 1 or self.W.shape[0] != self.b.shape[0]:
-            raise InputError(f"inconsistent parameter shapes {self.W.shape} / {self.b.shape}")
-
-    def copy(self) -> "LinearParams":
-        return LinearParams(self.W.copy(), self.b.copy())
-
-
-@dataclass
 class OptimizerState:
-    """First/second moment accumulators plus the completed-step counter."""
+    """First/second moment accumulators, each shaped like the parameters,
+    plus the completed-step counter."""
 
-    m: LinearParams
-    v: LinearParams
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-
-    @classmethod
-    def initial(cls, params: LinearParams) -> "OptimizerState":
-        m = LinearParams(np.zeros_like(params.W), np.zeros_like(params.b))
-        v = LinearParams(np.zeros_like(params.W), np.zeros_like(params.b))
-        return cls(m=m, v=v)
 
 
 @dataclass(frozen=True)
@@ -111,10 +94,9 @@ class LinearCheckpoint:
     not part of the file format, so checkpoints loaded from disk carry NaN.
     """
 
-    params: LinearParams
+    params: np.ndarray
     labels: tuple[str, ...]
     provider_id: str
-    dim: int
     selection_score: float = float("nan")
 
 
@@ -125,14 +107,21 @@ class EpochStats:
     val_score: float
 
 
-def logits(params: LinearParams, X: np.ndarray) -> np.ndarray:
+def input_dim(params: np.ndarray) -> int:
+    """Embedding width the classifier expects: every column but the bias."""
+    return params.shape[1] - 1
+
+
+def logits(params: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Logits Z = X W^T + b for an (n, dim) matrix of embeddings."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.W.shape[1]:
+    if X.ndim != 2 or X.shape[1] != input_dim(params):
         raise DimensionMismatchError(
-            f"input has shape {X.shape}, classifier expects (n, {params.W.shape[1]})"
+            f"input has shape {X.shape}, classifier expects (n, {input_dim(params)})"
         )
-    return X @ params.W.T + params.b
+    # The bias is added after the product, not folded into X as a column of
+    # ones, so the reduction order (and the checkpoint bytes) stay fixed.
+    return X @ params[:, :-1].T + params[:, -1]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -170,56 +159,48 @@ def weighted_ce(
 
 
 def loss_and_grads(
-    params: LinearParams, X: np.ndarray, y: np.ndarray, weights: Sequence[float]
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Summed weighted CE over one batch, plus the exact gradients (dW, db)
-    of the batch-mean loss (the sum divided by the batch size)."""
+    params: np.ndarray, X: np.ndarray, y: np.ndarray, weights: Sequence[float]
+) -> tuple[float, np.ndarray]:
+    """Summed weighted CE over one batch, plus the exact gradient of the
+    batch-mean loss (the sum divided by the batch size), laid out like
+    ``params``: dW in columns ``[:, :-1]``, db in column ``[:, -1]``."""
     losses, G = weighted_ce(logits(params, X), y, weights)
     G /= X.shape[0]
-    return float(losses.sum()), (G.T @ X, G.sum(axis=0))
+    return float(losses.sum()), np.column_stack([G.T @ X, G.sum(axis=0)])
 
 
 def optimizer_step(
-    params: LinearParams,
-    grads: tuple[np.ndarray, np.ndarray],
-    state: OptimizerState,
-    cfg: TrainConfig,
+    params: np.ndarray, grads: np.ndarray, state: OptimizerState, cfg: TrainConfig
 ) -> None:
     """One bias-corrected adaptive-moment update with decoupled weight decay,
-    applied in place to ``params`` and ``state``.
+    applied in place to ``params`` and ``state``; the bias column gets the
+    same element-wise update and decay as every weight column.
 
     The decay is applied directly to the freshly updated parameters
     (p <- p * (1 - lr * weight_decay)), never through the gradient.
     """
-    dW, db = grads
-    if dW.shape != params.W.shape or db.shape != params.b.shape:
-        raise DimensionMismatchError("gradient shapes do not match parameters")
+    if grads.shape != params.shape:
+        raise DimensionMismatchError("gradient shape does not match parameters")
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-
-    def update(p, g, m, v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-        if cfg.weight_decay > 0.0:
-            p -= cfg.learning_rate * cfg.weight_decay * p
-
-    update(params.W, dW, state.m.W, state.v.W)
-    update(params.b, db, state.m.b, state.v.b)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+    if cfg.weight_decay > 0.0:
+        params -= cfg.learning_rate * cfg.weight_decay * params
 
 
-def initial_params(dim: int, num_labels: int, seed: int) -> LinearParams:
+def initial_params(dim: int, num_labels: int, seed: int) -> np.ndarray:
     """W uniform in +-1/sqrt(dim) drawn from the seed, b zero."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(dim)
-    return LinearParams(
-        W=rng.uniform(-bound, bound, size=(num_labels, dim)),
-        b=np.zeros(num_labels, dtype=np.float64),
-    )
+    W = rng.uniform(-bound, bound, size=(num_labels, dim))
+    return np.column_stack([W, np.zeros(num_labels, dtype=np.float64)])
 
 
 def train(
@@ -260,7 +241,7 @@ def train(
 
     n = len(train_set)
     params = initial_params(provider.dimension, len(labels), cfg.seed)
-    state = OptimizerState.initial(params)
+    state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     higher_is_better = cfg.selection_metric == "macro_f1"
     best_score = -math.inf if higher_is_better else math.inf
     best_params = params.copy()
@@ -286,7 +267,6 @@ def train(
         params=best_params,
         labels=labels,
         provider_id=provider.provider_id,
-        dim=provider.dimension,
         selection_score=best_score,
     )
 
@@ -302,16 +282,14 @@ def _validation_score(X_val, y_val, w_vec, params, num_labels, metric):
 
 
 def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
-    k, d = ckpt.params.W.shape
+    k, d = len(ckpt.params), input_dim(ckpt.params)
     if k != len(ckpt.labels):
         raise InputError("label count does not match weight rows")
-    if d != ckpt.dim:
-        raise DimensionMismatchError("checkpoint dim does not match weight columns")
     lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}"]
     lines.append("\t".join(ckpt.labels))
-    for row in ckpt.params.W:
+    for row in ckpt.params[:, :-1]:
         lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in ckpt.params.b))
+    lines.append(" ".join(repr(float(v)) for v in ckpt.params[:, -1]))
     return "".join(line + "\n" for line in lines)
 
 
@@ -347,12 +325,10 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
         raise CheckpointFormatError(f"weight row length does not match dim {d}")
     if len(bias) != k:
         raise CheckpointFormatError(f"bias length {len(bias)} does not match {k} labels")
-    return LinearCheckpoint(
-        params=LinearParams(np.array(rows), np.array(bias)),
-        labels=labels,
-        provider_id=provider_id,
-        dim=d,
-    )
+    params = np.column_stack([np.array(rows), np.array(bias)])
+    if not np.isfinite(params).all():
+        raise CheckpointFormatError("non-finite parameter value (nan or inf)")
+    return LinearCheckpoint(params=params, labels=labels, provider_id=provider_id)
 
 
 def save_checkpoint(ckpt: LinearCheckpoint, path: str | Path) -> None:

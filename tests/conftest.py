@@ -68,3 +68,8 @@ def multiclass_perceptron_separates(X: np.ndarray, y: np.ndarray, max_passes: in
         if errors == 0:
             return True
     return False
+
+
+def fused(W, b):
+    """The classifier's one parameter array: W's columns, then b."""
+    return np.column_stack([W, b])

@@ -23,7 +23,6 @@ from rhetrole.imbalance import (
     undersample,
 )
 from rhetrole.linear_model import (
-    LinearParams,
     loss_and_grads,
     parse_checkpoint,
     serialize_checkpoint,
@@ -31,7 +30,7 @@ from rhetrole.linear_model import (
 )
 from rhetrole.metrics import evaluate_predictions
 
-from .conftest import TASK_COUNTS
+from .conftest import TASK_COUNTS, fused
 from .test_corpus import make_corpus
 from .test_imbalance import dataset_with_counts, label_counts
 from .test_metrics import brute_force_macro
@@ -108,9 +107,10 @@ def test_criterion_2_gradient_suite():
         b = rng.normal(size=7)
 
         def mean_loss(Wm, bm):
-            return loss_and_grads(LinearParams(Wm, bm), X, y, w)[0] / nb
+            return loss_and_grads(fused(Wm, bm), X, y, w)[0] / nb
 
-        _, (dW, db) = loss_and_grads(LinearParams(W, b), X, y, w)
+        _, g = loss_and_grads(fused(W, b), X, y, w)
+        dW, db = g[:, :-1], g[:, -1]
         num_dW = np.zeros_like(W)
         for i in range(7):
             for j in range(d):

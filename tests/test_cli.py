@@ -10,7 +10,9 @@ from rhetrole.config import PRESETS, RunConfig, resolve_config
 from rhetrole.corpus import LABELS
 from rhetrole.embedding import parse_provider_spec, save_embeddings
 from rhetrole.errors import ConfigError, InputError
-from rhetrole.linear_model import LinearCheckpoint, LinearParams, save_checkpoint
+from rhetrole.linear_model import LinearCheckpoint, load_checkpoint, save_checkpoint
+
+from .conftest import fused
 
 
 def run_cli(capsys, *argv):
@@ -227,8 +229,8 @@ class TestEvaluate:
         )
         ckpt_path = tmp_path / "identity.txt"
         ckpt = LinearCheckpoint(
-            params=LinearParams(np.eye(7), np.zeros(7)),
-            labels=LABELS, provider_id=f"precomputed:{emb}", dim=7,
+            params=fused(np.eye(7), np.zeros(7)),
+            labels=LABELS, provider_id=f"precomputed:{emb}",
         )
         save_checkpoint(ckpt, ckpt_path)
         rc, stdout, _ = run_cli(
@@ -239,33 +241,58 @@ class TestEvaluate:
         assert doc["macro"]["f1"] == 1.0
         assert all(block["f1"] == 1.0 for block in doc["per_class"].values())
 
-    def test_dimension_mismatch_exit_2(self, trained, toy_tsv, tmp_path, capsys):
+    def test_dimension_mismatch_exit_2(self, toy_tsv, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.txt"
+        save_checkpoint(LinearCheckpoint(
+            params=fused(np.zeros((7, 4)), np.zeros(7)),
+            labels=LABELS, provider_id=f"precomputed:{tmp_path / 'four.emb'}",
+        ), ckpt_path)
         emb = tmp_path / "wrong.emb"
         save_embeddings([("x", np.zeros(3))], 3, emb)
         rc, _, stderr = run_cli(
-            capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.txt"),
+            capsys, "evaluate", "--checkpoint", str(ckpt_path),
             "--corpus", str(toy_tsv), "--provider", f"precomputed:{emb}",
         )
         assert rc == 2
         assert "dimension" in stderr
 
-    def test_full_provider_id_accepted_as_flag(self, trained, toy_tsv, tmp_path, capsys):
-        out = tmp_path / "m.json"
-        rc, _, _ = run_cli(
-            capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.txt"),
-            "--corpus", str(toy_tsv), "--provider", "hashed:256:cased:8",
-            "--out", str(out),
-        )
-        assert rc == 0
-
-    @pytest.mark.parametrize("max_len", ["0", "-1"])
-    def test_non_positive_max_len_exit_2(self, trained, toy_tsv, capsys, max_len):
+    def test_full_provider_id_accepted_as_flag(self, trained, toy_tsv, capsys):
+        """A hashed checkpoint's featuriser cannot be replaced, not even by
+        a full provider id."""
         rc, _, stderr = run_cli(
             capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.txt"),
-            "--corpus", str(toy_tsv), "--max-len", max_len,
+            "--corpus", str(toy_tsv), "--provider", "hashed:256:cased:8",
         )
         assert rc == 2
-        assert "max_len" in stderr
+        assert load_checkpoint(trained / "checkpoint.txt").provider_id in stderr
+
+    def test_uncased_checkpoint_featuriser_comes_from_checkpoint(
+        self, toy_tsv, tmp_path, capsys
+    ):
+        out = tmp_path / "run2"
+        assert main(["train", "--corpus", str(toy_tsv), "--out", str(out),
+                     "--preset", "run2", "--lr", "1e-2"]) == 0
+        ckpt = str(out / "checkpoint.txt")
+        upper = tmp_path / "upper.tsv"
+        upper.write_text("".join(
+            line if line.startswith("#doc\t") or "\t" not in line
+            else line.split("\t")[0].upper() + "\t" + line.split("\t")[1]
+            for line in toy_tsv.read_text(encoding="utf-8").splitlines(keepends=True)
+        ), encoding="utf-8")
+        capsys.readouterr()
+        rc, as_trained, _ = run_cli(capsys, "evaluate", "--checkpoint", ckpt,
+                                    "--corpus", str(toy_tsv))
+        assert rc == 0 and json.loads(as_trained)["macro"]["f1"] >= 0.95
+        rc, shouted, _ = run_cli(capsys, "evaluate", "--checkpoint", ckpt,
+                                 "--corpus", str(upper))
+        assert rc == 0 and shouted == as_trained
+        rc, _, stderr = run_cli(capsys, "evaluate", "--checkpoint", ckpt,
+                                "--corpus", str(upper), "--provider", "hashed:256")
+        assert rc == 2 and ":uncased:" in stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--checkpoint", ckpt, "--corpus", str(upper),
+                  "--casing", "cased"])
+        assert exc.value.code == 2
 
     def test_garbage_provider_spec_exit_2(self, trained, toy_tsv, capsys):
         rc, _, stderr = run_cli(
@@ -279,10 +306,9 @@ class TestEvaluate:
 class TestPredict:
     def zero_checkpoint(self, path, dim=8):
         ckpt = LinearCheckpoint(
-            params=LinearParams(np.zeros((7, dim)), np.zeros(7)),
+            params=fused(np.zeros((7, dim)), np.zeros(7)),
             labels=LABELS,
             provider_id=f"hashed:{dim}:cased:120",
-            dim=dim,
         )
         save_checkpoint(ckpt, path)
         return path
@@ -324,8 +350,8 @@ class TestPredict:
         save_embeddings([("known sentence", np.ones(4))], 4, emb)
         ckpt_path = tmp_path / "ckpt.txt"
         ckpt = LinearCheckpoint(
-            params=LinearParams(np.zeros((7, 4)), np.zeros(7)),
-            labels=LABELS, provider_id=f"precomputed:{emb}", dim=4,
+            params=fused(np.zeros((7, 4)), np.zeros(7)),
+            labels=LABELS, provider_id=f"precomputed:{emb}",
         )
         save_checkpoint(ckpt, ckpt_path)
         sf = tmp_path / "s.txt"
@@ -417,3 +443,10 @@ class TestConfigResolution:
     def test_training_and_split_rules_checked_at_resolution(self, override):
         with pytest.raises(InputError):
             resolve_config(overrides=override)
+
+    @pytest.mark.parametrize(
+        "name", RunConfig._INT_FIELDS + RunConfig._REAL_FIELDS + ("max_len",)
+    )
+    def test_boolean_in_numeric_field_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            resolve_config(file_config={name: True})

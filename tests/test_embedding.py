@@ -140,6 +140,11 @@ class TestEmbeddingFile:
         with pytest.raises(EmbeddingFormatError):
             parse_embeddings('EMB v1 1 3\n"a" 1 2\n')
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(EmbeddingFormatError, match="line 3"):
+            parse_embeddings(f'EMB v1 2 2\n"a" 1 2\n"b" 3 {value}\n')
+
     def test_scientific_and_integer_reals_accepted(self):
         provider = parse_embeddings('EMB v1 1 3\n"a" 1 -2.5e-3 4E2\n')
         assert np.array_equal(provider.lookup("a"), [1.0, -0.0025, 400.0])

@@ -12,7 +12,6 @@ from rhetrole.errors import CheckpointFormatError, DimensionMismatchError, Input
 from rhetrole.corpus import LabeledSentence
 from rhetrole.linear_model import (
     LinearCheckpoint,
-    LinearParams,
     OptimizerState,
     TrainConfig,
     initial_params,
@@ -26,7 +25,7 @@ from rhetrole.linear_model import (
     weighted_ce,
 )
 
-from .conftest import multiclass_perceptron_separates
+from .conftest import fused, multiclass_perceptron_separates
 
 ONES7 = np.ones(7)
 
@@ -48,11 +47,11 @@ def row_grads(Z, y, weights):
 
 class TestForward:
     def test_zero_params(self):
-        params = LinearParams(np.zeros((7, 4)), np.zeros(7))
+        params = fused(np.zeros((7, 4)), np.zeros(7))
         assert np.array_equal(logits(params, np.ones((3, 4))), np.zeros((3, 7)))
 
     def test_identity_weight_matrix(self):
-        params = LinearParams(np.eye(7), np.zeros(7))
+        params = fused(np.eye(7), np.zeros(7))
         assert np.array_equal(logits(params, np.eye(7)), np.eye(7))
 
     def test_row_dot_product(self):
@@ -60,12 +59,12 @@ class TestForward:
         W[0] = [1.0, 1.0]
         b = np.zeros(7)
         b[0] = 0.5
-        Z = logits(LinearParams(W, b), np.array([[2.0, 3.0], [0.0, 0.0]]))
+        Z = logits(fused(W, b), np.array([[2.0, 3.0], [0.0, 0.0]]))
         assert Z[0, 0] == 5.5
         assert Z[1, 0] == 0.5
 
     def test_dimension_mismatch(self):
-        params = LinearParams(np.zeros((7, 4)), np.zeros(7))
+        params = fused(np.zeros((7, 4)), np.zeros(7))
         for shape in [(2, 5), (4,)]:
             with pytest.raises(DimensionMismatchError):
                 logits(params, np.ones(shape))
@@ -181,23 +180,24 @@ class TestLossGradient:
 
 class TestBackward:
     def test_zero_gradient(self):
-        params = LinearParams(np.ones((7, 4)), np.ones(7))
-        total, (dW, db) = loss_and_grads(params, np.ones((3, 4)), [0, 1, 2], np.zeros(7))
+        params = fused(np.ones((7, 4)), np.ones(7))
+        total, g = loss_and_grads(params, np.ones((3, 4)), [0, 1, 2], np.zeros(7))
         assert total == 0.0
-        assert not dW.any() and not db.any()
+        assert g.shape == params.shape and not g.any()
 
     def test_outer_product_structure(self):
-        params = LinearParams(np.zeros((7, 4)), np.zeros(7))
+        params = fused(np.zeros((7, 4)), np.zeros(7))
         x = np.zeros((1, 4))
         x[0, 2] = 1.0
-        total, (dW, db) = loss_and_grads(params, x, [1], ONES7)
+        total, g = loss_and_grads(params, x, [1], ONES7)
+        dW, db = g[:, :-1], g[:, -1]
         assert np.count_nonzero(dW[:, [0, 1, 3]]) == 0
         assert np.array_equal(dW[:, 2], db)
         # The gradients are of the batch mean: repeating the batch leaves
         # them unchanged and doubles the summed loss.
-        total2, (dW2, db2) = loss_and_grads(params, np.vstack([x, x]), [1, 1], ONES7)
+        total2, g2 = loss_and_grads(params, np.vstack([x, x]), [1, 1], ONES7)
         assert total2 == 2 * total
-        assert np.array_equal(dW2, dW) and np.array_equal(db2, db)
+        assert np.array_equal(g2, g)
 
     def test_matches_finite_differences_through_linear_layer(self):
         """Gradients of the batch-mean loss for batch sizes 1, 3 and 8, with
@@ -213,9 +213,10 @@ class TestBackward:
             w_cls[2] = 0.0
 
             def loss_at(Wm, bm):
-                return loss_and_grads(LinearParams(Wm, bm), X, y, w_cls)[0] / nb
+                return loss_and_grads(fused(Wm, bm), X, y, w_cls)[0] / nb
 
-            _, (dW, db) = loss_and_grads(LinearParams(W, b), X, y, w_cls)
+            _, g = loss_and_grads(fused(W, b), X, y, w_cls)
+            dW, db = g[:, :-1], g[:, -1]
             for i in range(3):
                 for j in range(5):
                     Wp, Wm = W.copy(), W.copy()
@@ -231,8 +232,8 @@ class TestBackward:
 
 
 def scalar_setup(lr=2e-5, weight_decay=0.0):
-    params = LinearParams(np.zeros((1, 1)), np.zeros(1))
-    state = OptimizerState.initial(params)
+    params = fused(np.zeros((1, 1)), np.zeros(1))
+    state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     cfg = TrainConfig(learning_rate=lr, weight_decay=weight_decay, epochs=1)
     return params, state, cfg
 
@@ -240,27 +241,27 @@ def scalar_setup(lr=2e-5, weight_decay=0.0):
 class TestOptimizerStep:
     def test_first_step_closed_form(self):
         params, state, cfg = scalar_setup()
-        grads = (np.array([[1.0]]), np.zeros(1))
+        grads = fused(np.array([[1.0]]), np.zeros(1))
         optimizer_step(params, grads, state, cfg)
         # bias-corrected first step: -lr * g / (|g| + eps)
-        assert params.W[0, 0] == pytest.approx(-2e-5, rel=1e-6)
+        assert params[0, 0] == pytest.approx(-2e-5, rel=1e-6)
         assert state.t == 1
 
     def test_zero_grad_no_decay_leaves_params(self):
         params, state, cfg = scalar_setup()
-        params.W[0, 0] = 0.75
-        optimizer_step(params, (np.zeros((1, 1)), np.zeros(1)), state, cfg)
-        assert params.W[0, 0] == 0.75
+        params[0, 0] = 0.75
+        optimizer_step(params, np.zeros((1, 2)), state, cfg)
+        assert params[0, 0] == 0.75
 
     def test_zero_grad_with_decay_shrinks_multiplicatively(self):
         params, state, cfg = scalar_setup(weight_decay=0.01)
-        params.W[0, 0] = 0.75
-        optimizer_step(params, (np.zeros((1, 1)), np.zeros(1)), state, cfg)
-        assert params.W[0, 0] == pytest.approx(0.75 * (1 - 2e-5 * 0.01), rel=1e-15)
+        params[0, 0] = 0.75
+        optimizer_step(params, np.zeros((1, 2)), state, cfg)
+        assert params[0, 0] == pytest.approx(0.75 * (1 - 2e-5 * 0.01), rel=1e-15)
 
     def test_step_counter_accumulates(self):
         params, state, cfg = scalar_setup()
-        grads = (np.array([[0.5]]), np.array([0.1]))
+        grads = fused(np.array([[0.5]]), np.array([0.1]))
         for expected_t in (1, 2, 3):
             optimizer_step(params, grads, state, cfg)
             assert state.t == expected_t
@@ -269,13 +270,30 @@ class TestOptimizerStep:
         params, state, cfg = scalar_setup(weight_decay=0.01)
 
         def arrays():
-            return (params.W, params.b, state.m.W, state.m.b, state.v.W, state.v.b)
+            return (params, state.m, state.v)
 
         before = arrays()
-        assert optimizer_step(params, (np.array([[0.5]]), np.array([-0.25])), state, cfg) is None
+        grads = fused(np.array([[0.5]]), np.array([-0.25]))
+        assert optimizer_step(params, grads, state, cfg) is None
         assert all(a is b for a, b in zip(before, arrays()))
-        assert state.m.W[0, 0] == pytest.approx(0.05) and state.m.b[0] == pytest.approx(-0.025)
-        assert state.v.W[0, 0] == pytest.approx(0.00025) and params.b[0] > 0.0
+        assert state.m[0, 0] == pytest.approx(0.05) and state.m[0, -1] == pytest.approx(-0.025)
+        assert state.v[0, 0] == pytest.approx(0.00025) and params[0, -1] > 0.0
+
+    def test_bias_column_updated_like_a_weight_column(self):
+        """Equal parameters and gradients in a weight column and in the bias
+        column give equal moments and equal parameters after several steps,
+        decay included."""
+        params = fused(np.array([[0.5, -0.25], [0.0, 1.0]]), np.array([-0.25, 1.0]))
+        state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
+        cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.1, epochs=1)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            grads = rng.normal(size=params.shape)
+            grads[:, -1] = grads[:, 1]
+            optimizer_step(params, grads, state, cfg)
+        for arr in (params, state.m, state.v):
+            assert np.array_equal(arr[:, -1], arr[:, 1])
+        assert not np.array_equal(params[:, -1], [-0.25, 1.0])
 
 
 def two_class_toy(n=200, d=8, seed=123):
@@ -361,11 +379,11 @@ class TestPredict:
     def test_forced_argmax(self):
         W = np.zeros((7, 3))
         b = np.array([5.0, 0, 0, 0, 0, 0, 0])
-        Z = logits(LinearParams(W, b), np.zeros((2, 3)))
+        Z = logits(fused(W, b), np.zeros((2, 3)))
         assert Z.argmax(axis=1).tolist() == [0, 0]
 
     def test_all_zero_params_tie_breaks_to_lowest_index(self):
-        Z = logits(LinearParams(np.zeros((7, 3)), np.zeros(7)), np.ones((1, 3)))
+        Z = logits(fused(np.zeros((7, 3)), np.zeros(7)), np.ones((1, 3)))
         idx = int(Z.argmax(axis=1)[0])
         assert idx == 0
         assert softmax(Z)[0, idx] == pytest.approx(1 / 7)
@@ -376,7 +394,7 @@ class TestPredict:
             W = rng.normal(size=(7, 5))
             b = rng.normal(size=7)
             X = rng.normal(size=(4, 5))
-            preds = logits(LinearParams(W, b), X).argmax(axis=1)
+            preds = logits(fused(W, b), X).argmax(axis=1)
             for x, pred in zip(X, preds):
                 oracle = [sum(W[i, j] * x[j] for j in range(5)) + b[i] for i in range(7)]
                 assert pred == max(range(7), key=lambda i: oracle[i])
@@ -389,26 +407,25 @@ class TestPredict:
         b = np.zeros(7)
         for pos in z_max_positions:
             b[pos] = 1.0
-        Z = logits(LinearParams(W, b), np.zeros((1, 1)))
+        Z = logits(fused(W, b), np.zeros((1, 1)))
         assert Z.argmax(axis=1)[0] == z_max_positions[0]
 
 
 class TestCheckpointIO:
     def make(self):
         rng = np.random.default_rng(2)
-        params = LinearParams(rng.normal(size=(7, 5)), rng.normal(size=7))
+        params = fused(rng.normal(size=(7, 5)), rng.normal(size=7))
         from rhetrole.corpus import LABELS
 
         return LinearCheckpoint(
             params=params, labels=LABELS, provider_id="hashed:5:cased:120",
-            dim=5, selection_score=0.5,
+            selection_score=0.5,
         )
 
     def test_round_trip_value_exact(self):
         ckpt = self.make()
         loaded = parse_checkpoint(serialize_checkpoint(ckpt))
-        assert np.array_equal(loaded.params.W, ckpt.params.W)
-        assert np.array_equal(loaded.params.b, ckpt.params.b)
+        assert np.array_equal(loaded.params, ckpt.params)
         assert loaded.labels == ckpt.labels
         assert loaded.provider_id == ckpt.provider_id
         assert math.isnan(loaded.selection_score)
@@ -432,6 +449,8 @@ class TestCheckpointIO:
             'CKPT v1 2 2 x\nFacts\n1 2\n3 4\n5 6\n',  # label count mismatch
             "CKPT v1 2 2 x\nFacts\tArgument\n1 2\n3 4\n5\n",  # short bias
             "CKPT v1 2 2 x\nFacts\tArgument\n1 oops\n3 4\n5 6\n",
+            "CKPT v1 2 2 x\nFacts\tArgument\n1 nan\n3 4\n5 6\n",
+            "CKPT v1 2 2 x\nFacts\tArgument\n1 2\n3 4\n5 -inf\n",
         ],
     )
     def test_malformed_rejected(self, text):
@@ -443,12 +462,13 @@ class TestInit:
     def test_bounded_fan_in(self):
         params = initial_params(dim=64, num_labels=7, seed=42)
         bound = 1 / math.sqrt(64)
-        assert np.all(np.abs(params.W) <= bound)
-        assert not params.b.any()
+        assert params.shape == (7, 65)
+        assert np.all(np.abs(params[:, :-1]) <= bound)
+        assert not params[:, -1].any()
 
     def test_seeded(self):
         a = initial_params(16, 7, 5)
         b = initial_params(16, 7, 5)
         c = initial_params(16, 7, 6)
-        assert np.array_equal(a.W, b.W)
-        assert not np.array_equal(a.W, c.W)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
