@@ -9,6 +9,7 @@ bit for bit (given the same corpus file).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -31,8 +32,11 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 
 def _is_number(value: Any, types) -> bool:
-    """isinstance that refuses booleans, which Python counts as integers."""
-    return isinstance(value, types) and not isinstance(value, bool)
+    """isinstance that refuses booleans, which Python counts as integers,
+    and non-finite floats (nan, inf), which JSON files and flags can carry."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 @dataclass
@@ -73,7 +77,7 @@ class RunConfig:
             raise ConfigError("max_len must be an integer")
         for name in self._REAL_FIELDS:
             if not _is_number(getattr(self, name), (int, float)):
-                raise ConfigError(f"{name} must be a number")
+                raise ConfigError(f"{name} must be a finite number")
         if self.casing not in CASINGS:
             raise ConfigError(f"casing must be one of {CASINGS}, got {self.casing!r}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
@@ -86,12 +90,16 @@ class RunConfig:
             raise ConfigError("length_percentile_q must lie in (0, 1]")
         if self.max_len is not None and self.max_len < 1:
             raise ConfigError("max_len must be >= 1 when given")
-        if self.weight_overrides:
+        if self.weight_overrides is not None:
+            if not isinstance(self.weight_overrides, dict):
+                raise ConfigError("weight_overrides must map label names to weights")
             for label, value in self.weight_overrides.items():
                 if label not in LABELS:
                     raise ConfigError(f"weight override for unknown label {label!r}")
-                if value < 0:
-                    raise ConfigError(f"weight override for {label!r} must be >= 0")
+                if not _is_number(value, (int, float)) or value < 0:
+                    raise ConfigError(
+                        f"weight override for {label!r} must be a finite number >= 0"
+                    )
         if parse_provider_spec(self.provider)[2] is not None:
             raise ConfigError(
                 f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got "

@@ -12,10 +12,14 @@ the sentence key as a JSON-quoted string, a space, then ``dim``
 space-separated decimal reals (integer and scientific notation both
 accepted). Floats are written with shortest round-trip precision, so
 write -> load -> write is byte-identical.
+
+Token hashes are memoised in a bounded LRU table (``_FNV_MEMO_SIZE``
+entries), so a long run holds a fixed amount of memo memory.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import unicodedata
 from dataclasses import dataclass
@@ -38,6 +42,10 @@ CASINGS = ("cased", "uncased")
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+# Entries in the fnv1a_64 memo. Corpus vocabularies are Zipfian, so a few
+# thousand frequent tokens take most lookups; an unbounded memo ran only a
+# few per cent faster and grew peak memory with the vocabulary.
+_FNV_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,12 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
         text = text.lower()
     tokens: list[str] = []
     for raw in text.split():
-        tok = _strip_edge_punctuation(raw)
+        # No alphanumeric character is punctuation (category P*), so a token
+        # with alphanumeric edges has nothing to strip.
+        if raw[0].isalnum() and raw[-1].isalnum():
+            tok = raw
+        else:
+            tok = _strip_edge_punctuation(raw)
         if tok:
             tokens.append(tok)
             if len(tokens) == config.max_len:
@@ -81,8 +94,11 @@ def _strip_edge_punctuation(token: str) -> str:
     return token[start:end]
 
 
+@functools.lru_cache(maxsize=_FNV_MEMO_SIZE)
 def fnv1a_64(text: str) -> int:
     """FNV-1a 64-bit hash of the UTF-8 bytes. Platform-independent."""
+    # The mask stays inside the loop: without it the integer grows by about
+    # 40 bits a byte, and long tokens would cost quadratic time.
     h = _FNV64_OFFSET
     for byte in text.encode("utf-8"):
         h ^= byte
@@ -99,11 +115,12 @@ def encode_hashed_bow(tokens: Sequence[str], dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise InputError("embedding dimension must be >= 1")
-    vec = np.zeros(dim, dtype=np.float64)
-    for tok in tokens:
-        h = fnv1a_64(tok)
-        sign = 1.0 if (h >> 1) & 1 == 0 else -1.0
-        vec[h % dim] += sign
+    hashes = [fnv1a_64(tok) for tok in tokens]
+    indices = np.array([h % dim for h in hashes], dtype=np.intp)
+    signs = np.array([-1.0 if h & 2 else 1.0 for h in hashes], dtype=np.float64)
+    # Sums of +-1.0 are exact, so the bucket totals do not depend on order.
+    # bincount returns int64 when there are no tokens, whatever the weights.
+    vec = np.bincount(indices, weights=signs, minlength=dim).astype(np.float64, copy=False)
     norm = np.linalg.norm(vec)
     if norm > 0.0:
         vec /= norm
@@ -234,7 +251,7 @@ def serialize_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int) ->
             raise DimensionMismatchError(
                 f"vector for {key!r} has length {len(vec)}, expected {dim}"
             )
-        values = " ".join(repr(float(x)) for x in vec)
+        values = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
         lines.append(f"{json.dumps(key)} {values}")
     return "".join(line + "\n" for line in lines)
 

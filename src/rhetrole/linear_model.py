@@ -39,7 +39,7 @@ import numpy as np
 
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch
-from .errors import CheckpointFormatError, DimensionMismatchError, InputError
+from .errors import CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError
 from .metrics import evaluate_predictions
 
 SELECTION_METRICS = ("macro_f1", "val_loss")
@@ -217,7 +217,8 @@ def train(
     Each epoch shuffles train indices with a generator seeded by
     (cfg.seed, epoch); the last batch may be smaller. After every epoch the
     selection metric is evaluated on the validation set and the best epoch's
-    parameters win (ties keep the earlier epoch).
+    parameters win (ties keep the earlier epoch). A non-finite batch loss
+    stops training with a RhetroleError naming the epoch and the batch.
     """
     if not train_set or not val_set:
         raise InputError("train and validation sets must both be non-empty")
@@ -252,6 +253,11 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             batch_sum, grads = loss_and_grads(params, X_train[idx], y_train[idx], w_vec)
+            if not math.isfinite(batch_sum):
+                raise RhetroleError(
+                    f"training diverged: non-finite loss in epoch {epoch}, "
+                    f"batch {start // cfg.batch_size + 1}"
+                )
             loss_total += batch_sum
             optimizer_step(params, grads, state, cfg)
 
@@ -287,9 +293,9 @@ def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
         raise InputError("label count does not match weight rows")
     lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}"]
     lines.append("\t".join(ckpt.labels))
-    for row in ckpt.params[:, :-1]:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in ckpt.params[:, -1]))
+    # The weight rows, then the bias as one row.
+    for row in [*ckpt.params[:, :-1], ckpt.params[:, -1]]:
+        lines.append(" ".join(map(repr, np.asarray(row, dtype=np.float64).tolist())))
     return "".join(line + "\n" for line in lines)
 
 

@@ -185,6 +185,36 @@ class TestTrain:
         assert rc == 0
         assert json.loads(stdout)["macro"]["f1"] > 0.5
 
+    def test_non_finite_batch_loss_stops_training_exit_1(self, toy_tsv, tmp_path, capsys):
+        out = tmp_path / "diverged"
+        with np.errstate(all="ignore"):
+            rc, _, stderr = run_cli(
+                capsys, "train", "--corpus", str(toy_tsv), "--out", str(out),
+                "--lr", "1e308", "--epochs", "2",
+            )
+        assert rc == 1
+        # The first step already overflows the parameters, so the second
+        # batch is the first with a non-finite loss.
+        assert "epoch 1, batch 2" in stderr
+        assert not (out / "checkpoint.txt").exists()
+
+    def test_malformed_config_values_exit_2(self, toy_tsv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"corpus": str(toy_tsv), "weight_overrides": {"Facts": "x"}})
+        )
+        rc, _, stderr = run_cli(
+            capsys, "train", "--config", str(cfg_path), "--out", str(tmp_path / "a")
+        )
+        assert rc == 2
+        assert "Facts" in stderr
+        rc, _, stderr = run_cli(
+            capsys, "train", "--corpus", str(toy_tsv), "--out", str(tmp_path / "b"),
+            "--lr", "nan",
+        )
+        assert rc == 2
+        assert "learning_rate" in stderr
+
     def test_derived_max_len_recorded(self, toy_tsv, tmp_path, capsys):
         out = tmp_path / "o"
         rc, _, _ = run_cli(
@@ -450,3 +480,22 @@ class TestConfigResolution:
     def test_boolean_in_numeric_field_rejected(self, name):
         with pytest.raises(ConfigError, match=name):
             resolve_config(file_config={name: True})
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("learning_rate", float("nan")), ("epsilon", float("nan")),
+         ("weight_decay", float("inf"))],
+    )
+    def test_non_finite_real_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            resolve_config(file_config={name: value})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"Facts": "x"}, ["Facts"], {"Facts": float("nan")}, {"Facts": float("inf")},
+         {"Facts": True}],
+        ids=["string", "list", "nan", "inf", "bool"],
+    )
+    def test_malformed_weight_overrides_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="weight"):
+            resolve_config(file_config={"weight_overrides": overrides})

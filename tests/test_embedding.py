@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhetrole.embedding import (
+    CASINGS,
     HashedBowProvider,
     TokenizerConfig,
     embed_batch,
@@ -30,6 +33,51 @@ FNV_VECTORS = {
 
 UNCASED_10 = TokenizerConfig(casing="uncased", max_len=10)
 CASED_5 = TokenizerConfig(casing="cased", max_len=5)
+
+# Letters, digits and other numbers, punctuation, symbols, combining marks
+# and whitespace: every class of character the tokenizer treats differently.
+TOKENIZER_TEXT = st.text(
+    alphabet=st.characters(categories=("L", "N", "P", "S", "M", "Zs"))
+    | st.sampled_from(" \t\n"),
+    max_size=60,
+)
+
+
+def reference_tokenize(text: str, config: TokenizerConfig) -> list[str]:
+    """Per-character tokenizer: every token's edges go through unicodedata."""
+    if config.casing == "uncased":
+        text = text.lower()
+    tokens: list[str] = []
+    for raw in text.split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            tokens.append(raw[start:end])
+            if len(tokens) == config.max_len:
+                break
+    return tokens
+
+
+def reference_fnv1a_64(text: str) -> int:
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def reference_hashed_bow(tokens: list[str], dim: int) -> np.ndarray:
+    """One bucket update per token, then L2 normalisation."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for tok in tokens:
+        h = reference_fnv1a_64(tok)
+        vec[h % dim] += 1.0 if (h >> 1) & 1 == 0 else -1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 class TestTokenize:
@@ -59,11 +107,42 @@ class TestTokenize:
     def test_uncased_is_case_insensitive(self, text):
         assert tokenize(text, UNCASED_10) == tokenize(text.lower(), UNCASED_10)
 
+    def test_no_alphanumeric_code_point_is_punctuation(self):
+        # The tokenizer keeps tokens with alphanumeric edges without looking
+        # up their categories; that is exact only while this holds.
+        offenders = [
+            f"U+{cp:04X}"
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert offenders == []
+
+    @given(TOKENIZER_TEXT, st.sampled_from(CASINGS), st.integers(1, 6))
+    @settings(max_examples=300)
+    @example("\u00ab\u00a7302\u00bb \u201cs.302,\u201d \u2014 \u00e9t\u00e9. ...", "cased", 3)
+    def test_matches_per_character_reference(self, text, casing, max_len):
+        cfg = TokenizerConfig(casing=casing, max_len=max_len)
+        assert tokenize(text, cfg) == reference_tokenize(text, cfg)
+
 
 class TestFnv1a:
     @pytest.mark.parametrize("text,expected", sorted(FNV_VECTORS.items()))
     def test_reference_vectors(self, text, expected):
         assert fnv1a_64(text) == expected
+
+    @given(
+        st.text(
+            alphabet=st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example("\u00a7302")
+    @example("caf\u00e9")
+    @example("\U0001F600")
+    def test_non_ascii_memoised_result_matches_uncached(self, token):
+        first = fnv1a_64(token)
+        assert fnv1a_64(token) == first == reference_fnv1a_64(token)
 
 
 class TestHashedBow:
@@ -96,6 +175,23 @@ class TestHashedBow:
         vec = encode_hashed_bow(tokens, 32)
         norm = np.linalg.norm(vec)
         assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
+
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "s.302", "\u00e9t\u00e9", "Court"]) | st.text(max_size=6),
+            max_size=40,
+        ),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=200)
+    @example([], 1)
+    @example([], 16)
+    @example(["a", "a", "a"], 1)
+    def test_matches_per_token_reference_bytes(self, tokens, dim):
+        vec = encode_hashed_bow(tokens, dim)
+        ref = reference_hashed_bow(tokens, dim)
+        assert vec.dtype == ref.dtype == np.float64
+        assert vec.tobytes() == ref.tobytes()
 
     def test_provider_is_deterministic(self):
         provider = HashedBowProvider(64, UNCASED_10)
