@@ -13,9 +13,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import PRESETS, RunConfig, config_to_json, load_config_file, resolve_config
+from .config import (
+    FIELD_NAMES,
+    PRESETS,
+    RunConfig,
+    config_to_json,
+    load_config_file,
+    resolve_config,
+)
 from .corpus import (
     LABELS,
+    SPLIT_MODES,
     Corpus,
     class_distribution,
     length_percentile,
@@ -24,6 +32,7 @@ from .corpus import (
     split,
 )
 from .embedding import (
+    CASINGS,
     HashedBowProvider,
     TokenizerConfig,
     embed_batch,
@@ -34,6 +43,7 @@ from .embedding import (
 from .errors import ConfigError, DimensionMismatchError, InputError, RhetroleError
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
+    SELECTION_METRICS,
     EpochStats,
     input_dim,
     load_checkpoint,
@@ -133,25 +143,14 @@ def _provider_for_inference(args, ckpt):
 
 
 def _resolve_from_args(args, preset: str | None = None) -> RunConfig:
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else None
-    overrides = {
-        "corpus": getattr(args, "corpus", None),
-        "casing": getattr(args, "casing", None),
-        "weight_scheme": _WEIGHT_FLAG_TO_SCHEME.get(getattr(args, "weights", None)),
-        "balance": _BALANCE_FLAG_TO_METHOD.get(getattr(args, "balance", None)),
-        "provider": getattr(args, "provider", None),
-        "seed": getattr(args, "seed", None),
-        "epochs": getattr(args, "epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "learning_rate": getattr(args, "lr", None),
-        "weight_decay": getattr(args, "weight_decay", None),
-        "train_fraction": getattr(args, "train_fraction", None),
-        "split_mode": getattr(args, "split_mode", None),
-        "selection_metric": getattr(args, "selection_metric", None),
-        "max_len": getattr(args, "max_len", None),
-    }
-    return resolve_config(preset=preset or getattr(args, "preset", None),
-                          file_config=file_cfg, overrides=overrides)
+    """Every flag whose dest names a RunConfig field overrides that field;
+    ``--weights`` and ``--balance`` take short names and are mapped."""
+    overrides = {k: v for k, v in vars(args).items() if k in FIELD_NAMES}
+    overrides["weight_scheme"] = _WEIGHT_FLAG_TO_SCHEME.get(args.weights)
+    overrides["balance"] = _BALANCE_FLAG_TO_METHOD.get(args.balance)
+    preset = preset or overrides.pop("preset", None)
+    file_cfg = load_config_file(args.config) if args.config else None
+    return resolve_config(preset=preset, file_config=file_cfg, overrides=overrides)
 
 
 def _run_training(cfg: RunConfig, out_dir: Path):
@@ -170,6 +169,19 @@ def _run_training(cfg: RunConfig, out_dir: Path):
 
     if cfg.balance == "loss_weighting":
         counts = class_distribution(train_set)
+        # weight_overrides apply after the scheme's weights are computed, so
+        # they cannot rescue a class the inverse scheme has no count for.
+        missing = [label for label in LABELS if counts[label] == 0]
+        if cfg.weight_scheme == "inverse_frequency" and missing:
+            corpus_counts = class_distribution(corpus)
+            raise InputError(
+                "inverse-frequency weights are undefined: the training split has no "
+                "sentence labelled "
+                + ", ".join(f"{label!r} ({corpus_counts[label]} in the whole corpus)"
+                            for label in missing)
+                + "; use another --seed, --weights direct, or --balance under, over "
+                "or none with --weights uniform"
+            )
         weights = weights_for_scheme(cfg.weight_scheme, [counts[label] for label in LABELS])
         if cfg.weight_overrides:
             for label, value in cfg.weight_overrides.items():
@@ -288,7 +300,7 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
     p.add_argument("--provider", default=None,
                    help="embedding provider: hashed:<dim> or precomputed:<path>")
-    p.add_argument("--casing", choices=["cased", "uncased"], default=None)
+    p.add_argument("--casing", choices=CASINGS, default=None)
     p.add_argument("--max-len", dest="max_len", type=int, default=None,
                    help="token truncation bound (default: 0.98 length percentile)")
     p.add_argument("--config", default=None, help="run-config JSON file")
@@ -298,13 +310,13 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
                    help="imbalance strategy")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, help="learning rate")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
+                   help="learning rate")
     p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
     p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--split-mode", dest="split_mode",
-                   choices=["sentence_shuffled", "document_level"], default=None)
-    p.add_argument("--selection-metric", dest="selection_metric",
-                   choices=["macro_f1", "val_loss"], default=None)
+    p.add_argument("--split-mode", dest="split_mode", choices=SPLIT_MODES, default=None)
+    p.add_argument("--selection-metric", dest="selection_metric", choices=SELECTION_METRICS,
+                   default=None)
 
 
 def _add_inference_flags(p: argparse.ArgumentParser) -> None:
@@ -365,10 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RhetroleError as exc:

@@ -31,12 +31,20 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
-def _is_number(value: Any, types) -> bool:
-    """isinstance that refuses booleans, which Python counts as integers,
-    and non-finite floats (nan, inf), which JSON files and flags can carry."""
-    if not isinstance(value, types) or isinstance(value, bool):
+def _is_int(value: Any) -> bool:
+    """isinstance(value, int) without booleans, which Python counts as integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """An int or float that converts to a finite float. JSON files and flags
+    can carry nan, inf and integers beyond float range."""
+    if not (_is_int(value) or isinstance(value, float)):
         return False
-    return not isinstance(value, float) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -71,12 +79,12 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in self._INT_FIELDS:
-            if not _is_number(getattr(self, name), int):
+            if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
-        if self.max_len is not None and not _is_number(self.max_len, int):
+        if self.max_len is not None and not _is_int(self.max_len):
             raise ConfigError("max_len must be an integer")
         for name in self._REAL_FIELDS:
-            if not _is_number(getattr(self, name), (int, float)):
+            if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         if self.casing not in CASINGS:
             raise ConfigError(f"casing must be one of {CASINGS}, got {self.casing!r}")
@@ -96,7 +104,7 @@ class RunConfig:
             for label, value in self.weight_overrides.items():
                 if label not in LABELS:
                     raise ConfigError(f"weight override for unknown label {label!r}")
-                if not _is_number(value, (int, float)) or value < 0:
+                if not _is_real(value) or value < 0:
                     raise ConfigError(
                         f"weight override for {label!r} must be a finite number >= 0"
                     )
@@ -125,23 +133,13 @@ class RunConfig:
                 )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            seed=self.seed,
-            selection_metric=self.selection_metric,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(train_fraction=self.train_fraction, seed=self.seed, mode=self.split_mode)
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 
 
 def resolve_config(
@@ -156,14 +154,8 @@ def resolve_config(
     """
     file_config = dict(file_config or {})
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-
-    # A resolved config carries informational outputs; anything else unknown
-    # is a typo and must not be dropped silently.
-    bookkeeping = {"resolved_class_weights", "resolved_provider_id"}
-    unknown = set(file_config) - _FIELD_NAMES - bookkeeping
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for key in bookkeeping:
+    # A resolved config also carries informational outputs of its run.
+    for key in ("resolved_class_weights", "resolved_provider_id"):
         file_config.pop(key, None)
 
     preset_name = preset or file_config.get("preset")
@@ -171,16 +163,14 @@ def resolve_config(
     if preset_name is not None:
         if preset_name not in PRESETS:
             raise ConfigError(f"unknown preset {preset_name!r}; expected one of {sorted(PRESETS)}")
-        merged.update(PRESETS[preset_name])
-        merged["preset"] = preset_name
-        merged["run_id"] = preset_name
+        merged.update(PRESETS[preset_name], run_id=preset_name)
     merged.update(file_config)
     if preset_name is not None:
         merged["preset"] = preset_name
-        merged.setdefault("run_id", preset_name)
     merged.update(overrides)
 
-    unknown = set(merged) - _FIELD_NAMES
+    # Anything else unknown is a typo and must not be dropped silently.
+    unknown = set(merged) - FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(**merged)
@@ -190,19 +180,18 @@ def resolve_config(
 
 def config_to_json(
     cfg: RunConfig,
-    resolved_weights: Mapping[str, float] | None = None,
-    resolved_max_len: int | None = None,
-    resolved_provider_id: str | None = None,
+    resolved_weights: Mapping[str, float],
+    resolved_max_len: int | None,
+    resolved_provider_id: str,
 ) -> str:
     """Resolved-config JSON. The resolved_* entries are informational
-    outputs of the run; re-running re-derives them from the same inputs."""
+    outputs of the run; re-running re-derives them from the same inputs.
+    ``resolved_max_len`` is None when the provider does not tokenise."""
     doc = asdict(cfg)
     if resolved_max_len is not None:
         doc["max_len"] = resolved_max_len
-    if resolved_weights is not None:
-        doc["resolved_class_weights"] = dict(resolved_weights)
-    if resolved_provider_id is not None:
-        doc["resolved_provider_id"] = resolved_provider_id
+    doc["resolved_class_weights"] = dict(resolved_weights)
+    doc["resolved_provider_id"] = resolved_provider_id
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -32,18 +32,8 @@ LABELS: tuple[str, ...] = (
     "Ratio of the decision",
     "Ruling by Present Court",
 )
-NUM_LABELS = len(LABELS)
-LABEL_TO_INDEX: dict[str, int] = {name: i for i, name in enumerate(LABELS)}
 
 SPLIT_MODES = ("sentence_shuffled", "document_level")
-
-
-def label_index(name: str) -> int:
-    """Map a canonical label string to its fixed index; raise on anything else."""
-    try:
-        return LABEL_TO_INDEX[name]
-    except KeyError:
-        raise InputError(f"unknown label {name!r}; expected one of {list(LABELS)}") from None
 
 
 @dataclass(frozen=True)
@@ -60,14 +50,10 @@ class LabeledSentence:
             raise InputError("sentence text must be non-empty")
         if "\t" in self.text or "\n" in self.text:
             raise InputError("sentence text must not contain tabs or newlines")
-        if self.label not in LABEL_TO_INDEX:
+        if self.label not in LABELS:
             raise InputError(f"unknown label {self.label!r}")
         if self.position < 0:
             raise InputError("position must be >= 0")
-
-    @property
-    def label_idx(self) -> int:
-        return LABEL_TO_INDEX[self.label]
 
 
 @dataclass
@@ -76,9 +62,6 @@ class Corpus:
 
     sentences: list[LabeledSentence]
     documents: list[str]
-
-    def __len__(self) -> int:
-        return len(self.sentences)
 
 
 @dataclass(frozen=True)
@@ -132,7 +115,7 @@ def parse_corpus(text: str) -> Corpus:
         sent_text, label = fields
         if not sent_text:
             raise CorpusParseError("empty sentence text", line_no)
-        if label not in LABEL_TO_INDEX:
+        if label not in LABELS:
             raise UnknownLabelError(f"unknown label {label!r}", line_no)
         if current_doc is None:
             raise CorpusParseError("sentence line before any #doc header", line_no)

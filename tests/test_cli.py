@@ -7,7 +7,7 @@ import pytest
 
 from rhetrole.cli import main
 from rhetrole.config import PRESETS, RunConfig, resolve_config
-from rhetrole.corpus import LABELS
+from rhetrole.corpus import LABELS, Corpus, save_corpus
 from rhetrole.embedding import parse_provider_spec, save_embeddings
 from rhetrole.errors import ConfigError, InputError
 from rhetrole.linear_model import LinearCheckpoint, load_checkpoint, save_checkpoint
@@ -214,6 +214,66 @@ class TestTrain:
         )
         assert rc == 2
         assert "learning_rate" in stderr
+
+    def test_big_integer_in_real_field_exit_2(self, toy_tsv, tmp_path, capsys):
+        # json.dumps writes 10**400 as a 401-digit integer literal.
+        for field, value in [("weight_overrides", {"Facts": 10**400}),
+                             ("learning_rate", 10**400)]:
+            cfg_path = tmp_path / f"{field}.json"
+            cfg_path.write_text(json.dumps({"corpus": str(toy_tsv), field: value}))
+            rc, _, stderr = run_cli(
+                capsys, "train", "--config", str(cfg_path), "--out", str(tmp_path / field)
+            )
+            assert rc == 2
+            assert "finite number" in stderr
+            assert not (tmp_path / field).exists()
+
+    def test_missing_class_named_when_inverse_weights_undefined(
+        self, toy, tmp_path, capsys
+    ):
+        # Only the first "Ruling by Lower Court" sentence is kept; the default
+        # seed's split puts it into validation.
+        first = next(s for s in toy.sentences if s.label == "Ruling by Lower Court")
+        kept = [s for s in toy.sentences if s.label != first.label or s is first]
+        corpus_path = tmp_path / "one_rlc.tsv"
+        save_corpus(Corpus(sentences=kept, documents=toy.documents), corpus_path)
+        args = ["--corpus", str(corpus_path), "--epochs", "1"]
+        rc, _, stderr = run_cli(capsys, "train", *args, "--out", str(tmp_path / "a"))
+        assert rc == 2
+        assert "'Ruling by Lower Court' (1 in the whole corpus)" in stderr
+        for option in ("--seed", "--weights direct", "--balance"):
+            assert option in stderr
+        assert "weight_overrides" not in stderr
+        # Each remedy the message names trains.
+        for remedy in (["--seed", "1"], ["--weights", "direct"],
+                       ["--balance", "over", "--weights", "uniform"]):
+            rc, _, _ = run_cli(capsys, "train", *args, *remedy, "--out", str(tmp_path / "b"))
+            assert rc == 0
+
+    def test_every_training_flag_reaches_the_resolved_config(self, toy_tsv, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc, _, _ = run_cli(
+            capsys, "train", "--corpus", str(toy_tsv), "--out", str(out),
+            "--seed", "7", "--provider", "hashed:64", "--casing", "uncased",
+            "--max-len", "5", "--weights", "uniform", "--balance", "over",
+            "--epochs", "2", "--batch-size", "4", "--lr", "0.05",
+            "--weight-decay", "0.02", "--train-fraction", "0.7",
+            "--split-mode", "document_level", "--selection-metric", "val_loss",
+        )
+        assert rc == 0
+        resolved = json.loads((out / "config.json").read_text())
+        expected = {
+            "corpus": str(toy_tsv), "seed": 7, "provider": "hashed:64",
+            "casing": "uncased", "max_len": 5, "weight_scheme": "uniform",
+            "balance": "oversample", "epochs": 2, "batch_size": 4,
+            "learning_rate": 0.05, "weight_decay": 0.02, "train_fraction": 0.7,
+            "split_mode": "document_level", "selection_metric": "val_loss",
+        }
+        defaults = RunConfig()
+        for field, value in expected.items():
+            assert getattr(defaults, field) != value, field
+            assert resolved[field] == value, field
+        assert resolved["resolved_provider_id"] == "hashed:64:uncased:5"
 
     def test_derived_max_len_recorded(self, toy_tsv, tmp_path, capsys):
         out = tmp_path / "o"
@@ -484,7 +544,9 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "name,value",
         [("learning_rate", float("nan")), ("epsilon", float("nan")),
-         ("weight_decay", float("inf"))],
+         ("weight_decay", float("inf")),
+         # An integer beyond float range is no finite real either.
+         pytest.param("learning_rate", 10**400, id="learning_rate-big_int")],
     )
     def test_non_finite_real_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -493,8 +555,8 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "overrides",
         [{"Facts": "x"}, ["Facts"], {"Facts": float("nan")}, {"Facts": float("inf")},
-         {"Facts": True}],
-        ids=["string", "list", "nan", "inf", "bool"],
+         {"Facts": True}, {"Facts": 10**400}],
+        ids=["string", "list", "nan", "inf", "bool", "big_int"],
     )
     def test_malformed_weight_overrides_rejected(self, overrides):
         with pytest.raises(ConfigError, match="weight"):

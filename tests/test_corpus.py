@@ -49,7 +49,7 @@ class TestParse:
 
     def test_label_indices_follow_canonical_order(self):
         corpus = parse_corpus("#doc\tD\nThe appeal is allowed.\tRuling by Present Court\n")
-        assert corpus.sentences[0].label_idx == 6
+        assert LABELS.index(corpus.sentences[0].label) == 6
         assert LABELS.index("Facts") == 0
 
     def test_unknown_label_names_line(self):
