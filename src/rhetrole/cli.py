@@ -41,6 +41,7 @@ from .embedding import (
     tokenize,
 )
 from .errors import ConfigError, DimensionMismatchError, InputError, RhetroleError
+from .fileio import read_text, write_atomic
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
     SELECTION_METRICS,
@@ -206,16 +207,13 @@ def _run_training(cfg: RunConfig, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out_dir / "checkpoint.txt")
     resolved_weights = {label: float(w) for label, w in zip(LABELS, weights)}
-    (out_dir / "config.json").write_text(
-        config_to_json(
-            cfg,
-            resolved_weights=resolved_weights,
-            resolved_max_len=resolved_max_len,
-            resolved_provider_id=ckpt.provider_id,
-        ),
-        encoding="utf-8",
-    )
-    (out_dir / "train_log.tsv").write_text("".join(l + "\n" for l in log_lines), encoding="utf-8")
+    write_atomic(out_dir / "config.json", [config_to_json(
+        cfg,
+        resolved_weights=resolved_weights,
+        resolved_max_len=resolved_max_len,
+        resolved_provider_id=ckpt.provider_id,
+    )])
+    write_atomic(out_dir / "train_log.tsv", (l + "\n" for l in log_lines))
     print(f"checkpoint written to {out_dir / 'checkpoint.txt'} "
           f"(best {cfg.selection_metric} {ckpt.selection_score:.6f})")
     return ckpt, val_set, provider
@@ -247,7 +245,7 @@ def cmd_evaluate(args) -> int:
     cm, report = _evaluate_sentences(ckpt, provider, corpus.sentences)
     doc = report_to_json(report, cm, ckpt.labels)
     if args.out:
-        Path(args.out).write_text(doc, encoding="utf-8")
+        write_atomic(args.out, [doc])
         print(f"metrics written to {args.out}")
     else:
         print(doc, end="")
@@ -257,8 +255,15 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
-    text = Path(args.sentences).read_bytes().decode("utf-8")
-    lines = [line.rstrip("\r") for line in text.split("\n") if line.strip()]
+    lines = []
+    for line_no, line in enumerate(read_text(args.sentences).split("\n"), start=1):
+        line = line.rstrip("\r")
+        if not line.strip():
+            continue
+        if "\t" in line:
+            # The sentence is the first field of a TSV output row.
+            raise InputError(f"{args.sentences}: line {line_no} contains a tab")
+        lines.append(line)
     Z = logits(ckpt.params, embed_batch(lines, provider))
     best = Z.argmax(axis=1)
     probs = softmax(Z)[range(len(lines)), best]
@@ -268,7 +273,7 @@ def cmd_predict(args) -> int:
     ]
     output = "".join(l + "\n" for l in out_lines)
     if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
+        write_atomic(args.out, [output])
         print(f"{len(out_lines)} predictions written to {args.out}")
     else:
         print(output, end="")
@@ -284,8 +289,7 @@ def cmd_reproduce_run(args) -> int:
     ckpt, val_set, provider = _run_training(cfg, out_dir)
 
     cm, report = _evaluate_sentences(ckpt, provider, val_set)
-    (out_dir / "metrics.json").write_text(report_to_json(report, cm, ckpt.labels),
-                                          encoding="utf-8")
+    write_atomic(out_dir / "metrics.json", [report_to_json(report, cm, ckpt.labels)])
     print("resolved config:")
     print((out_dir / "config.json").read_text(encoding="utf-8"), end="")
     print("scores on the local validation split (the original hidden test set "

@@ -17,6 +17,7 @@ from typing import Any, Mapping
 from .corpus import LABELS, SplitSpec
 from .embedding import CASINGS, parse_provider_spec
 from .errors import ConfigError
+from .fileio import read_text
 from .imbalance import WEIGHT_SCHEMES
 from .linear_model import TrainConfig
 
@@ -197,7 +198,7 @@ def config_to_json(
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

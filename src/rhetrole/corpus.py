@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import CorpusParseError, InputError, UnknownLabelError
+from .fileio import read_text, write_atomic
 
 # Canonical label order. Index 0..6 is fixed and shared by every module:
 # weight vectors, classifier rows, and confusion matrices all follow it.
@@ -145,11 +146,11 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    return parse_corpus(Path(path).read_bytes().decode("utf-8"))
+    return parse_corpus(read_text(path))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_corpus(corpus).encode("utf-8"))
+    write_atomic(path, [serialize_corpus(corpus)])
 
 
 def class_distribution(corpus_or_sentences: Corpus | Iterable[LabeledSentence]) -> dict[str, int]:

@@ -13,6 +13,11 @@ space-separated decimal reals (integer and scientific notation both
 accepted). Floats are written with shortest round-trip precision, so
 write -> load -> write is byte-identical.
 
+Files are read and written one record at a time: loading holds the parsed
+vectors plus one line, and saving holds one line and replaces the file
+atomically. ``parse_embeddings`` and ``serialize_embeddings`` are the same
+parser and writer over text in memory.
+
 Token hashes are memoised in a bounded LRU table (``_FNV_MEMO_SIZE``
 entries), so a long run holds a fixed amount of memo memory.
 """
@@ -24,7 +29,7 @@ import json
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .errors import (
     InputError,
     MissingEmbeddingError,
 )
+from .fileio import decode_lines, write_atomic
 
 CASINGS = ("cased", "uncased")
 
@@ -198,73 +204,102 @@ class PrecomputedProvider:
 def parse_embeddings(text: str, provider_id: str = "precomputed:<memory>") -> PrecomputedProvider:
     """Parse EMB v1 text. Raises EmbeddingFormatError on any shape violation."""
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    if not lines:
+    return _parse_lines(iter(lines), provider_id)
+
+
+def load_precomputed(path: str | Path) -> PrecomputedProvider:
+    """Read an EMB v1 file one record at a time."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        return _parse_lines(decode_lines(f, path), f"precomputed:{path}")
+
+
+def _parse_lines(lines: Iterator[str], provider_id: str) -> PrecomputedProvider:
+    """Parse EMB v1 lines, given without their newlines.
+
+    The record count is checked before any record error is reported: after
+    the first bad record, the remaining lines are only counted.
+    """
+    header_line = next(lines, None)
+    if header_line is None:
         raise EmbeddingFormatError("empty embedding file")
-    header = lines[0].split(" ")
+    header = header_line.split(" ")
     if len(header) != 4 or header[0] != "EMB" or header[1] != "v1":
-        raise EmbeddingFormatError(f"bad header {lines[0]!r}; expected 'EMB v1 <count> <dim>'")
+        raise EmbeddingFormatError(f"bad header {header_line!r}; expected 'EMB v1 <count> <dim>'")
     try:
         count, dim = int(header[2]), int(header[3])
     except ValueError:
-        raise EmbeddingFormatError(f"non-integer count/dim in header {lines[0]!r}") from None
+        raise EmbeddingFormatError(f"non-integer count/dim in header {header_line!r}") from None
     if count < 0 or dim < 1:
         raise EmbeddingFormatError("count must be >= 0 and dim >= 1")
-    records = lines[1:]
-    if len(records) != count:
-        raise EmbeddingFormatError(
-            f"header declares {count} records but file contains {len(records)}"
-        )
     decoder = json.JSONDecoder()
     vectors: dict[str, np.ndarray] = {}
-    for rec_no, record in enumerate(records, start=2):
-        try:
-            key, end = decoder.raw_decode(record)
-        except json.JSONDecodeError:
-            raise EmbeddingFormatError(f"line {rec_no}: key is not a JSON string") from None
-        if not isinstance(key, str):
-            raise EmbeddingFormatError(f"line {rec_no}: key is not a JSON string")
-        if key in vectors:
-            raise EmbeddingFormatError(f"line {rec_no}: duplicate key {key!r}")
-        parts = record[end:].split()
-        if len(parts) != dim:
-            raise EmbeddingFormatError(
-                f"line {rec_no}: expected {dim} values, got {len(parts)}"
-            )
-        try:
-            vec = np.array([float(p) for p in parts], dtype=np.float64)
-        except ValueError:
-            raise EmbeddingFormatError(f"line {rec_no}: non-numeric value") from None
-        if not np.isfinite(vec).all():
-            raise EmbeddingFormatError(f"line {rec_no}: non-finite value (nan or inf)")
-        vectors[key] = vec
+    error: EmbeddingFormatError | None = None
+    seen = 0
+    for seen, record in enumerate(lines, start=1):
+        if error is None and seen <= count:
+            try:
+                _add_record(vectors, record, seen + 1, dim, decoder)
+            except EmbeddingFormatError as exc:
+                error = exc
+    if seen != count:
+        raise EmbeddingFormatError(f"header declares {count} records but file contains {seen}")
+    if error is not None:
+        raise error
     return PrecomputedProvider(vectors, dim, provider_id)
 
 
-def serialize_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int) -> str:
-    """Emit EMB v1 text for (key, vector) pairs in the given order."""
+def _add_record(vectors: dict[str, np.ndarray], record: str, line_no: int, dim: int,
+                decoder: json.JSONDecoder) -> None:
+    try:
+        key, end = decoder.raw_decode(record)
+    except json.JSONDecodeError:
+        raise EmbeddingFormatError(f"line {line_no}: key is not a JSON string") from None
+    if not isinstance(key, str):
+        raise EmbeddingFormatError(f"line {line_no}: key is not a JSON string")
+    if key in vectors:
+        raise EmbeddingFormatError(f"line {line_no}: duplicate key {key!r}")
+    parts = record[end:].split()
+    if len(parts) != dim:
+        raise EmbeddingFormatError(f"line {line_no}: expected {dim} values, got {len(parts)}")
+    try:
+        vec = np.array([float(p) for p in parts], dtype=np.float64)
+    except ValueError:
+        raise EmbeddingFormatError(f"line {line_no}: non-numeric value") from None
+    if not np.isfinite(vec).all():
+        raise EmbeddingFormatError(f"line {line_no}: non-finite value (nan or inf)")
+    vectors[key] = vec
+
+
+def _emb_lines(entries: Iterable[tuple[str, np.ndarray]], dim: int) -> Iterator[str]:
+    """EMB v1 lines for (key, vector) pairs in the given order. Every
+    vector's length is checked before the first line is made."""
     items = list(entries)
-    lines = [f"EMB v1 {len(items)} {dim}"]
     for key, vec in items:
         if len(vec) != dim:
             raise DimensionMismatchError(
                 f"vector for {key!r} has length {len(vec)}, expected {dim}"
             )
-        values = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
-        lines.append(f"{json.dumps(key)} {values}")
-    return "".join(line + "\n" for line in lines)
+
+    def lines() -> Iterator[str]:
+        yield f"EMB v1 {len(items)} {dim}\n"
+        for key, vec in items:
+            values = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
+            yield f"{json.dumps(key)} {values}\n"
+
+    return lines()
 
 
-def load_precomputed(path: str | Path) -> PrecomputedProvider:
-    path = Path(path)
-    return parse_embeddings(
-        path.read_bytes().decode("utf-8"), provider_id=f"precomputed:{path}"
-    )
+def serialize_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int) -> str:
+    """Emit EMB v1 text for (key, vector) pairs in the given order."""
+    return "".join(_emb_lines(entries, dim))
 
 
 def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_embeddings(entries, dim).encode("utf-8"))
+    """Write an EMB v1 file one record at a time, replacing ``path`` atomically."""
+    write_atomic(path, _emb_lines(entries, dim))
 
 
 def embed_batch(sentences: Sequence, provider) -> np.ndarray:

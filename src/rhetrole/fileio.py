@@ -1,0 +1,74 @@
+"""Reading and writing the package's text files.
+
+Every file is UTF-8. A file that is not fails as an ``InputError`` (exit 2)
+that names the file and the line of the first bad byte. Every output is
+written to a temporary file beside its target, which replaces the target
+with ``os.replace`` only once it is complete: a write that fails part-way
+leaves the previous file, or none, and no temporary file. Only a device or
+pipe, which cannot be replaced, is written in place.
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator
+
+from .errors import InputError
+
+
+def _not_utf8(path: str | Path, line_no: int) -> InputError:
+    return InputError(f"{path}: line {line_no} is not valid UTF-8")
+
+
+def read_text(path: str | Path) -> str:
+    """The whole file, decoded strictly as UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def decode_lines(f: BinaryIO, path: str | Path) -> Iterator[str]:
+    """The lines of a binary file without their ``\\n``, decoded one at a time.
+
+    Byte 0x0A never occurs inside a UTF-8 multibyte sequence, so these are
+    the pieces of ``read_text(path).split("\\n")``, less a last empty one.
+    """
+    for line_no, raw in enumerate(f, start=1):
+        try:
+            yield raw.rstrip(b"\n").decode("utf-8")
+        except UnicodeDecodeError:
+            raise _not_utf8(path, line_no) from None
+
+
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the UTF-8 encoding of ``chunks`` to ``path`` atomically.
+
+    A symlink is followed, so the file it names is replaced. A target that
+    exists but is no regular file, such as ``/dev/null`` or a pipe, cannot be
+    replaced, and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            _write(f, chunks)
+        return
+    target = Path(os.path.realpath(path))
+    tmp = target.parent / f".{target.name}.{os.urandom(4).hex()}.tmp"
+    try:
+        f = open(tmp, "xb")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            _write(f, chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write(f: BinaryIO, chunks: Iterable[str]) -> None:
+    for chunk in chunks:
+        f.write(chunk.encode("utf-8"))

@@ -40,6 +40,7 @@ import numpy as np
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch
 from .errors import CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError
+from .fileio import read_text, write_atomic
 from .metrics import evaluate_predictions
 
 SELECTION_METRICS = ("macro_f1", "val_loss")
@@ -338,8 +339,8 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
 
 
 def save_checkpoint(ckpt: LinearCheckpoint, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_checkpoint(ckpt).encode("utf-8"))
+    write_atomic(path, [serialize_checkpoint(ckpt)])
 
 
 def load_checkpoint(path: str | Path) -> LinearCheckpoint:
-    return parse_checkpoint(Path(path).read_bytes().decode("utf-8"))
+    return parse_checkpoint(read_text(path))

@@ -451,6 +451,61 @@ class TestPredict:
         assert "unknown sentence" in stderr
 
 
+    def test_tab_in_sentence_exit_2_naming_the_line(self, tmp_path, capsys):
+        ckpt = self.zero_checkpoint(tmp_path / "ckpt.txt")
+        sf = tmp_path / "s.txt"
+        sf.write_text("first sentence\n\nThe facts\tare these\n", encoding="utf-8")
+        out = tmp_path / "predict.tsv"
+        rc, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(ckpt),
+                                "--sentences", str(sf), "--out", str(out))
+        assert rc == 2
+        assert f"{sf}: line 3 contains a tab" in stderr
+        assert not out.exists()
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 exits 2 with a message naming it and the
+    line of the first bad byte, whichever reader meets it."""
+
+    def check(self, capsys, argv, path, line_no):
+        rc, _, stderr = run_cli(capsys, *argv)
+        assert rc == 2
+        assert f"{path}: line {line_no} is not valid UTF-8" in stderr
+
+    def test_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(b"#doc\tD\nThe facts.\tFacts\nCaf\xe9 law.\tStatute\n")
+        self.check(capsys, ["ingest", "--corpus", str(corpus)], corpus, 3)
+
+    def test_emb_key(self, toy_tsv, tmp_path, capsys):
+        emb = tmp_path / "vectors.emb"
+        emb.write_bytes(b'EMB v1 2 2\n"a" 1 2\n"\xff" 3 4\n')
+        self.check(capsys, ["train", "--corpus", str(toy_tsv), "--out", str(tmp_path / "o"),
+                            "--provider", f"precomputed:{emb}"], emb, 3)
+
+    def test_checkpoint(self, toy_tsv, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.txt"
+        save_checkpoint(LinearCheckpoint(
+            params=fused(np.zeros((7, 4)), np.zeros(7)),
+            labels=LABELS, provider_id="hashed:4:cased:8",
+        ), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"Facts", b"F\xffcts"))
+        self.check(capsys, ["evaluate", "--checkpoint", str(ckpt), "--corpus", str(toy_tsv)],
+                   ckpt, 2)
+
+    def test_predict_sentences(self, trained, tmp_path, capsys):
+        sf = tmp_path / "s.txt"
+        sf.write_bytes(b"fine\n\xff\n")
+        self.check(capsys, ["predict", "--checkpoint", str(trained / "checkpoint.txt"),
+                            "--sentences", str(sf)], sf, 2)
+
+    def test_config_file(self, toy_tsv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{\n  "casing": "\xff"\n}\n')
+        self.check(capsys, ["train", "--corpus", str(toy_tsv), "--config", str(cfg),
+                            "--out", str(tmp_path / "o")], cfg, 2)
+
+
 class TestReproduceRun:
     def test_invalid_run_id_exit_2(self, toy_tsv, capsys):
         rc, _, stderr = run_cli(capsys, "reproduce-run", "9", "--corpus", str(toy_tsv))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 import unicodedata
 
 import numpy as np
@@ -22,7 +23,12 @@ from rhetrole.embedding import (
     serialize_embeddings,
     tokenize,
 )
-from rhetrole.errors import EmbeddingFormatError, InputError, MissingEmbeddingError
+from rhetrole.errors import (
+    DimensionMismatchError,
+    EmbeddingFormatError,
+    InputError,
+    MissingEmbeddingError,
+)
 
 # Published FNV-1a 64-bit reference vectors.
 FNV_VECTORS = {
@@ -41,6 +47,19 @@ TOKENIZER_TEXT = st.text(
     | st.sampled_from(" \t\n"),
     max_size=60,
 )
+
+
+# Keys with every character the EMB writer must escape or pass through.
+EMB_KEYS = st.text(
+    alphabet=st.characters(exclude_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "\r", "\n", "\t", "\u2028", "\u0085", "\u00e9", " "]),
+    max_size=12,
+)
+# Finite doubles, with signed zero, subnormals and the extremes drawn often.
+EMB_VALUES = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1e-20, 0.1]
+) | st.floats(allow_nan=False, allow_infinity=False)
 
 
 def reference_tokenize(text: str, config: TokenizerConfig) -> list[str]:
@@ -244,6 +263,91 @@ class TestEmbeddingFile:
     def test_scientific_and_integer_reals_accepted(self):
         provider = parse_embeddings('EMB v1 1 3\n"a" 1 -2.5e-3 4E2\n')
         assert np.array_equal(provider.lookup("a"), [1.0, -0.0025, 400.0])
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                st.lists(st.tuples(EMB_KEYS, st.lists(EMB_VALUES, min_size=dim, max_size=dim)),
+                         max_size=6, unique_by=lambda entry: entry[0]),
+            )
+        )
+    )
+    @settings(max_examples=100)
+    def test_round_trip_property(self, tmp_path_factory, dim_entries):
+        dim, raw = dim_entries
+        entries = [(key, np.array(values, dtype=np.float64)) for key, values in raw]
+        path = tmp_path_factory.mktemp("emb") / "vecs.emb"
+        save_embeddings(entries, dim, path)
+        written = path.read_bytes()
+        assert written == serialize_embeddings(entries, dim).encode("utf-8")
+        loaded = load_precomputed(path)
+        parsed = parse_embeddings(written.decode("utf-8"))
+        assert [key for key, _ in loaded.items()] == [key for key, _ in raw]
+        for key, vec in entries:
+            assert loaded.lookup(key).tobytes() == vec.tobytes()
+            assert parsed.lookup(key).tobytes() == vec.tobytes()
+        save_embeddings(loaded.items(), dim, path)
+        assert path.read_bytes() == written
+
+    def test_crlf_file_accepted(self, tmp_path):
+        text = 'EMB v1 2 2\r\n"a" 1 2\r\n"b" 3 -4e1\r\n'
+        path = tmp_path / "crlf.emb"
+        path.write_bytes(text.encode("utf-8"))
+        for provider in (load_precomputed(path), parse_embeddings(text)):
+            assert np.array_equal(provider.lookup("a"), [1.0, 2.0])
+            assert np.array_equal(provider.lookup("b"), [3.0, -40.0])
+
+    @pytest.mark.parametrize("text,message", [
+        ('EMB v1 3 2\n"a" 1 x\n"b" 3 4\n', "header declares 3 records but file contains 2"),
+        ('EMB v1 1 2\n"a" 1\n"b" 3 4\n', "header declares 1 records but file contains 2"),
+        ('EMB v1 2 2\n"a" 1\n"b" 3 4\n', "line 2: expected 2 values, got 1"),
+    ])
+    def test_count_mismatch_reported_before_a_bad_record(self, tmp_path, text, message):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(text.encode("utf-8"))
+        for parse in (lambda: load_precomputed(path), lambda: parse_embeddings(text)):
+            with pytest.raises(EmbeddingFormatError) as exc:
+                parse()
+            assert str(exc.value) == message
+
+    def test_wrong_length_vector_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "vecs.emb"
+        save_embeddings(self.entries(), 4, path)
+        before = path.read_bytes()
+        with pytest.raises(DimensionMismatchError):
+            save_embeddings(self.entries() + [("short", np.zeros(3))], 4, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "vecs.emb"
+        save_embeddings(self.entries(), 4, path)
+        before = path.read_bytes()
+        # The right length, but the second record fails to convert while
+        # the first is already written.
+        with pytest.raises(ValueError):
+            save_embeddings(self.entries()[:1] + [("bad", [1.0, 2.0, 3.0, "x"])], 4, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
+    def test_memory_tracks_the_vectors_not_the_file(self, tmp_path):
+        vectors = np.random.default_rng(0).normal(size=(250, 128))
+        entries = [(f"sentence {i}", row) for i, row in enumerate(vectors)]
+        path = tmp_path / "vecs.emb"
+        tracemalloc.start()
+        try:
+            save_embeddings(entries, 128, path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            provider = load_precomputed(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dict(provider.items())) == 250
+        assert save_peak < path.stat().st_size / 4
+        assert load_peak - base < 1.5 * vectors.nbytes
 
     def test_missing_key_at_use_time(self):
         provider = parse_embeddings('EMB v1 1 2\n"a" 1 2\n')
