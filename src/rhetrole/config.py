@@ -109,11 +109,22 @@ class RunConfig:
                     raise ConfigError(
                         f"weight override for {label!r} must be a finite number >= 0"
                     )
-        if parse_provider_spec(self.provider)[2] is not None:
+        kind, _, id_casing, _ = parse_provider_spec(self.provider)
+        if id_casing is not None:
             raise ConfigError(
                 f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got "
                 f"{self.provider!r}; casing and max_len are fields of their own"
             )
+        if kind == "precomputed":
+            # Precomputed vectors are looked up as they are, never tokenised.
+            ignored = [f"casing {self.casing!r}"] if self.casing != "cased" else []
+            if self.max_len is not None:
+                ignored.append(f"max_len {self.max_len}")
+            if ignored:
+                raise ConfigError(
+                    f"{' and '.join(ignored)} given with provider {self.provider!r}: "
+                    "casing and max_len apply only to hashed:<dim> providers"
+                )
         # The training and split rules live in TrainConfig and SplitSpec.
         self.train_config()
         self.split_spec()

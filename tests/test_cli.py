@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rhetrole import cli
 from rhetrole.cli import main
 from rhetrole.config import PRESETS, RunConfig, resolve_config
 from rhetrole.corpus import LABELS, Corpus, save_corpus
 from rhetrole.embedding import parse_provider_spec, save_embeddings
 from rhetrole.errors import ConfigError, InputError
-from rhetrole.linear_model import LinearCheckpoint, load_checkpoint, save_checkpoint
+from rhetrole.linear_model import (
+    LinearCheckpoint,
+    input_dim,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from .conftest import fused
 
@@ -19,6 +26,17 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def toy_emb(toy, tmp_path_factory):
+    """The toy sentences' hashed:32 vectors as an EMB file."""
+    from rhetrole.embedding import HashedBowProvider, TokenizerConfig
+
+    enc = HashedBowProvider(32, TokenizerConfig(casing="cased", max_len=50))
+    path = tmp_path_factory.mktemp("emb") / "toy.emb"
+    save_embeddings({s.text: enc.lookup(s.text) for s in toy.sentences}.items(), 32, path)
+    return path
 
 
 class TestIngest:
@@ -163,21 +181,15 @@ class TestTrain:
             )
             assert rc == 0
 
-    def test_train_with_precomputed_provider(self, toy, toy_tsv, tmp_path, capsys):
-        from rhetrole.embedding import HashedBowProvider, TokenizerConfig
-
-        enc = HashedBowProvider(32, TokenizerConfig(casing="cased", max_len=50))
-        table = {s.text: enc.lookup(s.text) for s in toy.sentences}
-        emb = tmp_path / "toy_vectors.emb"
-        save_embeddings(table.items(), 32, emb)
+    def test_train_with_precomputed_provider(self, toy_emb, toy_tsv, tmp_path, capsys):
         out = tmp_path / "pre"
         rc, _, _ = run_cli(
             capsys, "train", "--corpus", str(toy_tsv), "--out", str(out),
-            "--provider", f"precomputed:{emb}", "--lr", "1e-2", "--epochs", "2",
+            "--provider", f"precomputed:{toy_emb}", "--lr", "1e-2", "--epochs", "2",
         )
         assert rc == 0
         resolved = json.loads((out / "config.json").read_text())
-        assert resolved["resolved_provider_id"] == f"precomputed:{emb}"
+        assert resolved["resolved_provider_id"] == f"precomputed:{toy_emb}"
         rc, stdout, _ = run_cli(
             capsys, "evaluate", "--checkpoint", str(out / "checkpoint.txt"),
             "--corpus", str(toy_tsv),
@@ -275,6 +287,32 @@ class TestTrain:
             assert resolved[field] == value, field
         assert resolved["resolved_provider_id"] == "hashed:64:uncased:5"
 
+    @pytest.mark.parametrize("route", ["flags", "config_file", "reproduce_run_2"])
+    def test_tokeniser_settings_rejected_for_precomputed_provider(
+        self, route, toy_emb, toy_tsv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        provider = f"precomputed:{toy_emb}"
+        if route == "flags":
+            argv = ["train", "--corpus", str(toy_tsv), "--out", str(out),
+                    "--provider", provider, "--casing", "uncased", "--max-len", "3"]
+            named = ["casing 'uncased'", "max_len 3"]
+        elif route == "config_file":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"provider": provider, "max_len": 3}), encoding="utf-8")
+            argv = ["train", "--corpus", str(toy_tsv), "--out", str(out), "--config", str(cfg)]
+            named = ["max_len 3"]
+        else:  # the run2 preset is uncased
+            argv = ["reproduce-run", "2", "--corpus", str(toy_tsv), "--out", str(out),
+                    "--provider", provider]
+            named = ["casing 'uncased'"]
+        rc, _, stderr = run_cli(capsys, *argv)
+        assert rc == 2
+        for setting in named:
+            assert setting in stderr
+        assert "apply only to hashed:" in stderr
+        assert not out.exists()
+
     def test_derived_max_len_recorded(self, toy_tsv, tmp_path, capsys):
         out = tmp_path / "o"
         rc, _, _ = run_cli(
@@ -286,7 +324,7 @@ class TestTrain:
         assert 3 <= resolved["max_len"] <= 8
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def trained(toy_tsv, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
     rc = main(["train", "--corpus", str(toy_tsv), "--out", str(out), "--lr", "1e-2"])
@@ -461,6 +499,107 @@ class TestPredict:
         assert rc == 2
         assert f"{sf}: line 3 contains a tab" in stderr
         assert not out.exists()
+
+
+class TestScoreBlocks:
+    """evaluate, predict and reproduce-run embed and score their inputs
+    cli._SCORE_BLOCK_ROWS rows at a time; the block size must not show in
+    any output."""
+
+    DEFAULT = cli._SCORE_BLOCK_ROWS
+    SIZES = sorted({n for b in (1, 3, DEFAULT) for n in (b - 1, b, b + 1, 2 * b + 1)} - {0})
+
+    @staticmethod
+    def write_inputs(toy, d, n):
+        """A corpus of n toy sentences (repeated as needed) and the same n
+        sentences as predict input, in directory d."""
+        d.mkdir(exist_ok=True)
+        sentences = [toy.sentences[i % len(toy.sentences)] for i in range(n)]
+        corpus = d / "corpus.tsv"
+        corpus.write_text("#doc\tD\n" + "".join(f"{s.text}\t{s.label}\n" for s in sentences),
+                          encoding="utf-8")
+        lines = d / "lines.txt"
+        lines.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
+        return corpus, lines
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_block_size_does_not_change_outputs(
+        self, n, toy, trained, tmp_path, capsys, monkeypatch
+    ):
+        corpus, lines = self.write_inputs(toy, tmp_path, n)
+        # Half this corpus is validation, so reproduce-run scores n rows too.
+        # Splits this small may lack a class, which inverse weights refuse.
+        doubled, _ = self.write_inputs(toy, tmp_path / "doubled", 2 * n)
+        ckpt = str(trained / "checkpoint.txt")
+        outputs = {}
+        for rows in (self.DEFAULT, 1, 3):
+            monkeypatch.setattr(cli, "_SCORE_BLOCK_ROWS", rows)
+            out = tmp_path / f"blocks{rows}"
+            rc, metrics, _ = run_cli(capsys, "evaluate", "--checkpoint", ckpt,
+                                     "--corpus", str(corpus))
+            assert rc == 0
+            rc, predicted, _ = run_cli(capsys, "predict", "--checkpoint", ckpt,
+                                       "--sentences", str(lines))
+            assert rc == 0
+            assert run_cli(capsys, "reproduce-run", "1", "--corpus", str(doubled),
+                           "--out", str(out), "--train-fraction", "0.5", "--epochs", "1",
+                           "--balance", "none", "--weights", "uniform")[0] == 0
+            assert json.loads((out / "metrics.json").read_text())["total"] == n
+            outputs[rows] = (metrics, predicted, (out / "metrics.json").read_bytes())
+        assert json.loads(outputs[self.DEFAULT][0])["total"] == n
+        assert outputs[self.DEFAULT][1].count("\n") == n
+        assert outputs[1] == outputs[self.DEFAULT]
+        assert outputs[3] == outputs[self.DEFAULT]
+
+    def test_error_in_a_later_block_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        emb = tmp_path / "few.emb"
+        save_embeddings([(f"known {i}", np.full(4, float(i))) for i in range(5)], 4, emb)
+        ckpt = tmp_path / "ckpt.txt"
+        save_checkpoint(LinearCheckpoint(
+            params=fused(np.zeros((7, 4)), np.zeros(7)),
+            labels=LABELS, provider_id=f"precomputed:{emb}",
+        ), ckpt)
+        sf = tmp_path / "s.txt"
+        sf.write_text("".join(f"known {i}\n" for i in range(5)) + "unknown sentence\n",
+                      encoding="utf-8")
+        out = tmp_path / "predict.tsv"
+        out.write_text("previous\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_SCORE_BLOCK_ROWS", 2)
+        for extra in ([], ["--out", str(out)]):
+            rc, stdout, stderr = run_cli(capsys, "predict", "--checkpoint", str(ckpt),
+                                         "--sentences", str(sf), *extra)
+            assert rc == 1
+            assert "unknown sentence" in stderr
+            assert stdout == ""
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt.txt", "few.emb", "predict.tsv", "s.txt"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_peak_memory_under_half_a_whole_matrix(
+        self, command, toy, trained, tmp_path, capsys
+    ):
+        # The corpus objects and the output rows stay O(n), so six blocks
+        # leave room for them (Python 3.11, numpy 2.4: evaluate peaked at
+        # 4.4 MB and predict at 3.7 MB, against a 12.6 MB matrix).
+        n = 6 * self.DEFAULT
+        corpus, lines = self.write_inputs(toy, tmp_path, n)
+        ckpt = trained / "checkpoint.txt"
+        dim = input_dim(load_checkpoint(ckpt).params)
+        assert dim == 256
+        argv = ["--corpus", str(corpus)] if command == "evaluate" else [
+            "--sentences", str(lines)]
+        tracemalloc.start()
+        try:
+            rc = main([command, "--checkpoint", str(ckpt), *argv,
+                       "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        whole_matrix = n * dim * 8
+        assert peak < whole_matrix / 2, (peak, whole_matrix)
 
 
 class TestNonUtf8Input:
