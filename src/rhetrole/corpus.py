@@ -33,11 +33,14 @@ LABELS: tuple[str, ...] = (
     "Ratio of the decision",
     "Ruling by Present Court",
 )
+# Each label maps to its LABELS string, so parsed sentences share seven label
+# objects instead of each holding its own copy.
+_CANONICAL_LABELS = {label: label for label in LABELS}
 
 SPLIT_MODES = ("sentence_shuffled", "document_level")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSentence:
     """One sentence of a legal document plus its rhetorical-role label."""
 
@@ -113,11 +116,12 @@ def parse_corpus(text: str) -> Corpus:
             raise CorpusParseError(
                 f"expected 2 tab-separated fields, got {len(fields)}", line_no
             )
-        sent_text, label = fields
+        sent_text, raw_label = fields
         if not sent_text:
             raise CorpusParseError("empty sentence text", line_no)
-        if label not in LABELS:
-            raise UnknownLabelError(f"unknown label {label!r}", line_no)
+        label = _CANONICAL_LABELS.get(raw_label)
+        if label is None:
+            raise UnknownLabelError(f"unknown label {raw_label!r}", line_no)
         if current_doc is None:
             raise CorpusParseError("sentence line before any #doc header", line_no)
         sentences.append(

@@ -9,14 +9,17 @@ EMB v1 file format
 ------------------
 Line 1: ``EMB v1 <count> <dim>``. Each following line holds one record:
 the sentence key as a JSON-quoted string, a space, then ``dim``
-space-separated decimal reals (integer and scientific notation both
-accepted). Floats are written with shortest round-trip precision, so
+whitespace-separated ASCII decimal reals (integer and scientific notation
+both accepted). Floats are written with shortest round-trip precision, so
 write -> load -> write is byte-identical.
 
-Files are read and written one record at a time: loading holds the parsed
-vectors plus one line, and saving holds one line and replaces the file
-atomically. ``parse_embeddings`` and ``serialize_embeddings`` are the same
-parser and writer over text in memory.
+Loading streams the records through numpy's C text parser (``np.loadtxt``)
+into one read-only ``(count, dim)`` matrix with a key -> row dict, so it
+holds that matrix plus one line. A file that parser does not take whole is
+read again, record by record, only to name its first error. Saving holds
+one line and replaces the file atomically. ``parse_embeddings`` and
+``serialize_embeddings`` are the same parser and writer over text in
+memory.
 
 Token hashes are memoised in a bounded LRU table (``_FNV_MEMO_SIZE``
 entries), so a long run holds a fixed amount of memo memory.
@@ -27,9 +30,11 @@ from __future__ import annotations
 import functools
 import json
 import unicodedata
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +57,8 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 # thousand frequent tokens take most lookups; an unbounded memo ran only a
 # few per cent faster and grew peak memory with the vocabulary.
 _FNV_MEMO_SIZE = 4096
+
+_KEY_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -182,23 +189,27 @@ class HashedBowProvider:
 
 
 class PrecomputedProvider:
-    """Read-only exact-key table of externally computed sentence vectors."""
+    """Read-only exact-key table of externally computed sentence vectors:
+    one ``(n, dim)`` matrix and a key -> row dict."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int, provider_id: str):
-        self.dimension = dim
+    def __init__(self, matrix: np.ndarray, rows: dict[str, int], provider_id: str):
+        self.dimension = matrix.shape[1]
         self.provider_id = provider_id
-        self._vectors = vectors
+        # A read-only view, so no row handed out by lookup can change the table.
+        self._matrix = matrix.view()
+        self._matrix.flags.writeable = False
+        self._rows = rows
 
     def lookup(self, text: str) -> np.ndarray:
         try:
-            return self._vectors[text]
+            return self._matrix[self._rows[text]]
         except KeyError:
             raise MissingEmbeddingError(
                 f"no precomputed embedding for sentence {text!r}"
             ) from None
 
-    def items(self) -> Iterable[tuple[str, np.ndarray]]:
-        return self._vectors.items()
+    def items(self) -> Iterator[tuple[str, np.ndarray]]:
+        return ((key, self._matrix[row]) for key, row in self._rows.items())
 
 
 def parse_embeddings(text: str, provider_id: str = "precomputed:<memory>") -> PrecomputedProvider:
@@ -206,21 +217,31 @@ def parse_embeddings(text: str, provider_id: str = "precomputed:<memory>") -> Pr
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return _parse_lines(iter(lines), provider_id)
+    return _parse_lines(iter(lines), lambda: iter(lines), provider_id)
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
     """Read an EMB v1 file one record at a time."""
     path = Path(path)
     with open(path, "rb") as f:
-        return _parse_lines(decode_lines(f, path), f"precomputed:{path}")
+        def reread() -> Iterator[str]:
+            if not f.seekable():
+                raise EmbeddingFormatError(
+                    f"{path}: not a valid EMB v1 file; a pipe cannot be read again "
+                    "to name the bad line")
+            f.seek(0)
+            return decode_lines(f, path)
+
+        return _parse_lines(decode_lines(f, path), reread, f"precomputed:{path}")
 
 
-def _parse_lines(lines: Iterator[str], provider_id: str) -> PrecomputedProvider:
+def _parse_lines(lines: Iterator[str], reread: Callable[[], Iterator[str]],
+                 provider_id: str) -> PrecomputedProvider:
     """Parse EMB v1 lines, given without their newlines.
 
-    The record count is checked before any record error is reported: after
-    the first bad record, the remaining lines are only counted.
+    numpy's C reader converts the values of every record into one matrix.
+    A file it does not take whole is read again from ``reread()`` only to
+    name its first error, so a valid file is read once.
     """
     header_line = next(lines, None)
     if header_line is None:
@@ -234,43 +255,87 @@ def _parse_lines(lines: Iterator[str], provider_id: str) -> PrecomputedProvider:
         raise EmbeddingFormatError(f"non-integer count/dim in header {header_line!r}") from None
     if count < 0 or dim < 1:
         raise EmbeddingFormatError("count must be >= 0 and dim >= 1")
-    decoder = json.JSONDecoder()
-    vectors: dict[str, np.ndarray] = {}
+    rows: dict[str, int] = {}
+
+    def bodies() -> Iterator[str]:
+        # The text after each key, up to the declared count. A bad or
+        # repeated key ends the matrix read short.
+        for line_no, record in enumerate(islice(lines, count), start=2):
+            try:
+                key, body = _split_record(record, line_no, rows)
+            except EmbeddingFormatError:
+                return
+            rows[key] = len(rows)
+            yield body
+
+    try:
+        matrix = _read_values(bodies())
+        # A row width other than dim fails here; an empty read has shape (0, 1).
+        matrix = matrix.reshape(len(matrix), dim)
+    except ValueError:
+        pass
+    else:
+        if len(matrix) == count and next(lines, None) is None and np.isfinite(matrix).all():
+            return PrecomputedProvider(matrix, rows, provider_id)
+    _raise_first_error(reread(), count, dim)
+    raise AssertionError("the record checks accepted a file the matrix read refused")
+
+
+def _read_values(bodies: Iterable[str]) -> np.ndarray:
+    """numpy's C parse of whitespace-separated reals, one row per string."""
+    with warnings.catch_warnings():
+        # loadtxt warns when it gets no rows, and a file of 0 records is valid.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(bodies, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _split_record(record: str, line_no: int, keys: Container[str]) -> tuple[str, str]:
+    """A record's key, a JSON string not in ``keys``, and the text after it."""
+    try:
+        key, end = _KEY_DECODER.raw_decode(record)
+    except json.JSONDecodeError:
+        key = None
+    if not isinstance(key, str):
+        raise EmbeddingFormatError(f"line {line_no}: key is not a JSON string")
+    if key in keys:
+        raise EmbeddingFormatError(f"line {line_no}: duplicate key {key!r}")
+    return key, record[end:]
+
+
+def _raise_first_error(lines: Iterator[str], count: int, dim: int) -> None:
+    """Raise the error of the first bad record of an EMB v1 file.
+
+    The record count is checked before any record error is reported: after
+    the first bad record, the remaining lines are only counted.
+    """
+    next(lines)  # the header, already checked
+    keys: set[str] = set()
     error: EmbeddingFormatError | None = None
     seen = 0
     for seen, record in enumerate(lines, start=1):
         if error is None and seen <= count:
             try:
-                _add_record(vectors, record, seen + 1, dim, decoder)
+                _check_record(record, seen + 1, dim, keys)
             except EmbeddingFormatError as exc:
                 error = exc
     if seen != count:
         raise EmbeddingFormatError(f"header declares {count} records but file contains {seen}")
     if error is not None:
         raise error
-    return PrecomputedProvider(vectors, dim, provider_id)
 
 
-def _add_record(vectors: dict[str, np.ndarray], record: str, line_no: int, dim: int,
-                decoder: json.JSONDecoder) -> None:
+def _check_record(record: str, line_no: int, dim: int, keys: set[str]) -> None:
+    key, body = _split_record(record, line_no, keys)
+    keys.add(key)
+    got = len(body.split())
+    if got != dim:
+        raise EmbeddingFormatError(f"line {line_no}: expected {dim} values, got {got}")
     try:
-        key, end = decoder.raw_decode(record)
-    except json.JSONDecodeError:
-        raise EmbeddingFormatError(f"line {line_no}: key is not a JSON string") from None
-    if not isinstance(key, str):
-        raise EmbeddingFormatError(f"line {line_no}: key is not a JSON string")
-    if key in vectors:
-        raise EmbeddingFormatError(f"line {line_no}: duplicate key {key!r}")
-    parts = record[end:].split()
-    if len(parts) != dim:
-        raise EmbeddingFormatError(f"line {line_no}: expected {dim} values, got {len(parts)}")
-    try:
-        vec = np.array([float(p) for p in parts], dtype=np.float64)
+        row = _read_values([body])
     except ValueError:
         raise EmbeddingFormatError(f"line {line_no}: non-numeric value") from None
-    if not np.isfinite(vec).all():
+    if not np.isfinite(row).all():
         raise EmbeddingFormatError(f"line {line_no}: non-finite value (nan or inf)")
-    vectors[key] = vec
 
 
 def _emb_lines(entries: Iterable[tuple[str, np.ndarray]], dim: int) -> Iterator[str]:

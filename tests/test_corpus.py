@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from rhetrole.corpus import (
     Corpus,
     LabeledSentence,
     SplitSpec,
+    load_corpus,
     class_distribution,
     length_percentile,
     parse_corpus,
@@ -51,6 +54,24 @@ class TestParse:
         corpus = parse_corpus("#doc\tD\nThe appeal is allowed.\tRuling by Present Court\n")
         assert LABELS.index(corpus.sentences[0].label) == 6
         assert LABELS.index("Facts") == 0
+
+    def test_labels_are_shared_and_the_loaded_corpus_stays_small(self, toy, tmp_path):
+        # 6,144 toy sentences (383 KB): with a label string per sentence the
+        # corpus retained 1.85 MB; sharing the LABELS strings leaves 1.22 MB.
+        sentences = [toy.sentences[i % len(toy.sentences)] for i in range(6144)]
+        path = tmp_path / "corpus.tsv"
+        path.write_text("#doc\tD\n" + "".join(f"{s.text}\t{s.label}\n" for s in sentences),
+                        encoding="utf-8")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.sentences) == 6144
+        assert all(any(s.label is label for label in LABELS) for s in corpus.sentences)
+        assert retained < 1.5e6, retained
 
     def test_unknown_label_names_line(self):
         with pytest.raises(UnknownLabelError) as exc:

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 import tracemalloc
 import unicodedata
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rhetrole import embedding
+from rhetrole.cli import main
 from rhetrole.embedding import (
     CASINGS,
     HashedBowProvider,
@@ -60,6 +65,12 @@ EMB_VALUES = st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
      -1.7976931348623157e308, 1e-20, 0.1]
 ) | st.floats(allow_nan=False, allow_infinity=False)
+
+# EMB value tokens from a numeric alphabet, and the whitespace str.split and
+# numpy's reader both split on, for the float() agreement property.
+NUMERIC_TOKENS = st.text(alphabet="0123456789.eE+-_infatyINFATY", min_size=1, max_size=6) | (
+    EMB_VALUES.map(repr))
+VALUE_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2028", "\u3000"])
 
 
 def reference_tokenize(text: str, config: TokenizerConfig) -> list[str]:
@@ -348,6 +359,119 @@ class TestEmbeddingFile:
         assert len(dict(provider.items())) == 250
         assert save_peak < path.stat().st_size / 4
         assert load_peak - base < 1.5 * vectors.nbytes
+
+    @pytest.mark.parametrize("text,message", [
+        ('EMB v1 4 2\n"a" 1 2\n"b" 1 nan\n"c" 1 2\n"d" 1 x\n',
+         "line 3: non-finite value (nan or inf)"),
+        ('EMB v1 3 2\n"a" 1\n"b" 1 2\n"c" 1 x\n', "line 2: expected 2 values, got 1"),
+        ('EMB v1 3 2\n"a" 1 2\n"a" 1 2\n"c" 1 x\n', "line 3: duplicate key 'a'"),
+        ('EMB v1 2 2\n"a"\n"b" 1 2\n', "line 2: expected 2 values, got 0"),
+        ('EMB v1 2 2\n"a" 1 2\n"b"   \n', "line 3: expected 2 values, got 0"),
+        ('EMB v1 2 2\n"a" 1 2\nb 1 2\n', "line 3: key is not a JSON string"),
+        ('EMB v1 2 2\n"a" 1 2\n7 1 2\n', "line 3: key is not a JSON string"),
+        ('EMB v1 1 2\n"a" 1 2\n"b" 3 4\n', "header declares 1 records but file contains 2"),
+    ])
+    def test_first_error_in_the_file_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(text.encode("utf-8"))
+        for parse in (lambda: load_precomputed(path), lambda: parse_embeddings(text)):
+            with pytest.raises(EmbeddingFormatError) as exc:
+                parse()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_underscore_or_non_ascii_digit_exit_2(
+        self, value, toy_tsv, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.emb"
+        path.write_text(f'EMB v1 2 2\n"a" 1 2\n"b" 3 {value}\n', encoding="utf-8")
+        rc = main(["train", "--corpus", str(toy_tsv), "--out", str(tmp_path / "run"),
+                   "--provider", f"precomputed:{path}"])
+        assert rc == 2
+        assert "line 3: non-numeric value" in capsys.readouterr().err
+
+    def test_records_beyond_the_declared_count_are_not_parsed(self, monkeypatch):
+        calls = []
+        read_values = embedding._read_values
+
+        def spy(bodies):
+            bodies = list(bodies)
+            calls.append(len(bodies))
+            return read_values(bodies)
+
+        monkeypatch.setattr(embedding, "_read_values", spy)
+        with pytest.raises(EmbeddingFormatError, match="declares 1 records but file contains 3"):
+            parse_embeddings('EMB v1 1 2\n"a" 1 2\n"b" 3 4\n"c" 5 6\n')
+        assert calls[0] == 1
+
+    def test_bad_file_from_a_pipe_exits_2(self, tmp_path):
+        fifo = tmp_path / "vecs.emb"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_text('EMB v1 1 2\n"a" 1 x\n', encoding="utf-8"),
+            daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(EmbeddingFormatError, match="a pipe cannot be read again"):
+                load_precomputed(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_zero_records_load_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.emb"
+        path.write_text("EMB v1 0 4\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for provider in (load_precomputed(path), parse_embeddings("EMB v1 0 4\n")):
+                assert provider.dimension == 4
+                assert list(provider.items()) == []
+
+    def test_valid_file_is_read_once(self, tmp_path, monkeypatch):
+        def second_pass(*args):
+            raise AssertionError("a valid file reached the error pass")
+
+        monkeypatch.setattr(embedding, "_raise_first_error", second_pass)
+        path = tmp_path / "vecs.emb"
+        save_embeddings(self.entries(), 4, path)
+        texts = [path.read_text(encoding="utf-8"), "EMB v1 0 3\n",
+                 'EMB v1 2 2\r\n"a" 1 2\r\n"b" 3 -4e1\r\n', 'EMB v1 1 3\n"a" 1 -2.5e-3 4E2']
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            for provider in (load_precomputed(path), parse_embeddings(text)):
+                assert len(list(provider.items())) == int(text.split()[2])
+
+    @given(st.lists(st.tuples(VALUE_SEPARATORS, NUMERIC_TOKENS), min_size=1, max_size=4))
+    @settings(max_examples=300)
+    @example([(" ", "1_0")])
+    @example([(" ", "1e400")])
+    @example([("\xa0", "-0"), ("\u3000", ".5"), ("\x1f", "5.")])
+    def test_accepted_values_equal_float_of_each_token(self, pairs):
+        tokens = [token for _, token in pairs]
+        text = f'EMB v1 1 {len(tokens)}\n"k"' + "".join(sep + token for sep, token in pairs)
+        try:
+            expected = [float(token) for token in tokens]
+        except ValueError:
+            expected = None
+        try:
+            values = parse_embeddings(text).lookup("k")
+        except EmbeddingFormatError:
+            # Refused: what float() refuses or finds not finite, and the
+            # underscores float() takes.
+            assert (expected is None or not all(map(math.isfinite, expected))
+                    or any("_" in token for token in tokens))
+            return
+        assert expected is not None
+        assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    def test_lookup_rows_are_read_only(self):
+        provider = parse_embeddings('EMB v1 2 2\n"a" 1 2\n"b" 3 4\n')
+        with pytest.raises(ValueError):
+            provider.lookup("a")[0] = 9.0
+        for _, row in provider.items():
+            with pytest.raises(ValueError):
+                row[:] = 0.0
+        assert np.array_equal(provider.lookup("a"), [1.0, 2.0])
 
     def test_missing_key_at_use_time(self):
         provider = parse_embeddings('EMB v1 1 2\n"a" 1 2\n')

@@ -308,7 +308,7 @@ def two_class_toy(n=200, d=8, seed=123):
         labels.append("Facts" if sign > 0 else "Argument")
     X = np.array(X)
     keys = [f"point {i}" for i in range(n)]
-    provider = PrecomputedProvider(dict(zip(keys, X)), d, "precomputed:test")
+    provider = PrecomputedProvider(X, {k: i for i, k in enumerate(keys)}, "precomputed:test")
     sentences = [
         LabeledSentence(text=k, label=lab, doc_id="t", position=i)
         for i, (k, lab) in enumerate(zip(keys, labels))
