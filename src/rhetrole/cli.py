@@ -206,8 +206,7 @@ def _run_training(cfg: RunConfig, out_dir: Path):
         log_lines.append(line)
         print(line)
 
-    ckpt = train(train_set, val_set, provider, weights, cfg.train_config(), labels=LABELS,
-                 on_epoch=log_epoch)
+    ckpt = train(train_set, val_set, provider, weights, cfg, labels=LABELS, on_epoch=log_epoch)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out_dir / "checkpoint.txt")

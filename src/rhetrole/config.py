@@ -1,6 +1,10 @@
 """Run configuration: defaults, the three built-in run presets, and the
 flags > file > preset resolution used by the CLI.
 
+``RunConfig`` extends ``TrainConfig`` with the run's own fields, so
+construction checks every field's type and the training ranges;
+``RunConfig.validate`` holds the choice and cross-field rules.
+
 A resolved config written next to a checkpoint is a closed description of
 the run: feeding it back through ``train --config`` reproduces the training
 bit for bit (given the same corpus file).
@@ -9,14 +13,13 @@ bit for bit (given the same corpus file).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from .corpus import LABELS, SplitSpec
 from .embedding import CASINGS, parse_provider_spec
-from .errors import ConfigError
+from .errors import ConfigError, _is_real
 from .fileio import read_text
 from .imbalance import WEIGHT_SCHEMES
 from .linear_model import TrainConfig
@@ -32,24 +35,8 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
-def _is_int(value: Any) -> bool:
-    """isinstance(value, int) without booleans, which Python counts as integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value: Any) -> bool:
-    """An int or float that converts to a finite float. JSON files and flags
-    can carry nan, inf and integers beyond float range."""
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class _RunFields:
     run_id: str = "custom"
     preset: str | None = None
     corpus: str | None = None
@@ -62,31 +49,15 @@ class RunConfig:
     length_percentile_q: float = 0.98
     train_fraction: float = 0.8
     split_mode: str = "sentence_shuffled"
-    batch_size: int = 8
-    epochs: int = 4
-    learning_rate: float = 2e-5
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    seed: int = 42
-    selection_metric: str = "macro_f1"
 
-    _INT_FIELDS = ("batch_size", "epochs", "seed")
-    _REAL_FIELDS = (
-        "learning_rate", "weight_decay", "beta1", "beta2", "epsilon",
-        "train_fraction", "length_percentile_q",
-    )
+
+@dataclass(frozen=True)
+class RunConfig(TrainConfig, _RunFields):
+    """The twelve _RunFields, then TrainConfig's nine: dataclass fields follow
+    the reversed MRO, which keeps config.json's key order."""
 
     def validate(self) -> None:
-        for name in self._INT_FIELDS:
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        if self.max_len is not None and not _is_int(self.max_len):
-            raise ConfigError("max_len must be an integer")
-        for name in self._REAL_FIELDS:
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number")
+        """The choice and cross-field rules, which construction does not check."""
         if self.casing not in CASINGS:
             raise ConfigError(f"casing must be one of {CASINGS}, got {self.casing!r}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
@@ -125,8 +96,7 @@ class RunConfig:
                     f"{' and '.join(ignored)} given with provider {self.provider!r}: "
                     "casing and max_len apply only to hashed:<dim> providers"
                 )
-        # The training and split rules live in TrainConfig and SplitSpec.
-        self.train_config()
+        # The split rules live in SplitSpec.
         self.split_spec()
         # Exactly one balancing method may be active. Loss weighting needs a
         # non-uniform scheme or explicit weights; the other methods must not
@@ -143,9 +113,6 @@ class RunConfig:
                     f"balance={self.balance} must keep weight_scheme=uniform "
                     "and no weight_overrides (exactly one balancing method)"
                 )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(train_fraction=self.train_fraction, seed=self.seed, mode=self.split_mode)
@@ -173,7 +140,7 @@ def resolve_config(
     preset_name = preset or file_config.get("preset")
     merged: dict[str, Any] = {}
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(f"unknown preset {preset_name!r}; expected one of {sorted(PRESETS)}")
         merged.update(PRESETS[preset_name], run_id=preset_name)
     merged.update(file_config)

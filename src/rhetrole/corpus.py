@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import CorpusParseError, InputError, UnknownLabelError
+from .errors import CorpusParseError, InputError, UnknownLabelError, check_field_types
 from .fileio import read_text, write_atomic
 
 # Canonical label order. Index 0..6 is fixed and shared by every module:
@@ -77,6 +77,7 @@ class SplitSpec:
     mode: str = "sentence_shuffled"
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise InputError("train_fraction must lie strictly between 0 and 1")
         if self.mode not in SPLIT_MODES:

@@ -44,6 +44,7 @@ from .errors import (
     EmbeddingFormatError,
     InputError,
     MissingEmbeddingError,
+    check_field_types,
 )
 from .fileio import decode_lines, write_atomic
 
@@ -67,6 +68,7 @@ class TokenizerConfig:
     max_len: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.casing not in CASINGS:
             raise InputError(f"casing must be one of {CASINGS}, got {self.casing!r}")
         if self.max_len < 1:

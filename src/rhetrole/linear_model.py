@@ -39,7 +39,9 @@ import numpy as np
 
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch
-from .errors import CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError
+from .errors import (
+    CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError, check_field_types
+)
 from .fileio import read_text, write_atomic
 from .metrics import evaluate_predictions
 
@@ -69,6 +71,7 @@ class TrainConfig:
     selection_metric: str = "macro_f1"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
         if self.epochs < 1:

@@ -8,7 +8,7 @@ import pytest
 
 from rhetrole import cli
 from rhetrole.cli import main
-from rhetrole.config import PRESETS, RunConfig, resolve_config
+from rhetrole.config import PRESETS, RunConfig, config_to_json, resolve_config
 from rhetrole.corpus import LABELS, Corpus, save_corpus
 from rhetrole.embedding import parse_provider_spec, save_embeddings
 from rhetrole.errors import ConfigError, InputError
@@ -150,7 +150,25 @@ class TestTrain:
             capsys, "train", "--config", str(first / "config.json"), "--out", str(second)
         )
         assert rc == 0
-        assert (first / "checkpoint.txt").read_bytes() == (second / "checkpoint.txt").read_bytes()
+        for name in ("checkpoint.txt", "config.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "field,doc",
+        [("provider", {"provider": 5}), ("corpus", {"corpus": 5}),
+         ("preset", {"preset": ["run1"]}), ("run_id", {"run_id": 5})],
+        ids=["provider", "corpus", "preset", "run_id"],
+    )
+    def test_non_string_in_string_field_exit_2(self, field, doc, toy_tsv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        corpus_flag = [] if field == "corpus" else ["--corpus", str(toy_tsv)]
+        rc, _, stderr = run_cli(
+            capsys, "train", *corpus_flag, "--config", str(cfg_path), "--out", str(tmp_path / "o")
+        )
+        assert rc == 2
+        assert field in stderr
+        assert not (tmp_path / "o").exists()
 
     def test_flag_overrides_config_file(self, toy_tsv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -693,6 +711,48 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config(file_config={"epochs": "four"})
 
+    def test_config_json_key_order_and_defaults(self):
+        """Pins config.json byte for byte: its key order and every default."""
+        cfg = resolve_config(
+            preset="run2", overrides={"corpus": "corpus.tsv", "learning_rate": 1e-2, "max_len": 12}
+        )
+        weights = {label: (i + 1) / 4 for i, label in enumerate(LABELS)}
+        assert config_to_json(cfg, weights, 12, "hashed:256:uncased:12") == """\
+{
+  "run_id": "run2",
+  "preset": "run2",
+  "corpus": "corpus.tsv",
+  "casing": "uncased",
+  "weight_scheme": "inverse_frequency",
+  "balance": "loss_weighting",
+  "weight_overrides": null,
+  "provider": "hashed:256",
+  "max_len": 12,
+  "length_percentile_q": 0.98,
+  "train_fraction": 0.8,
+  "split_mode": "sentence_shuffled",
+  "batch_size": 8,
+  "epochs": 4,
+  "learning_rate": 0.01,
+  "weight_decay": 0.01,
+  "beta1": 0.9,
+  "beta2": 0.999,
+  "epsilon": 1e-08,
+  "seed": 42,
+  "selection_metric": "macro_f1",
+  "resolved_class_weights": {
+    "Facts": 0.25,
+    "Ruling by Lower Court": 0.5,
+    "Argument": 0.75,
+    "Statute": 1.0,
+    "Precedent": 1.25,
+    "Ratio of the decision": 1.5,
+    "Ruling by Present Court": 1.75
+  },
+  "resolved_provider_id": "hashed:256:uncased:12"
+}
+"""
+
     def test_loss_weighting_requires_non_uniform(self):
         with pytest.raises(ConfigError):
             RunConfig(weight_scheme="uniform", balance="loss_weighting").validate()
@@ -729,7 +789,9 @@ class TestConfigResolution:
             resolve_config(overrides=override)
 
     @pytest.mark.parametrize(
-        "name", RunConfig._INT_FIELDS + RunConfig._REAL_FIELDS + ("max_len",)
+        "name",
+        ("batch_size", "epochs", "seed", "learning_rate", "weight_decay", "beta1", "beta2",
+         "epsilon", "train_fraction", "length_percentile_q", "max_len"),
     )
     def test_boolean_in_numeric_field_rejected(self, name):
         with pytest.raises(ConfigError, match=name):

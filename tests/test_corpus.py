@@ -20,7 +20,7 @@ from rhetrole.corpus import (
     serialize_corpus,
     split,
 )
-from rhetrole.errors import CorpusParseError, InputError, UnknownLabelError
+from rhetrole.errors import ConfigError, CorpusParseError, InputError, UnknownLabelError
 
 from .conftest import TWO_DOC_TSV
 
@@ -193,6 +193,16 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(InputError):
             SplitSpec(1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [("seed", {"train_fraction": 0.5, "seed": True}),
+         ("train_fraction", {"train_fraction": "0.5", "seed": 0})],
+        ids=["seed", "train_fraction"],
+    )
+    def test_wrong_typed_field_rejected(self, name, kwargs):
+        with pytest.raises(ConfigError, match=name):
+            SplitSpec(**kwargs)
 
 
 def whitespace_tokens(text):

@@ -29,6 +29,7 @@ from rhetrole.embedding import (
     tokenize,
 )
 from rhetrole.errors import (
+    ConfigError,
     DimensionMismatchError,
     EmbeddingFormatError,
     InputError,
@@ -116,6 +117,11 @@ class TestTokenize:
 
     def test_truncation(self):
         assert tokenize("a b c d", TokenizerConfig(casing="cased", max_len=2)) == ["a", "b"]
+
+    @pytest.mark.parametrize("max_len", [2.5, True])
+    def test_non_integer_max_len_rejected(self, max_len):
+        with pytest.raises(ConfigError, match="max_len"):
+            TokenizerConfig(casing="cased", max_len=max_len)
 
     def test_punctuation_only(self):
         assert tokenize("...", CASED_5) == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhetrole.embedding import PrecomputedProvider, embed_batch
-from rhetrole.errors import CheckpointFormatError, DimensionMismatchError, InputError
+from rhetrole.errors import CheckpointFormatError, ConfigError, DimensionMismatchError, InputError
 from rhetrole.corpus import LabeledSentence
 from rhetrole.linear_model import (
     LinearCheckpoint,
@@ -370,6 +370,15 @@ class TestTrain:
             train([], sentences, provider, np.ones(2), cfg, labels=self.LABELS2)
         with pytest.raises(InputError):
             train(sentences, [], provider, np.ones(2), cfg, labels=self.LABELS2)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("learning_rate", float("nan")), ("epsilon", float("inf")), ("batch_size", True),
+         ("seed", 1.5), ("batch_size", "8")],
+    )
+    def test_wrong_typed_field_rejected_at_construction(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
 
 
 class TestPredict:
