@@ -1,25 +1,24 @@
 """Sentence-to-vector providers.
 
 Two interchangeable providers sit behind the same duck-typed surface
-(``provider_id``, ``dimension``, ``lookup(text)``): a deterministic hashed
-bag-of-words encoder, and a read-only table of precomputed vectors produced
-offline by any external encoder (loaded from the EMB v1 text format).
+(``provider_id``, ``dimension``, ``embed(texts)`` -> ``(n, dim)`` float64):
+a deterministic hashed bag-of-words encoder, and a read-only table of
+precomputed vectors from any external encoder (loaded from EMB v1 text).
 
 EMB v1 file format
 ------------------
-Line 1: ``EMB v1 <count> <dim>``. Each following line holds one record:
-the sentence key as a JSON-quoted string, a space, then ``dim``
-whitespace-separated ASCII decimal reals (integer and scientific notation
-both accepted). Floats are written with shortest round-trip precision, so
-write -> load -> write is byte-identical.
+Line 1: ``EMB v1 <count> <dim>``, both in ASCII digits. Each following line
+holds one record: the sentence key as a JSON-quoted string, a space, then
+``dim`` whitespace-separated ASCII decimal reals (integer and scientific
+notation both accepted). Floats are written with shortest round-trip
+precision, so write -> load -> write is byte-identical.
 
 Loading streams the records through numpy's C text parser (``np.loadtxt``)
 into one read-only ``(count, dim)`` matrix with a key -> row dict, so it
 holds that matrix plus one line. A file that parser does not take whole is
-read again, record by record, only to name its first error. Saving holds
-one line and replaces the file atomically. ``parse_embeddings`` and
-``serialize_embeddings`` are the same parser and writer over text in
-memory.
+read again from its start, record by record, only to name its first error.
+Saving holds one line and replaces the file atomically. ``parse_embeddings``
+and ``serialize_embeddings`` are the same reader and writer over text.
 
 Token hashes are memoised in a bounded LRU table (``_FNV_MEMO_SIZE``
 entries), so a long run holds a fixed amount of memo memory.
@@ -28,13 +27,13 @@ entries), so a long run holds a fixed amount of memo memory.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import unicodedata
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import BinaryIO, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from .errors import (
     MissingEmbeddingError,
     check_field_types,
 )
-from .fileio import decode_lines, write_atomic
+from .fileio import decode_lines, read_count, read_reals, write_atomic
 
 CASINGS = ("cased", "uncased")
 
@@ -160,9 +159,9 @@ def parse_provider_spec(spec: str) -> tuple[str, int | str, str | None, int | No
     parts = rest.split(":")
     try:
         if len(parts) == 1:
-            dim, casing, max_len = int(parts[0]), None, None
+            dim, casing, max_len = read_count(parts[0]), None, None
         elif len(parts) == 3:
-            dim, casing, max_len = int(parts[0]), parts[1], int(parts[2])
+            dim, casing, max_len = read_count(parts[0]), parts[1], read_count(parts[2])
         else:
             raise ValueError(spec)
     except ValueError:
@@ -186,8 +185,12 @@ class HashedBowProvider:
         cfg = self.tokenizer_config
         return f"hashed:{self.dimension}:{cfg.casing}:{cfg.max_len}"
 
-    def lookup(self, text: str) -> np.ndarray:
-        return encode_hashed_bow(tokenize(text, self.tokenizer_config), self.dimension)
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """The (n, dim) hashed bag-of-words rows of ``texts``, each written
+        straight into the result, so no list of rows is held beside it."""
+        cfg, dim = self.tokenizer_config, self.dimension
+        rows = (encode_hashed_bow(tokenize(text, cfg), dim) for text in texts)
+        return np.fromiter(rows, dtype=np.dtype((np.float64, dim)), count=len(texts))
 
 
 class PrecomputedProvider:
@@ -197,17 +200,18 @@ class PrecomputedProvider:
     def __init__(self, matrix: np.ndarray, rows: dict[str, int], provider_id: str):
         self.dimension = matrix.shape[1]
         self.provider_id = provider_id
-        # A read-only view, so no row handed out by lookup can change the table.
+        # A read-only view, so no row handed out by items can change the table.
         self._matrix = matrix.view()
         self._matrix.flags.writeable = False
         self._rows = rows
 
-    def lookup(self, text: str) -> np.ndarray:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """A copy of the rows of ``texts``; MissingEmbeddingError names the first absent one."""
         try:
-            return self._matrix[self._rows[text]]
-        except KeyError:
+            return self._matrix[[self._rows[text] for text in texts]]
+        except KeyError as exc:
             raise MissingEmbeddingError(
-                f"no precomputed embedding for sentence {text!r}"
+                f"no precomputed embedding for sentence {exc.args[0]!r}"
             ) from None
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
@@ -216,35 +220,25 @@ class PrecomputedProvider:
 
 def parse_embeddings(text: str, provider_id: str = "precomputed:<memory>") -> PrecomputedProvider:
     """Parse EMB v1 text. Raises EmbeddingFormatError on any shape violation."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return _parse_lines(iter(lines), lambda: iter(lines), provider_id)
+    # With surrogatepass, a lone surrogate fails the UTF-8 decode as a bad byte would.
+    return _read_emb(io.BytesIO(text.encode("utf-8", "surrogatepass")), "<memory>", provider_id)
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
     """Read an EMB v1 file one record at a time."""
     path = Path(path)
     with open(path, "rb") as f:
-        def reread() -> Iterator[str]:
-            if not f.seekable():
-                raise EmbeddingFormatError(
-                    f"{path}: not a valid EMB v1 file; a pipe cannot be read again "
-                    "to name the bad line")
-            f.seek(0)
-            return decode_lines(f, path)
-
-        return _parse_lines(decode_lines(f, path), reread, f"precomputed:{path}")
+        return _read_emb(f, path, f"precomputed:{path}")
 
 
-def _parse_lines(lines: Iterator[str], reread: Callable[[], Iterator[str]],
-                 provider_id: str) -> PrecomputedProvider:
-    """Parse EMB v1 lines, given without their newlines.
+def _read_emb(f: BinaryIO, path: str | Path, provider_id: str) -> PrecomputedProvider:
+    """Read EMB v1 from a binary stream that ``path`` names in errors.
 
     numpy's C reader converts the values of every record into one matrix.
-    A file it does not take whole is read again from ``reread()`` only to
+    A stream it does not take whole is read again from its start only to
     name its first error, so a valid file is read once.
     """
+    lines = decode_lines(f, path)
     header_line = next(lines, None)
     if header_line is None:
         raise EmbeddingFormatError("empty embedding file")
@@ -252,10 +246,10 @@ def _parse_lines(lines: Iterator[str], reread: Callable[[], Iterator[str]],
     if len(header) != 4 or header[0] != "EMB" or header[1] != "v1":
         raise EmbeddingFormatError(f"bad header {header_line!r}; expected 'EMB v1 <count> <dim>'")
     try:
-        count, dim = int(header[2]), int(header[3])
+        count, dim = read_count(header[2]), read_count(header[3])
     except ValueError:
         raise EmbeddingFormatError(f"non-integer count/dim in header {header_line!r}") from None
-    if count < 0 or dim < 1:
+    if dim < 1:
         raise EmbeddingFormatError("count must be >= 0 and dim >= 1")
     rows: dict[str, int] = {}
 
@@ -271,7 +265,7 @@ def _parse_lines(lines: Iterator[str], reread: Callable[[], Iterator[str]],
             yield body
 
     try:
-        matrix = _read_values(bodies())
+        matrix = read_reals(bodies())
         # A row width other than dim fails here; an empty read has shape (0, 1).
         matrix = matrix.reshape(len(matrix), dim)
     except ValueError:
@@ -279,16 +273,12 @@ def _parse_lines(lines: Iterator[str], reread: Callable[[], Iterator[str]],
     else:
         if len(matrix) == count and next(lines, None) is None and np.isfinite(matrix).all():
             return PrecomputedProvider(matrix, rows, provider_id)
-    _raise_first_error(reread(), count, dim)
+    if not f.seekable():
+        raise EmbeddingFormatError(
+            f"{path}: not a valid EMB v1 file; a pipe cannot be read again to name the bad line")
+    f.seek(0)
+    _raise_first_error(decode_lines(f, path), count, dim)
     raise AssertionError("the record checks accepted a file the matrix read refused")
-
-
-def _read_values(bodies: Iterable[str]) -> np.ndarray:
-    """numpy's C parse of whitespace-separated reals, one row per string."""
-    with warnings.catch_warnings():
-        # loadtxt warns when it gets no rows, and a file of 0 records is valid.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(bodies, dtype=np.float64, comments=None, ndmin=2)
 
 
 def _split_record(record: str, line_no: int, keys: Container[str]) -> tuple[str, str]:
@@ -333,7 +323,7 @@ def _check_record(record: str, line_no: int, dim: int, keys: set[str]) -> None:
     if got != dim:
         raise EmbeddingFormatError(f"line {line_no}: expected {dim} values, got {got}")
     try:
-        row = _read_values([body])
+        row = read_reals([body])
     except ValueError:
         raise EmbeddingFormatError(f"line {line_no}: non-numeric value") from None
     if not np.isfinite(row).all():
@@ -370,18 +360,6 @@ def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: s
 
 
 def embed_batch(sentences: Sequence, provider) -> np.ndarray:
-    """Stack per-sentence embeddings into an (n, dim) float64 matrix.
-
-    Accepts LabeledSentence objects or raw strings; row order follows input
-    order. Missing-embedding errors from the provider propagate.
-    """
-    out = np.zeros((len(sentences), provider.dimension), dtype=np.float64)
-    for i, s in enumerate(sentences):
-        text = getattr(s, "text", s)
-        vec = provider.lookup(text)
-        if len(vec) != provider.dimension:
-            raise DimensionMismatchError(
-                f"provider returned a vector of length {len(vec)}, expected {provider.dimension}"
-            )
-        out[i] = vec
-    return out
+    """The provider's (n, dim) float64 embeddings of LabeledSentence objects
+    or raw strings, in input order. Missing-embedding errors propagate."""
+    return provider.embed([getattr(s, "text", s) for s in sentences])

@@ -1,18 +1,23 @@
 """Reading and writing the package's text files.
 
 Every file is UTF-8. A file that is not fails as an ``InputError`` (exit 2)
-that names the file and the line of the first bad byte. Every output is
-written to a temporary file beside its target, which replaces the target
-with ``os.replace`` only once it is complete: a write that fails part-way
-leaves the previous file, or none, and no temporary file. Only a device or
-pipe, which cannot be replaced, is written in place.
+that names the file and the line of the first bad byte. Lines may end in
+``\\r\\n``. Counts are ASCII digits and reals ASCII decimals, stricter than
+``int()`` and ``float()``. Every output is written to a temporary file beside
+its target, which replaces the target with ``os.replace`` only once it is
+complete: a write that fails part-way leaves the previous file, or none,
+and no temporary file. Only a device or pipe, which cannot be replaced, is
+written in place.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
+
+import numpy as np
 
 from .errors import InputError
 
@@ -31,16 +36,29 @@ def read_text(path: str | Path) -> str:
 
 
 def decode_lines(f: BinaryIO, path: str | Path) -> Iterator[str]:
-    """The lines of a binary file without their ``\\n``, decoded one at a time.
-
-    Byte 0x0A never occurs inside a UTF-8 multibyte sequence, so these are
-    the pieces of ``read_text(path).split("\\n")``, less a last empty one.
-    """
+    """The lines of a binary stream less their ``\\n`` or ``\\r\\n``, decoded one at
+    a time: byte 0x0A never occurs inside a UTF-8 multibyte sequence."""
     for line_no, raw in enumerate(f, start=1):
         try:
-            yield raw.rstrip(b"\n").decode("utf-8")
+            yield raw.rstrip(b"\r\n").decode("utf-8")
         except UnicodeDecodeError:
             raise _not_utf8(path, line_no) from None
+
+
+def read_count(text: str) -> int:
+    """A non-negative integer written in ASCII digits only; ValueError otherwise."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
+
+
+def read_reals(lines: Iterable[str]) -> np.ndarray:
+    """numpy's C parse of whitespace-separated reals, one row per non-blank
+    string; ValueError on a value it does not take or on ragged rows."""
+    with warnings.catch_warnings():
+        # loadtxt warns when it gets no rows, and a file of 0 records is valid.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:

@@ -22,10 +22,12 @@ summation order.
 
 Checkpoint file format (CKPT v1)
 --------------------------------
-Line 1: ``CKPT v1 <num_labels> <dim> <provider_id>``. Line 2: label order,
-tab-separated. Then one line per weight-matrix row (space-separated
-decimals), final line the bias vector. Floats use shortest round-trip
-precision, so values survive write -> load -> write byte-identically.
+Line 1: ``CKPT v1 <num_labels> <dim> <provider_id>``, counts in ASCII digits.
+Line 2: the distinct, non-empty labels in order, tab-separated. Then one
+line per weight-matrix row (space-separated decimals, read like EMB v1
+values), final line the bias vector. Lines may end in ``\\r\\n``. Floats use
+shortest round-trip precision, so values survive write -> load -> write
+byte-identically.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .embedding import embed_batch
 from .errors import (
     CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError, check_field_types
 )
-from .fileio import read_text, write_atomic
+from .fileio import read_count, read_reals, read_text, write_atomic
 from .metrics import evaluate_predictions
 
 SELECTION_METRICS = ("macro_f1", "val_loss")
@@ -304,8 +306,8 @@ def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
 
 
 def parse_checkpoint(text: str) -> LinearCheckpoint:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    if lines[-1] == "":
         lines.pop()
     if len(lines) < 3:
         raise CheckpointFormatError("checkpoint file too short")
@@ -315,27 +317,28 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
             f"bad header {lines[0]!r}; expected 'CKPT v1 <num_labels> <dim> <provider_id>'"
         )
     try:
-        k, d = int(header[2]), int(header[3])
+        k, d = read_count(header[2]), read_count(header[3])
     except ValueError:
         raise CheckpointFormatError("non-integer num_labels/dim in header") from None
     provider_id = header[4]
     labels = tuple(lines[1].split("\t"))
     if len(labels) != k:
         raise CheckpointFormatError(f"header declares {k} labels, line 2 has {len(labels)}")
+    if "" in labels or len(set(labels)) != k:
+        raise CheckpointFormatError(f"labels on line 2 must be non-empty and distinct: {labels!r}")
     if len(lines) != 2 + k + 1:
         raise CheckpointFormatError(
             f"expected {2 + k + 1} lines ({k} weight rows plus bias), got {len(lines)}"
         )
     try:
-        rows = [[float(v) for v in lines[2 + i].split(" ")] for i in range(k)]
-        bias = [float(v) for v in lines[2 + k].split(" ")]
-    except ValueError:
+        *rows, bias = [read_reals([line])[0] for line in lines[2:]]
+    except (ValueError, IndexError):  # IndexError: a blank line has no row
         raise CheckpointFormatError("non-numeric parameter value") from None
     if any(len(row) != d for row in rows):
         raise CheckpointFormatError(f"weight row length does not match dim {d}")
     if len(bias) != k:
         raise CheckpointFormatError(f"bias length {len(bias)} does not match {k} labels")
-    params = np.column_stack([np.array(rows), np.array(bias)])
+    params = np.column_stack([np.array(rows), bias])
     if not np.isfinite(params).all():
         raise CheckpointFormatError("non-finite parameter value (nan or inf)")
     return LinearCheckpoint(params=params, labels=labels, provider_id=provider_id)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rhetrole.corpus import save_corpus
 from rhetrole.toydata import toy_corpus
@@ -17,6 +18,12 @@ TWO_DOC_TSV = (
     "We rely on the earlier judgment.\tPrecedent\n"
     "The appeal is allowed.\tRuling by Present Court\n"
 )
+
+# Finite doubles, with signed zero, subnormals and the extremes drawn often.
+FINITE_DOUBLES = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1e-20, 0.1]
+) | st.floats(allow_nan=False, allow_infinity=False)
 
 # Table of per-label sentence counts for the original 11285-sentence task
 # data, in canonical label order. Used as a weight-computation fixture.

@@ -35,7 +35,7 @@ def toy_emb(toy, tmp_path_factory):
 
     enc = HashedBowProvider(32, TokenizerConfig(casing="cased", max_len=50))
     path = tmp_path_factory.mktemp("emb") / "toy.emb"
-    save_embeddings({s.text: enc.lookup(s.text) for s in toy.sentences}.items(), 32, path)
+    save_embeddings({s.text: enc.embed([s.text])[0] for s in toy.sentences}.items(), 32, path)
     return path
 
 
@@ -661,6 +661,81 @@ class TestNonUtf8Input:
         cfg.write_bytes(b'{\n  "casing": "\xff"\n}\n')
         self.check(capsys, ["train", "--corpus", str(toy_tsv), "--config", str(cfg),
                             "--out", str(tmp_path / "o")], cfg, 2)
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                 "\u0665\u0666\u0667\u0668\u0669")
+
+
+class TestStrictNumbers:
+    """Counts are ASCII digits and reals ASCII decimals in provider specs,
+    EMB files and checkpoints alike: what int() or float() would also take
+    exits 2."""
+
+    @pytest.mark.parametrize("spec", ["hashed:1_6", "hashed: 16", "hashed:\u0661\u0666"])
+    def test_provider_spec(self, spec, toy_tsv, tmp_path, capsys):
+        rc, _, stderr = run_cli(capsys, "train", "--corpus", str(toy_tsv),
+                                "--out", str(tmp_path / "o"), "--provider", spec)
+        assert rc == 2
+        assert f"bad hashed provider spec {spec!r}" in stderr
+
+    @pytest.mark.parametrize("header", [
+        lambda count, dim: f"EMB v1 {count.translate(ARABIC_INDIC_DIGITS)} {dim}",
+        lambda count, dim: f"EMB v1 {count} +{dim}",
+    ], ids=["arabic_indic_count", "plus_dim"])
+    def test_emb_header(self, header, toy_emb, toy_tsv, tmp_path, capsys):
+        first, rest = toy_emb.read_text(encoding="utf-8").split("\n", 1)
+        emb = tmp_path / "vectors.emb"
+        emb.write_text(header(*first.split()[2:]) + "\n" + rest, encoding="utf-8")
+        rc, _, stderr = run_cli(capsys, "train", "--corpus", str(toy_tsv),
+                                "--out", str(tmp_path / "o"), "--provider", f"precomputed:{emb}")
+        assert rc == 2
+        assert "non-integer count/dim in header" in stderr
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("CKPT v1 7 10 ", "CKPT v1 7 1_0 ", "non-integer num_labels/dim in header"),
+        ("CKPT v1 7 10 ", "CKPT v1 \u0667 10 ", "non-integer num_labels/dim in header"),
+        ("\n0.5 ", "\n1_0 ", "non-numeric parameter value"),
+        ("\n0.5 ", "\n\u0661 ", "non-numeric parameter value"),
+        ("\tRuling by Lower Court\t", "\tFacts\t", "labels on line 2 must be non-empty"),
+        ("\tArgument\t", "\t\t", "labels on line 2 must be non-empty and distinct"),
+    ], ids=["underscore_dim", "arabic_indic_labels", "underscore_value", "arabic_indic_value",
+            "duplicate_label", "empty_label"])
+    def test_checkpoint(self, old, new, message, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.txt"
+        save_checkpoint(LinearCheckpoint(
+            params=fused(np.full((7, 10), 0.5), np.zeros(7)),
+            labels=LABELS, provider_id="hashed:10:cased:8",
+        ), ckpt)
+        text = ckpt.read_text(encoding="utf-8")
+        assert old in text
+        ckpt.write_text(text.replace(old, new, 1), encoding="utf-8")
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("The appeal is allowed.\n", encoding="utf-8")
+        rc, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(ckpt),
+                                "--sentences", str(sentences))
+        assert rc == 2
+        assert message in stderr
+
+
+class TestCrlfCheckpoint:
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_scores_as_the_original(self, command, trained, toy, toy_tsv, tmp_path, capsys):
+        ckpt = trained / "checkpoint.txt"
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(ckpt.read_bytes().replace(b"\n", b"\r\n"))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("".join(s.text + "\n" for s in toy.sentences), encoding="utf-8")
+        inputs = {"evaluate": ["--corpus", str(toy_tsv)],
+                  "predict": ["--sentences", str(sentences)]}
+        outputs = []
+        for path in (ckpt, crlf):
+            out = tmp_path / f"{path.stem}.out"
+            rc, _, _ = run_cli(capsys, command, "--checkpoint", str(path), *inputs[command],
+                               "--out", str(out))
+            assert rc == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestReproduceRun:

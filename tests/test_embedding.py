@@ -36,6 +36,8 @@ from rhetrole.errors import (
     MissingEmbeddingError,
 )
 
+from .conftest import FINITE_DOUBLES
+
 # Published FNV-1a 64-bit reference vectors.
 FNV_VECTORS = {
     "": 0xCBF29CE484222325,
@@ -61,16 +63,10 @@ EMB_KEYS = st.text(
     | st.sampled_from(['"', "\\", "\r", "\n", "\t", "\u2028", "\u0085", "\u00e9", " "]),
     max_size=12,
 )
-# Finite doubles, with signed zero, subnormals and the extremes drawn often.
-EMB_VALUES = st.sampled_from(
-    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-     -1.7976931348623157e308, 1e-20, 0.1]
-) | st.floats(allow_nan=False, allow_infinity=False)
-
 # EMB value tokens from a numeric alphabet, and the whitespace str.split and
 # numpy's reader both split on, for the float() agreement property.
 NUMERIC_TOKENS = st.text(alphabet="0123456789.eE+-_infatyINFATY", min_size=1, max_size=6) | (
-    EMB_VALUES.map(repr))
+    FINITE_DOUBLES.map(repr))
 VALUE_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2028", "\u3000"])
 
 
@@ -231,8 +227,8 @@ class TestHashedBow:
 
     def test_provider_is_deterministic(self):
         provider = HashedBowProvider(64, UNCASED_10)
-        a = provider.lookup("The appeal is allowed.")
-        b = provider.lookup("The appeal is allowed.")
+        a = provider.embed(["The appeal is allowed."])[0]
+        b = provider.embed(["The appeal is allowed."])[0]
         assert np.array_equal(a, b)
         assert provider.provider_id == "hashed:64:uncased:10"
 
@@ -250,7 +246,7 @@ class TestEmbeddingFile:
         provider = load_precomputed(path)
         assert provider.dimension == 4
         for key, vec in self.entries():
-            assert np.array_equal(provider.lookup(key), vec)
+            assert np.array_equal(provider.embed([key])[0], vec)
         rewritten = serialize_embeddings(provider.items(), 4)
         assert rewritten.encode() == path.read_bytes()
 
@@ -279,13 +275,13 @@ class TestEmbeddingFile:
 
     def test_scientific_and_integer_reals_accepted(self):
         provider = parse_embeddings('EMB v1 1 3\n"a" 1 -2.5e-3 4E2\n')
-        assert np.array_equal(provider.lookup("a"), [1.0, -0.0025, 400.0])
+        assert np.array_equal(provider.embed(["a"])[0], [1.0, -0.0025, 400.0])
 
     @given(
         st.integers(1, 5).flatmap(
             lambda dim: st.tuples(
                 st.just(dim),
-                st.lists(st.tuples(EMB_KEYS, st.lists(EMB_VALUES, min_size=dim, max_size=dim)),
+                st.lists(st.tuples(EMB_KEYS, st.lists(FINITE_DOUBLES, min_size=dim, max_size=dim)),
                          max_size=6, unique_by=lambda entry: entry[0]),
             )
         )
@@ -302,8 +298,8 @@ class TestEmbeddingFile:
         parsed = parse_embeddings(written.decode("utf-8"))
         assert [key for key, _ in loaded.items()] == [key for key, _ in raw]
         for key, vec in entries:
-            assert loaded.lookup(key).tobytes() == vec.tobytes()
-            assert parsed.lookup(key).tobytes() == vec.tobytes()
+            assert loaded.embed([key])[0].tobytes() == vec.tobytes()
+            assert parsed.embed([key])[0].tobytes() == vec.tobytes()
         save_embeddings(loaded.items(), dim, path)
         assert path.read_bytes() == written
 
@@ -312,8 +308,8 @@ class TestEmbeddingFile:
         path = tmp_path / "crlf.emb"
         path.write_bytes(text.encode("utf-8"))
         for provider in (load_precomputed(path), parse_embeddings(text)):
-            assert np.array_equal(provider.lookup("a"), [1.0, 2.0])
-            assert np.array_equal(provider.lookup("b"), [3.0, -40.0])
+            assert np.array_equal(provider.embed(["a"])[0], [1.0, 2.0])
+            assert np.array_equal(provider.embed(["b"])[0], [3.0, -40.0])
 
     @pytest.mark.parametrize("text,message", [
         ('EMB v1 3 2\n"a" 1 x\n"b" 3 4\n', "header declares 3 records but file contains 2"),
@@ -398,14 +394,14 @@ class TestEmbeddingFile:
 
     def test_records_beyond_the_declared_count_are_not_parsed(self, monkeypatch):
         calls = []
-        read_values = embedding._read_values
+        read_reals = embedding.read_reals
 
         def spy(bodies):
             bodies = list(bodies)
             calls.append(len(bodies))
-            return read_values(bodies)
+            return read_reals(bodies)
 
-        monkeypatch.setattr(embedding, "_read_values", spy)
+        monkeypatch.setattr(embedding, "read_reals", spy)
         with pytest.raises(EmbeddingFormatError, match="declares 1 records but file contains 3"):
             parse_embeddings('EMB v1 1 2\n"a" 1 2\n"b" 3 4\n"c" 5 6\n')
         assert calls[0] == 1
@@ -423,6 +419,10 @@ class TestEmbeddingFile:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+    def test_lone_surrogate_in_text_fails_as_a_bad_byte(self):
+        with pytest.raises(InputError, match="^<memory>: line 2 is not valid UTF-8$"):
+            parse_embeddings('EMB v1 1 1\n"\ud800" 1\n')
 
     def test_zero_records_load_without_a_warning(self, tmp_path):
         path = tmp_path / "empty.emb"
@@ -460,7 +460,7 @@ class TestEmbeddingFile:
         except ValueError:
             expected = None
         try:
-            values = parse_embeddings(text).lookup("k")
+            values = parse_embeddings(text).embed(["k"])[0]
         except EmbeddingFormatError:
             # Refused: what float() refuses or finds not finite, and the
             # underscores float() takes.
@@ -472,17 +472,17 @@ class TestEmbeddingFile:
 
     def test_lookup_rows_are_read_only(self):
         provider = parse_embeddings('EMB v1 2 2\n"a" 1 2\n"b" 3 4\n')
-        with pytest.raises(ValueError):
-            provider.lookup("a")[0] = 9.0
+        X = provider.embed(["a", "b", "a"])
+        X[:] = 9.0
         for _, row in provider.items():
             with pytest.raises(ValueError):
                 row[:] = 0.0
-        assert np.array_equal(provider.lookup("a"), [1.0, 2.0])
+        assert np.array_equal(provider.embed(["a", "b"]), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_missing_key_at_use_time(self):
         provider = parse_embeddings('EMB v1 1 2\n"a" 1 2\n')
-        with pytest.raises(MissingEmbeddingError):
-            provider.lookup("unseen sentence")
+        with pytest.raises(MissingEmbeddingError, match="sentence 'unseen'$"):
+            provider.embed(["a", "unseen", "also unseen"])
 
 
 class TestEmbedBatch:
@@ -490,7 +490,7 @@ class TestEmbedBatch:
         provider = HashedBowProvider(8, CASED_5)
         X = embed_batch(["one sentence", "another one", "third"], provider)
         assert X.shape == (3, 8)
-        assert np.array_equal(X[0], provider.lookup("one sentence"))
+        assert np.array_equal(X[0], provider.embed(["one sentence"])[0])
 
     def test_duplicate_texts_identical_rows(self):
         provider = HashedBowProvider(8, CASED_5)
@@ -498,5 +498,7 @@ class TestEmbedBatch:
         assert np.array_equal(X[0], X[1])
 
     def test_empty_list(self):
-        provider = HashedBowProvider(8, CASED_5)
-        assert embed_batch([], provider).shape == (0, 8)
+        for provider in (HashedBowProvider(8, CASED_5), parse_embeddings('EMB v1 1 8\n"a"' + " 1" * 8)):
+            X = embed_batch([], provider)
+            assert X.shape == (0, 8)
+            assert X.dtype == np.float64

@@ -15,17 +15,19 @@ from rhetrole.linear_model import (
     OptimizerState,
     TrainConfig,
     initial_params,
+    load_checkpoint,
     logits,
     loss_and_grads,
     optimizer_step,
     parse_checkpoint,
+    save_checkpoint,
     serialize_checkpoint,
     softmax,
     train,
     weighted_ce,
 )
 
-from .conftest import fused, multiclass_perceptron_separates
+from .conftest import FINITE_DOUBLES, fused, multiclass_perceptron_separates
 
 ONES7 = np.ones(7)
 
@@ -443,6 +445,32 @@ class TestCheckpointIO:
         text = serialize_checkpoint(self.make())
         assert serialize_checkpoint(parse_checkpoint(text)) == text
 
+    @given(
+        labels=st.lists(
+            st.text(alphabet=st.characters(exclude_categories=("Cs",),
+                                           exclude_characters="\t\n\r"), min_size=1, max_size=8),
+            min_size=1, max_size=5, unique=True),
+        dim=st.integers(1, 4),
+        provider_id=st.text(alphabet=st.characters(exclude_categories=("Cs",),
+                                                   exclude_characters="\n\r"), max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=100)
+    def test_round_trip_property(self, tmp_path_factory, labels, dim, provider_id, data):
+        values = data.draw(st.lists(FINITE_DOUBLES, min_size=len(labels) * (dim + 1),
+                                    max_size=len(labels) * (dim + 1)))
+        params = np.array(values, dtype=np.float64).reshape(len(labels), dim + 1)
+        path = tmp_path_factory.mktemp("ckpt") / "checkpoint.txt"
+        save_checkpoint(LinearCheckpoint(params, tuple(labels), provider_id), path)
+        written = path.read_bytes()
+        crlf = parse_checkpoint(written.decode("utf-8").replace("\n", "\r\n"))
+        for loaded in (load_checkpoint(path), crlf):
+            assert loaded.params.tobytes() == params.tobytes()
+            assert loaded.labels == tuple(labels)
+            assert loaded.provider_id == provider_id
+        save_checkpoint(load_checkpoint(path), path)
+        assert path.read_bytes() == written
+
     def test_provider_id_may_contain_spaces(self):
         ckpt = self.make()
         ckpt.provider_id = "precomputed:/tmp/with space/v.emb"
@@ -460,6 +488,8 @@ class TestCheckpointIO:
             "CKPT v1 2 2 x\nFacts\tArgument\n1 oops\n3 4\n5 6\n",
             "CKPT v1 2 2 x\nFacts\tArgument\n1 nan\n3 4\n5 6\n",
             "CKPT v1 2 2 x\nFacts\tArgument\n1 2\n3 4\n5 -inf\n",
+            "CKPT v1 2 2 x\nFacts\tArgument\n\n3 4\n5 6\n",  # blank weight row
+            "CKPT v1 1 0 x\nFacts\n\n0\n",  # dim 0
         ],
     )
     def test_malformed_rejected(self, text):
