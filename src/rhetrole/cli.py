@@ -39,14 +39,13 @@ from .corpus import (
 from .embedding import (
     CASINGS,
     HashedBowProvider,
-    TokenizerConfig,
     embed_batch,
     load_precomputed,
     parse_provider_spec,
     tokenize,
 )
 from .errors import ConfigError, DimensionMismatchError, InputError, RhetroleError
-from .fileio import read_text, write_atomic
+from .fileio import read_count, read_real, read_text, write_atomic
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
     SELECTION_METRICS,
@@ -71,7 +70,6 @@ _BALANCE_FLAG_TO_METHOD = {
     "over": "oversample",
     "none": "none",
 }
-_UNBOUNDED_LEN = 2**31 - 1
 
 
 def cmd_ingest(args) -> int:
@@ -116,11 +114,10 @@ def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int 
         return load_precomputed(arg), None
     max_len = cfg.max_len
     if max_len is None:
-        probe = TokenizerConfig(casing=cfg.casing, max_len=_UNBOUNDED_LEN)
         max_len = length_percentile(
-            corpus, lambda text: tokenize(text, probe), cfg.length_percentile_q
+            corpus, lambda text: tokenize(text, cfg.casing), cfg.length_percentile_q
         )
-    return HashedBowProvider(arg, TokenizerConfig(casing=cfg.casing, max_len=max_len)), max_len
+    return HashedBowProvider(arg, cfg.casing, max_len), max_len
 
 
 def _provider_for_inference(args, ckpt):
@@ -139,7 +136,7 @@ def _provider_for_inference(args, ckpt):
     if kind == "precomputed":
         provider = load_precomputed(arg)
     else:
-        provider = HashedBowProvider(arg, TokenizerConfig(casing=casing, max_len=max_len))
+        provider = HashedBowProvider(arg, casing, max_len)
     if provider.dimension != input_dim(ckpt.params):
         raise DimensionMismatchError(
             f"provider dimension {provider.dimension} does not match "
@@ -324,23 +321,23 @@ def cmd_reproduce_run(args) -> int:
 
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
+    p.add_argument("--seed", type=read_count, default=None, help="RNG seed (default 42)")
     p.add_argument("--provider", default=None,
                    help="embedding provider: hashed:<dim> or precomputed:<path>")
     p.add_argument("--casing", choices=CASINGS, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None,
+    p.add_argument("--max-len", dest="max_len", type=read_count, default=None,
                    help="token truncation bound (default: 0.98 length percentile)")
     p.add_argument("--config", default=None, help="run-config JSON file")
     p.add_argument("--weights", choices=sorted(_WEIGHT_FLAG_TO_SCHEME), default=None,
                    help="class-weight scheme for the loss")
     p.add_argument("--balance", choices=sorted(_BALANCE_FLAG_TO_METHOD), default=None,
                    help="imbalance strategy")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
+    p.add_argument("--epochs", type=read_count, default=None)
+    p.add_argument("--batch-size", dest="batch_size", type=read_count, default=None)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=read_real, default=None,
                    help="learning rate")
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
+    p.add_argument("--weight-decay", dest="weight_decay", type=read_real, default=None)
+    p.add_argument("--train-fraction", dest="train_fraction", type=read_real, default=None)
     p.add_argument("--split-mode", dest="split_mode", choices=SPLIT_MODES, default=None)
     p.add_argument("--selection-metric", dest="selection_metric", choices=SELECTION_METRICS,
                    default=None)

@@ -2,8 +2,8 @@
 
 Two interchangeable providers sit behind the same duck-typed surface
 (``provider_id``, ``dimension``, ``embed(texts)`` -> ``(n, dim)`` float64):
-a deterministic hashed bag-of-words encoder, and a read-only table of
-precomputed vectors from any external encoder (loaded from EMB v1 text).
+a deterministic hashed bag-of-words encoder, and a table of precomputed
+vectors from any external encoder (loaded from an EMB v1 file).
 
 EMB v1 file format
 ------------------
@@ -14,11 +14,10 @@ notation both accepted). Floats are written with shortest round-trip
 precision, so write -> load -> write is byte-identical.
 
 Loading streams the records through numpy's C text parser (``np.loadtxt``)
-into one read-only ``(count, dim)`` matrix with a key -> row dict, so it
-holds that matrix plus one line. A file that parser does not take whole is
-read again from its start, record by record, only to name its first error.
-Saving holds one line and replaces the file atomically. ``parse_embeddings``
-and ``serialize_embeddings`` are the same reader and writer over text.
+into one ``(count, dim)`` matrix with a key -> row dict, so it holds that
+matrix plus one line. A file that parser does not take whole is read again
+from its start, record by record, only to name its first error. Saving
+holds one line and replaces the file atomically.
 
 Token hashes are memoised in a bounded LRU table (``_FNV_MEMO_SIZE``
 entries), so a long run holds a fixed amount of memo memory.
@@ -27,11 +26,9 @@ entries), so a long run holds a fixed amount of memo memory.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import unicodedata
-from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Container, Iterable, Iterator, Sequence
 
@@ -43,9 +40,8 @@ from .errors import (
     EmbeddingFormatError,
     InputError,
     MissingEmbeddingError,
-    check_field_types,
 )
-from .fileio import decode_lines, read_count, read_reals, write_atomic
+from .fileio import decode_lines, format_reals, read_count, read_reals, write_atomic
 
 CASINGS = ("cased", "uncased")
 
@@ -61,28 +57,15 @@ _FNV_MEMO_SIZE = 4096
 _KEY_DECODER = json.JSONDecoder()
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    casing: str
-    max_len: int
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.casing not in CASINGS:
-            raise InputError(f"casing must be one of {CASINGS}, got {self.casing!r}")
-        if self.max_len < 1:
-            raise InputError("max_len must be >= 1")
-
-
-def tokenize(text: str, config: TokenizerConfig) -> list[str]:
+def tokenize(text: str, casing: str) -> list[str]:
     """Whitespace tokenizer with edge punctuation stripping.
 
     Uncased mode lowercases the text up front. Tokens are split on Unicode
     whitespace, stripped of leading/trailing punctuation only (internal
-    periods and hyphens in citations like "s.302" survive), dropped when
-    nothing remains, and truncated to ``max_len`` tokens.
+    periods and hyphens in citations like "s.302" survive), and dropped when
+    nothing remains.
     """
-    if config.casing == "uncased":
+    if casing == "uncased":
         text = text.lower()
     tokens: list[str] = []
     for raw in text.split():
@@ -94,8 +77,6 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
             tok = _strip_edge_punctuation(raw)
         if tok:
             tokens.append(tok)
-            if len(tokens) == config.max_len:
-                break
     return tokens
 
 
@@ -172,37 +153,36 @@ def parse_provider_spec(spec: str) -> tuple[str, int | str, str | None, int | No
 
 
 class HashedBowProvider:
-    """Self-contained deterministic encoder: tokenize then hashed BOW."""
+    """Self-contained deterministic encoder: the hashed BOW of each text's
+    first ``max_len`` tokens."""
 
-    def __init__(self, dim: int, tokenizer_config: TokenizerConfig):
+    def __init__(self, dim: int, casing: str, max_len: int):
         if dim < 1:
-            raise InputError("embedding dimension must be >= 1")
-        self.dimension = dim
-        self.tokenizer_config = tokenizer_config
-
-    @property
-    def provider_id(self) -> str:
-        cfg = self.tokenizer_config
-        return f"hashed:{self.dimension}:{cfg.casing}:{cfg.max_len}"
+            raise ConfigError("embedding dimension must be >= 1")
+        if casing not in CASINGS:
+            raise ConfigError(f"casing must be one of {CASINGS}, got {casing!r}")
+        # bool is an int subclass, and True is no length.
+        if type(max_len) is not int or max_len < 1:
+            raise ConfigError(f"max_len must be an integer >= 1, got {max_len!r}")
+        self.dimension, self.casing, self.max_len = dim, casing, max_len
+        self.provider_id = f"hashed:{dim}:{casing}:{max_len}"
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """The (n, dim) hashed bag-of-words rows of ``texts``, each written
         straight into the result, so no list of rows is held beside it."""
-        cfg, dim = self.tokenizer_config, self.dimension
-        rows = (encode_hashed_bow(tokenize(text, cfg), dim) for text in texts)
+        casing, max_len, dim = self.casing, self.max_len, self.dimension
+        rows = (encode_hashed_bow(tokenize(text, casing)[:max_len], dim) for text in texts)
         return np.fromiter(rows, dtype=np.dtype((np.float64, dim)), count=len(texts))
 
 
 class PrecomputedProvider:
-    """Read-only exact-key table of externally computed sentence vectors:
-    one ``(n, dim)`` matrix and a key -> row dict."""
+    """Exact-key table of externally computed sentence vectors: one
+    ``(n, dim)`` matrix and a key -> row dict."""
 
     def __init__(self, matrix: np.ndarray, rows: dict[str, int], provider_id: str):
         self.dimension = matrix.shape[1]
         self.provider_id = provider_id
-        # A read-only view, so no row handed out by items can change the table.
-        self._matrix = matrix.view()
-        self._matrix.flags.writeable = False
+        self._matrix = matrix
         self._rows = rows
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -214,25 +194,16 @@ class PrecomputedProvider:
                 f"no precomputed embedding for sentence {exc.args[0]!r}"
             ) from None
 
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return ((key, self._matrix[row]) for key, row in self._rows.items())
-
-
-def parse_embeddings(text: str, provider_id: str = "precomputed:<memory>") -> PrecomputedProvider:
-    """Parse EMB v1 text. Raises EmbeddingFormatError on any shape violation."""
-    # With surrogatepass, a lone surrogate fails the UTF-8 decode as a bad byte would.
-    return _read_emb(io.BytesIO(text.encode("utf-8", "surrogatepass")), "<memory>", provider_id)
-
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
     """Read an EMB v1 file one record at a time."""
     path = Path(path)
     with open(path, "rb") as f:
-        return _read_emb(f, path, f"precomputed:{path}")
+        return _read_emb(f, path)
 
 
-def _read_emb(f: BinaryIO, path: str | Path, provider_id: str) -> PrecomputedProvider:
-    """Read EMB v1 from a binary stream that ``path`` names in errors.
+def _read_emb(f: BinaryIO, path: Path) -> PrecomputedProvider:
+    """Read EMB v1 from the binary stream of the file ``path``.
 
     numpy's C reader converts the values of every record into one matrix.
     A stream it does not take whole is read again from its start only to
@@ -272,7 +243,7 @@ def _read_emb(f: BinaryIO, path: str | Path, provider_id: str) -> PrecomputedPro
         pass
     else:
         if len(matrix) == count and next(lines, None) is None and np.isfinite(matrix).all():
-            return PrecomputedProvider(matrix, rows, provider_id)
+            return PrecomputedProvider(matrix, rows, f"precomputed:{path}")
     if not f.seekable():
         raise EmbeddingFormatError(
             f"{path}: not a valid EMB v1 file; a pipe cannot be read again to name the bad line")
@@ -330,33 +301,18 @@ def _check_record(record: str, line_no: int, dim: int, keys: set[str]) -> None:
         raise EmbeddingFormatError(f"line {line_no}: non-finite value (nan or inf)")
 
 
-def _emb_lines(entries: Iterable[tuple[str, np.ndarray]], dim: int) -> Iterator[str]:
-    """EMB v1 lines for (key, vector) pairs in the given order. Every
-    vector's length is checked before the first line is made."""
+def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: str | Path) -> None:
+    """Write an EMB v1 file of (key, vector) pairs in the given order, one
+    record at a time, replacing ``path`` atomically. Every vector's length is
+    checked before the first line is written."""
     items = list(entries)
     for key, vec in items:
         if len(vec) != dim:
             raise DimensionMismatchError(
                 f"vector for {key!r} has length {len(vec)}, expected {dim}"
             )
-
-    def lines() -> Iterator[str]:
-        yield f"EMB v1 {len(items)} {dim}\n"
-        for key, vec in items:
-            values = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
-            yield f"{json.dumps(key)} {values}\n"
-
-    return lines()
-
-
-def serialize_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int) -> str:
-    """Emit EMB v1 text for (key, vector) pairs in the given order."""
-    return "".join(_emb_lines(entries, dim))
-
-
-def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: str | Path) -> None:
-    """Write an EMB v1 file one record at a time, replacing ``path`` atomically."""
-    write_atomic(path, _emb_lines(entries, dim))
+    records = (f"{json.dumps(key)} {format_reals(vec)}\n" for key, vec in items)
+    write_atomic(path, chain([f"EMB v1 {len(items)} {dim}\n"], records))
 
 
 def embed_batch(sentences: Sequence, provider) -> np.ndarray:

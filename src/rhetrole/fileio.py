@@ -3,11 +3,12 @@
 Every file is UTF-8. A file that is not fails as an ``InputError`` (exit 2)
 that names the file and the line of the first bad byte. Lines may end in
 ``\\r\\n``. Counts are ASCII digits and reals ASCII decimals, stricter than
-``int()`` and ``float()``. Every output is written to a temporary file beside
-its target, which replaces the target with ``os.replace`` only once it is
-complete: a write that fails part-way leaves the previous file, or none,
-and no temporary file. Only a device or pipe, which cannot be replaced, is
-written in place.
+``int()`` and ``float()``, in files and command-line flags alike. Reals are
+written in their shortest round-trip form, so they read back bit for bit.
+Every output is written to a temporary file beside its target, which
+replaces the target with ``os.replace`` only once it is complete: a write
+that fails part-way leaves the previous file, or none, and no temporary
+file. Only a device or pipe, which cannot be replaced, is written in place.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ def read_reals(lines: Iterable[str]) -> np.ndarray:
         # loadtxt warns when it gets no rows, and a file of 0 records is valid.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def read_real(text: str) -> float:
+    """The one real that ``read_reals([text])`` reads; ValueError otherwise."""
+    values = read_reals([text])
+    if values.shape != (1, 1):
+        raise ValueError(f"not one real: {text!r}")
+    return float(values[0, 0])
+
+
+def format_reals(values) -> str:
+    """Space-separated float64 values, each in its shortest round-trip form."""
+    return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:

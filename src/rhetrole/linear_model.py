@@ -44,7 +44,7 @@ from .embedding import embed_batch
 from .errors import (
     CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError, check_field_types
 )
-from .fileio import read_count, read_reals, read_text, write_atomic
+from .fileio import format_reals, read_count, read_reals, read_text, write_atomic
 from .metrics import evaluate_predictions
 
 SELECTION_METRICS = ("macro_f1", "val_loss")
@@ -293,15 +293,25 @@ def _validation_score(X_val, y_val, w_vec, params, num_labels, metric):
     return float(losses.sum()) / len(y_val)
 
 
+def _check_labels(labels: Sequence[str], k: int) -> None:
+    """The CKPT v1 label rule, which the writer and the reader both apply:
+    one label per weight row, non-empty, distinct, and free of the tab, CR
+    and LF that delimit line 2."""
+    if len(labels) != k:
+        raise CheckpointFormatError(f"header declares {k} labels, line 2 has {len(labels)}")
+    has_delimiter = any(c in label for label in labels for c in "\t\r\n")
+    if "" in labels or len(set(labels)) != k or has_delimiter:
+        raise CheckpointFormatError(
+            f"labels on line 2 must be non-empty and distinct, without tab, CR or LF: {labels!r}"
+        )
+
+
 def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
     k, d = len(ckpt.params), input_dim(ckpt.params)
-    if k != len(ckpt.labels):
-        raise InputError("label count does not match weight rows")
-    lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}"]
-    lines.append("\t".join(ckpt.labels))
+    _check_labels(ckpt.labels, k)
+    lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}", "\t".join(ckpt.labels)]
     # The weight rows, then the bias as one row.
-    for row in [*ckpt.params[:, :-1], ckpt.params[:, -1]]:
-        lines.append(" ".join(map(repr, np.asarray(row, dtype=np.float64).tolist())))
+    lines += map(format_reals, [*ckpt.params[:, :-1], ckpt.params[:, -1]])
     return "".join(line + "\n" for line in lines)
 
 
@@ -322,10 +332,7 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
         raise CheckpointFormatError("non-integer num_labels/dim in header") from None
     provider_id = header[4]
     labels = tuple(lines[1].split("\t"))
-    if len(labels) != k:
-        raise CheckpointFormatError(f"header declares {k} labels, line 2 has {len(labels)}")
-    if "" in labels or len(set(labels)) != k:
-        raise CheckpointFormatError(f"labels on line 2 must be non-empty and distinct: {labels!r}")
+    _check_labels(labels, k)
     if len(lines) != 2 + k + 1:
         raise CheckpointFormatError(
             f"expected {2 + k + 1} lines ({k} weight rows plus bias), got {len(lines)}"

@@ -15,7 +15,7 @@ import pytest
 
 from rhetrole.cli import main
 from rhetrole.corpus import LABELS, Corpus, parse_corpus, serialize_corpus
-from rhetrole.embedding import parse_embeddings, serialize_embeddings
+from rhetrole.embedding import load_precomputed, save_embeddings
 from rhetrole.imbalance import (
     direct_frequency_weights,
     inverse_frequency_weights,
@@ -293,9 +293,10 @@ def test_criterion_8_format_round_trips(toy, tmp_path):
         (f"sentence with \"quotes\" and tabs-free text {i}", rng.normal(size=6) * 10.0 ** rng.integers(-12, 12))
         for i in range(9)
     ]
-    emb_text = serialize_embeddings(entries, 6)
-    provider = parse_embeddings(emb_text)
-    assert serialize_embeddings(provider.items(), 6) == emb_text
+    save_embeddings(entries, 6, tmp_path / "a.emb")
+    keys = [key for key, _ in entries]
+    save_embeddings(zip(keys, load_precomputed(tmp_path / "a.emb").embed(keys)), 6, tmp_path / "b.emb")
+    assert (tmp_path / "b.emb").read_bytes() == (tmp_path / "a.emb").read_bytes()
 
     out = tmp_path / "ck"
     toy_path = tmp_path / "toy.tsv"

@@ -31,9 +31,9 @@ def run_cli(capsys, *argv):
 @pytest.fixture(scope="module")
 def toy_emb(toy, tmp_path_factory):
     """The toy sentences' hashed:32 vectors as an EMB file."""
-    from rhetrole.embedding import HashedBowProvider, TokenizerConfig
+    from rhetrole.embedding import HashedBowProvider
 
-    enc = HashedBowProvider(32, TokenizerConfig(casing="cased", max_len=50))
+    enc = HashedBowProvider(32, "cased", 50)
     path = tmp_path_factory.mktemp("emb") / "toy.emb"
     save_embeddings({s.text: enc.embed([s.text])[0] for s in toy.sentences}.items(), 32, path)
     return path
@@ -448,6 +448,21 @@ class TestEvaluate:
         assert rc == 2
         assert "provider" in stderr
 
+    @pytest.mark.parametrize("provider_id,named", [
+        ("hashed:8:weird:5", "casing"), ("hashed:8:cased:0", "max_len"), ("hashed:8", "casing"),
+    ])
+    def test_hashed_checkpoint_without_valid_tokeniser_settings_exit_2(
+        self, provider_id, named, toy_tsv, tmp_path, capsys
+    ):
+        ckpt_path = tmp_path / "ckpt.txt"
+        save_checkpoint(LinearCheckpoint(
+            params=fused(np.zeros((7, 8)), np.zeros(7)), labels=LABELS, provider_id=provider_id,
+        ), ckpt_path)
+        rc, _, stderr = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt_path),
+                                "--corpus", str(toy_tsv))
+        assert rc == 2
+        assert named in stderr
+
 
 class TestPredict:
     def zero_checkpoint(self, path, dim=8):
@@ -668,9 +683,9 @@ ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u066
 
 
 class TestStrictNumbers:
-    """Counts are ASCII digits and reals ASCII decimals in provider specs,
-    EMB files and checkpoints alike: what int() or float() would also take
-    exits 2."""
+    """Counts are ASCII digits and reals ASCII decimals in flags, provider
+    specs, EMB files and checkpoints alike: what int() or float() would also
+    take exits 2."""
 
     @pytest.mark.parametrize("spec", ["hashed:1_6", "hashed: 16", "hashed:\u0661\u0666"])
     def test_provider_spec(self, spec, toy_tsv, tmp_path, capsys):
@@ -678,6 +693,20 @@ class TestStrictNumbers:
                                 "--out", str(tmp_path / "o"), "--provider", spec)
         assert rc == 2
         assert f"bad hashed provider spec {spec!r}" in stderr
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "1_0"), ("--max-len", "\u0661\u0662"), ("--epochs", "1_0"),
+        ("--batch-size", "\u0668"), ("--lr", "1_0e-2"), ("--weight-decay", "0_1"),
+        ("--train-fraction", "\u0660.5"),
+    ])
+    def test_training_flag(self, flag, value, toy_tsv, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--epochs", "1"] if flag != "--epochs" else []
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--corpus", str(toy_tsv), "--out", str(out), *args, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("header", [
         lambda count, dim: f"EMB v1 {count.translate(ARABIC_INDIC_DIGITS)} {dim}",

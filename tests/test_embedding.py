@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -18,14 +19,12 @@ from rhetrole.cli import main
 from rhetrole.embedding import (
     CASINGS,
     HashedBowProvider,
-    TokenizerConfig,
+    PrecomputedProvider,
     embed_batch,
     encode_hashed_bow,
     fnv1a_64,
     load_precomputed,
-    parse_embeddings,
     save_embeddings,
-    serialize_embeddings,
     tokenize,
 )
 from rhetrole.errors import (
@@ -44,9 +43,6 @@ FNV_VECTORS = {
     "a": 0xAF63DC4C8601EC8C,
     "foobar": 0x85944171F73967E8,
 }
-
-UNCASED_10 = TokenizerConfig(casing="uncased", max_len=10)
-CASED_5 = TokenizerConfig(casing="cased", max_len=5)
 
 # Letters, digits and other numbers, punctuation, symbols, combining marks
 # and whitespace: every class of character the tokenizer treats differently.
@@ -70,9 +66,16 @@ NUMERIC_TOKENS = st.text(alphabet="0123456789.eE+-_infatyINFATY", min_size=1, ma
 VALUE_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2028", "\u3000"])
 
 
-def reference_tokenize(text: str, config: TokenizerConfig) -> list[str]:
+def load_emb(directory, text: str) -> PrecomputedProvider:
+    """Write the UTF-8 bytes of ``text`` to an EMB file in ``directory`` and load it."""
+    path = directory / "vecs.emb"
+    path.write_bytes(text.encode("utf-8"))
+    return load_precomputed(path)
+
+
+def reference_tokenize(text: str, casing: str) -> list[str]:
     """Per-character tokenizer: every token's edges go through unicodedata."""
-    if config.casing == "uncased":
+    if casing == "uncased":
         text = text.lower()
     tokens: list[str] = []
     for raw in text.split():
@@ -83,8 +86,6 @@ def reference_tokenize(text: str, config: TokenizerConfig) -> list[str]:
             end -= 1
         if start < end:
             tokens.append(raw[start:end])
-            if len(tokens) == config.max_len:
-                break
     return tokens
 
 
@@ -109,35 +110,39 @@ def reference_hashed_bow(tokens: list[str], dim: int) -> np.ndarray:
 
 class TestTokenize:
     def test_uncased_strips_edge_punctuation(self):
-        assert tokenize("The Court HELD.", UNCASED_10) == ["the", "court", "held"]
+        assert tokenize("The Court HELD.", "uncased") == ["the", "court", "held"]
 
     def test_truncation(self):
-        assert tokenize("a b c d", TokenizerConfig(casing="cased", max_len=2)) == ["a", "b"]
+        assert tokenize("a b c d", "cased") == ["a", "b", "c", "d"]
+        row = HashedBowProvider(16, "cased", 2).embed(["a b c d"])[0]
+        assert row.tobytes() == encode_hashed_bow(["a", "b"], 16).tobytes()
+        assert row.tobytes() != encode_hashed_bow(["a", "b", "c", "d"], 16).tobytes()
 
     @pytest.mark.parametrize("max_len", [2.5, True])
     def test_non_integer_max_len_rejected(self, max_len):
         with pytest.raises(ConfigError, match="max_len"):
-            TokenizerConfig(casing="cased", max_len=max_len)
+            HashedBowProvider(8, "cased", max_len)
 
     def test_punctuation_only(self):
-        assert tokenize("...", CASED_5) == []
+        assert tokenize("...", "cased") == []
 
     def test_internal_citation_punctuation_survives(self):
-        assert tokenize("under s.302 IPC,", CASED_5) == ["under", "s.302", "IPC"]
+        assert tokenize("under s.302 IPC,", "cased") == ["under", "s.302", "IPC"]
 
     def test_cased_preserves_case(self):
-        assert tokenize("The Court", CASED_5) == ["The", "Court"]
+        assert tokenize("The Court", "cased") == ["The", "Court"]
 
     @given(st.text(max_size=40), st.integers(1, 6))
     @settings(max_examples=80)
     def test_truncation_bound_always_holds(self, text, max_len):
-        cfg = TokenizerConfig(casing="cased", max_len=max_len)
-        assert len(tokenize(text, cfg)) <= max_len
+        row = HashedBowProvider(16, "cased", max_len).embed([text])[0]
+        expected = reference_hashed_bow(reference_tokenize(text, "cased")[:max_len], 16)
+        assert row.tobytes() == expected.tobytes()
 
     @given(st.text(alphabet="aAbB xX.z", min_size=1, max_size=30))
     @settings(max_examples=80)
     def test_uncased_is_case_insensitive(self, text):
-        assert tokenize(text, UNCASED_10) == tokenize(text.lower(), UNCASED_10)
+        assert tokenize(text, "uncased") == tokenize(text.lower(), "uncased")
 
     def test_no_alphanumeric_code_point_is_punctuation(self):
         # The tokenizer keeps tokens with alphanumeric edges without looking
@@ -149,12 +154,11 @@ class TestTokenize:
         ]
         assert offenders == []
 
-    @given(TOKENIZER_TEXT, st.sampled_from(CASINGS), st.integers(1, 6))
+    @given(TOKENIZER_TEXT, st.sampled_from(CASINGS))
     @settings(max_examples=300)
-    @example("\u00ab\u00a7302\u00bb \u201cs.302,\u201d \u2014 \u00e9t\u00e9. ...", "cased", 3)
-    def test_matches_per_character_reference(self, text, casing, max_len):
-        cfg = TokenizerConfig(casing=casing, max_len=max_len)
-        assert tokenize(text, cfg) == reference_tokenize(text, cfg)
+    @example("\u00ab\u00a7302\u00bb \u201cs.302,\u201d \u2014 \u00e9t\u00e9. ...", "cased")
+    def test_matches_per_character_reference(self, text, casing):
+        assert tokenize(text, casing) == reference_tokenize(text, casing)
 
 
 class TestFnv1a:
@@ -226,7 +230,7 @@ class TestHashedBow:
         assert vec.tobytes() == ref.tobytes()
 
     def test_provider_is_deterministic(self):
-        provider = HashedBowProvider(64, UNCASED_10)
+        provider = HashedBowProvider(64, "uncased", 10)
         a = provider.embed(["The appeal is allowed."])[0]
         b = provider.embed(["The appeal is allowed."])[0]
         assert np.array_equal(a, b)
@@ -247,34 +251,35 @@ class TestEmbeddingFile:
         assert provider.dimension == 4
         for key, vec in self.entries():
             assert np.array_equal(provider.embed([key])[0], vec)
-        rewritten = serialize_embeddings(provider.items(), 4)
-        assert rewritten.encode() == path.read_bytes()
+        keys = [key for key, _ in self.entries()]
+        save_embeddings(zip(keys, provider.embed(keys)), 4, tmp_path / "again.emb")
+        assert (tmp_path / "again.emb").read_bytes() == path.read_bytes()
 
-    def test_header_count_mismatch(self):
+    def test_header_count_mismatch(self, tmp_path):
         text = 'EMB v1 3 2\n"a" 1 2\n"b" 3 4\n'
         with pytest.raises(EmbeddingFormatError):
-            parse_embeddings(text)
+            load_emb(tmp_path, text)
 
-    def test_duplicate_key(self):
+    def test_duplicate_key(self, tmp_path):
         text = 'EMB v1 2 1\n"a" 1\n"a" 2\n'
         with pytest.raises(EmbeddingFormatError):
-            parse_embeddings(text)
+            load_emb(tmp_path, text)
 
-    def test_bad_header(self):
+    def test_bad_header(self, tmp_path):
         with pytest.raises(EmbeddingFormatError):
-            parse_embeddings("EMB v2 1 4\n")
+            load_emb(tmp_path, "EMB v2 1 4\n")
 
-    def test_wrong_value_count(self):
+    def test_wrong_value_count(self, tmp_path):
         with pytest.raises(EmbeddingFormatError):
-            parse_embeddings('EMB v1 1 3\n"a" 1 2\n')
+            load_emb(tmp_path, 'EMB v1 1 3\n"a" 1 2\n')
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-    def test_non_finite_value_rejected(self, value):
+    def test_non_finite_value_rejected(self, tmp_path, value):
         with pytest.raises(EmbeddingFormatError, match="line 3"):
-            parse_embeddings(f'EMB v1 2 2\n"a" 1 2\n"b" 3 {value}\n')
+            load_emb(tmp_path, f'EMB v1 2 2\n"a" 1 2\n"b" 3 {value}\n')
 
-    def test_scientific_and_integer_reals_accepted(self):
-        provider = parse_embeddings('EMB v1 1 3\n"a" 1 -2.5e-3 4E2\n')
+    def test_scientific_and_integer_reals_accepted(self, tmp_path):
+        provider = load_emb(tmp_path, 'EMB v1 1 3\n"a" 1 -2.5e-3 4E2\n')
         assert np.array_equal(provider.embed(["a"])[0], [1.0, -0.0025, 400.0])
 
     @given(
@@ -293,23 +298,21 @@ class TestEmbeddingFile:
         path = tmp_path_factory.mktemp("emb") / "vecs.emb"
         save_embeddings(entries, dim, path)
         written = path.read_bytes()
-        assert written == serialize_embeddings(entries, dim).encode("utf-8")
         loaded = load_precomputed(path)
-        parsed = parse_embeddings(written.decode("utf-8"))
-        assert [key for key, _ in loaded.items()] == [key for key, _ in raw]
+        assert loaded.dimension == dim
         for key, vec in entries:
             assert loaded.embed([key])[0].tobytes() == vec.tobytes()
-            assert parsed.embed([key])[0].tobytes() == vec.tobytes()
-        save_embeddings(loaded.items(), dim, path)
+        keys = [key for key, _ in raw]
+        save_embeddings(zip(keys, loaded.embed(keys)), dim, path)
         assert path.read_bytes() == written
 
     def test_crlf_file_accepted(self, tmp_path):
         text = 'EMB v1 2 2\r\n"a" 1 2\r\n"b" 3 -4e1\r\n'
         path = tmp_path / "crlf.emb"
         path.write_bytes(text.encode("utf-8"))
-        for provider in (load_precomputed(path), parse_embeddings(text)):
-            assert np.array_equal(provider.embed(["a"])[0], [1.0, 2.0])
-            assert np.array_equal(provider.embed(["b"])[0], [3.0, -40.0])
+        provider = load_precomputed(path)
+        assert np.array_equal(provider.embed(["a"])[0], [1.0, 2.0])
+        assert np.array_equal(provider.embed(["b"])[0], [3.0, -40.0])
 
     @pytest.mark.parametrize("text,message", [
         ('EMB v1 3 2\n"a" 1 x\n"b" 3 4\n', "header declares 3 records but file contains 2"),
@@ -319,10 +322,9 @@ class TestEmbeddingFile:
     def test_count_mismatch_reported_before_a_bad_record(self, tmp_path, text, message):
         path = tmp_path / "bad.emb"
         path.write_bytes(text.encode("utf-8"))
-        for parse in (lambda: load_precomputed(path), lambda: parse_embeddings(text)):
-            with pytest.raises(EmbeddingFormatError) as exc:
-                parse()
-            assert str(exc.value) == message
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_precomputed(path)
+        assert str(exc.value) == message
 
     def test_wrong_length_vector_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "vecs.emb"
@@ -358,7 +360,7 @@ class TestEmbeddingFile:
             _, load_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(dict(provider.items())) == 250
+        assert np.array_equal(provider.embed([key for key, _ in entries]), vectors)
         assert save_peak < path.stat().st_size / 4
         assert load_peak - base < 1.5 * vectors.nbytes
 
@@ -376,10 +378,9 @@ class TestEmbeddingFile:
     def test_first_error_in_the_file_named(self, tmp_path, text, message):
         path = tmp_path / "bad.emb"
         path.write_bytes(text.encode("utf-8"))
-        for parse in (lambda: load_precomputed(path), lambda: parse_embeddings(text)):
-            with pytest.raises(EmbeddingFormatError) as exc:
-                parse()
-            assert str(exc.value) == message
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_precomputed(path)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661"])
     def test_underscore_or_non_ascii_digit_exit_2(
@@ -392,7 +393,7 @@ class TestEmbeddingFile:
         assert rc == 2
         assert "line 3: non-numeric value" in capsys.readouterr().err
 
-    def test_records_beyond_the_declared_count_are_not_parsed(self, monkeypatch):
+    def test_records_beyond_the_declared_count_are_not_parsed(self, tmp_path, monkeypatch):
         calls = []
         read_reals = embedding.read_reals
 
@@ -403,7 +404,7 @@ class TestEmbeddingFile:
 
         monkeypatch.setattr(embedding, "read_reals", spy)
         with pytest.raises(EmbeddingFormatError, match="declares 1 records but file contains 3"):
-            parse_embeddings('EMB v1 1 2\n"a" 1 2\n"b" 3 4\n"c" 5 6\n')
+            load_emb(tmp_path, 'EMB v1 1 2\n"a" 1 2\n"b" 3 4\n"c" 5 6\n')
         assert calls[0] == 1
 
     def test_bad_file_from_a_pipe_exits_2(self, tmp_path):
@@ -420,18 +421,21 @@ class TestEmbeddingFile:
             writer.join(timeout=10)
         assert not writer.is_alive()
 
-    def test_lone_surrogate_in_text_fails_as_a_bad_byte(self):
-        with pytest.raises(InputError, match="^<memory>: line 2 is not valid UTF-8$"):
-            parse_embeddings('EMB v1 1 1\n"\ud800" 1\n')
+    def test_lone_surrogate_in_text_fails_as_a_bad_byte(self, tmp_path):
+        # The bytes a lone surrogate (U+D800) would have in UTF-8.
+        path = tmp_path / "vecs.emb"
+        path.write_bytes(b'EMB v1 1 1\n"\xed\xa0\x80" 1\n')
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: line 2 is not valid UTF-8$"):
+            load_precomputed(path)
 
     def test_zero_records_load_without_a_warning(self, tmp_path):
         path = tmp_path / "empty.emb"
         path.write_text("EMB v1 0 4\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for provider in (load_precomputed(path), parse_embeddings("EMB v1 0 4\n")):
-                assert provider.dimension == 4
-                assert list(provider.items()) == []
+            provider = load_precomputed(path)
+        assert provider.dimension == 4
+        assert provider.embed([]).shape == (0, 4)
 
     def test_valid_file_is_read_once(self, tmp_path, monkeypatch):
         def second_pass(*args):
@@ -440,19 +444,20 @@ class TestEmbeddingFile:
         monkeypatch.setattr(embedding, "_raise_first_error", second_pass)
         path = tmp_path / "vecs.emb"
         save_embeddings(self.entries(), 4, path)
-        texts = [path.read_text(encoding="utf-8"), "EMB v1 0 3\n",
-                 'EMB v1 2 2\r\n"a" 1 2\r\n"b" 3 -4e1\r\n', 'EMB v1 1 3\n"a" 1 -2.5e-3 4E2']
-        for text in texts:
+        cases = [(path.read_text(encoding="utf-8"), [key for key, _ in self.entries()]),
+                 ("EMB v1 0 3\n", []), ('EMB v1 2 2\r\n"a" 1 2\r\n"b" 3 -4e1\r\n', ["a", "b"]),
+                 ('EMB v1 1 3\n"a" 1 -2.5e-3 4E2', ["a"])]
+        for text, keys in cases:
             path.write_text(text, encoding="utf-8")
-            for provider in (load_precomputed(path), parse_embeddings(text)):
-                assert len(list(provider.items())) == int(text.split()[2])
+            provider = load_precomputed(path)
+            assert provider.embed(keys).shape == (len(keys), int(text.split()[3]))
 
     @given(st.lists(st.tuples(VALUE_SEPARATORS, NUMERIC_TOKENS), min_size=1, max_size=4))
     @settings(max_examples=300)
     @example([(" ", "1_0")])
     @example([(" ", "1e400")])
     @example([("\xa0", "-0"), ("\u3000", ".5"), ("\x1f", "5.")])
-    def test_accepted_values_equal_float_of_each_token(self, pairs):
+    def test_accepted_values_equal_float_of_each_token(self, tmp_path_factory, pairs):
         tokens = [token for _, token in pairs]
         text = f'EMB v1 1 {len(tokens)}\n"k"' + "".join(sep + token for sep, token in pairs)
         try:
@@ -460,7 +465,7 @@ class TestEmbeddingFile:
         except ValueError:
             expected = None
         try:
-            values = parse_embeddings(text).embed(["k"])[0]
+            values = load_emb(tmp_path_factory.getbasetemp(), text).embed(["k"])[0]
         except EmbeddingFormatError:
             # Refused: what float() refuses or finds not finite, and the
             # underscores float() takes.
@@ -470,35 +475,32 @@ class TestEmbeddingFile:
         assert expected is not None
         assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
-    def test_lookup_rows_are_read_only(self):
-        provider = parse_embeddings('EMB v1 2 2\n"a" 1 2\n"b" 3 4\n')
+    def test_lookup_rows_are_read_only(self, tmp_path):
+        provider = load_emb(tmp_path, 'EMB v1 2 2\n"a" 1 2\n"b" 3 4\n')
         X = provider.embed(["a", "b", "a"])
         X[:] = 9.0
-        for _, row in provider.items():
-            with pytest.raises(ValueError):
-                row[:] = 0.0
         assert np.array_equal(provider.embed(["a", "b"]), [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_missing_key_at_use_time(self):
-        provider = parse_embeddings('EMB v1 1 2\n"a" 1 2\n')
+    def test_missing_key_at_use_time(self, tmp_path):
+        provider = load_emb(tmp_path, 'EMB v1 1 2\n"a" 1 2\n')
         with pytest.raises(MissingEmbeddingError, match="sentence 'unseen'$"):
             provider.embed(["a", "unseen", "also unseen"])
 
 
 class TestEmbedBatch:
     def test_shape_and_order(self):
-        provider = HashedBowProvider(8, CASED_5)
+        provider = HashedBowProvider(8, "cased", 5)
         X = embed_batch(["one sentence", "another one", "third"], provider)
         assert X.shape == (3, 8)
         assert np.array_equal(X[0], provider.embed(["one sentence"])[0])
 
     def test_duplicate_texts_identical_rows(self):
-        provider = HashedBowProvider(8, CASED_5)
+        provider = HashedBowProvider(8, "cased", 5)
         X = embed_batch(["same text", "same text"], provider)
         assert np.array_equal(X[0], X[1])
 
-    def test_empty_list(self):
-        for provider in (HashedBowProvider(8, CASED_5), parse_embeddings('EMB v1 1 8\n"a"' + " 1" * 8)):
+    def test_empty_list(self, tmp_path):
+        for provider in (HashedBowProvider(8, "cased", 5), load_emb(tmp_path, 'EMB v1 1 8\n"a"' + " 1" * 8)):
             X = embed_batch([], provider)
             assert X.shape == (0, 8)
             assert X.dtype == np.float64

@@ -471,6 +471,16 @@ class TestCheckpointIO:
         save_checkpoint(load_checkpoint(path), path)
         assert path.read_bytes() == written
 
+    @pytest.mark.parametrize("labels", [
+        ("Facts", "Facts"), ("", "Argument"), ("Fa\tcts", "Argument"), ("Fa\ncts", "Argument"),
+        ("Fa\rcts", "Argument"), ("Facts",),
+    ], ids=["duplicate", "empty", "tab", "lf", "cr", "count"])
+    def test_labels_the_reader_refuses_are_not_written(self, labels, tmp_path):
+        path = tmp_path / "checkpoint.txt"
+        with pytest.raises(CheckpointFormatError):
+            save_checkpoint(LinearCheckpoint(np.zeros((2, 3)), labels, "hashed:2"), path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_provider_id_may_contain_spaces(self):
         ckpt = self.make()
         ckpt.provider_id = "precomputed:/tmp/with space/v.emb"
