@@ -320,24 +320,39 @@ def cmd_reproduce_run(args) -> int:
     return 0
 
 
+def _flag_type(read, form: str):
+    """An argparse type that reads a value with ``read`` and, when it raises
+    ValueError, names the expected form in the error."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return parse
+
+
+_COUNT = _flag_type(read_count, "a count in ASCII digits")
+_REAL = _flag_type(read_real, "a decimal real")
+
+
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=read_count, default=None, help="RNG seed (default 42)")
+    p.add_argument("--seed", type=_COUNT, default=None, help="RNG seed (default 42)")
     p.add_argument("--provider", default=None,
                    help="embedding provider: hashed:<dim> or precomputed:<path>")
     p.add_argument("--casing", choices=CASINGS, default=None)
-    p.add_argument("--max-len", dest="max_len", type=read_count, default=None,
+    p.add_argument("--max-len", dest="max_len", type=_COUNT, default=None,
                    help="token truncation bound (default: 0.98 length percentile)")
     p.add_argument("--config", default=None, help="run-config JSON file")
     p.add_argument("--weights", choices=sorted(_WEIGHT_FLAG_TO_SCHEME), default=None,
                    help="class-weight scheme for the loss")
     p.add_argument("--balance", choices=sorted(_BALANCE_FLAG_TO_METHOD), default=None,
                    help="imbalance strategy")
-    p.add_argument("--epochs", type=read_count, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=read_count, default=None)
-    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=read_real, default=None,
+    p.add_argument("--epochs", type=_COUNT, default=None)
+    p.add_argument("--batch-size", dest="batch_size", type=_COUNT, default=None)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=_REAL, default=None,
                    help="learning rate")
-    p.add_argument("--weight-decay", dest="weight_decay", type=read_real, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=read_real, default=None)
+    p.add_argument("--weight-decay", dest="weight_decay", type=_REAL, default=None)
+    p.add_argument("--train-fraction", dest="train_fraction", type=_REAL, default=None)
     p.add_argument("--split-mode", dest="split_mode", choices=SPLIT_MODES, default=None)
     p.add_argument("--selection-metric", dest="selection_metric", choices=SELECTION_METRICS,
                    default=None)

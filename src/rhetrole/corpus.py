@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -211,13 +210,15 @@ def length_percentile(
     """Nearest-rank q-th percentile of per-sentence token counts.
 
     Returns the value at 1-based index ceil(q * N) of the sorted count list;
-    no interpolation. The rank is computed in exact rational arithmetic so
-    q values like 0.98 never overshoot from float rounding.
+    no interpolation. The rank is computed in exact integer arithmetic on
+    q's binary ratio, so q values like 0.98 never overshoot from float
+    rounding.
     """
     if not corpus.sentences:
         raise InputError("cannot take a percentile of an empty corpus")
     if not 0.0 < q <= 1.0:
         raise InputError("percentile q must lie in (0, 1]")
     counts = sorted(len(tokenizer(s.text)) for s in corpus.sentences)
-    rank = math.ceil(Fraction(q) * len(counts))
-    return counts[max(rank, 1) - 1]
+    num, den = q.as_integer_ratio()
+    rank = -(-num * len(counts) // den)  # >= 1, because q > 0
+    return counts[rank - 1]

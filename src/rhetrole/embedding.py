@@ -303,14 +303,26 @@ def _check_record(record: str, line_no: int, dim: int, keys: set[str]) -> None:
 
 def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: str | Path) -> None:
     """Write an EMB v1 file of (key, vector) pairs in the given order, one
-    record at a time, replacing ``path`` atomically. Every vector's length is
-    checked before the first line is written."""
+    record at a time, replacing ``path`` atomically. Before the first line is
+    written, every vector's length is checked, and what the reader refuses
+    (dim 0, a key that is no string, a duplicate key, a non-finite value)
+    raises EmbeddingFormatError."""
+    if dim < 1:
+        raise EmbeddingFormatError("dim must be >= 1")
     items = list(entries)
+    keys: set[str] = set()
     for key, vec in items:
         if len(vec) != dim:
             raise DimensionMismatchError(
                 f"vector for {key!r} has length {len(vec)}, expected {dim}"
             )
+        if not isinstance(key, str):
+            raise EmbeddingFormatError(f"key {key!r} is not a string")
+        if key in keys:
+            raise EmbeddingFormatError(f"duplicate key {key!r}")
+        keys.add(key)
+        if not np.isfinite(np.asarray(vec, dtype=np.float64)).all():
+            raise EmbeddingFormatError(f"non-finite value (nan or inf) for key {key!r}")
     records = (f"{json.dumps(key)} {format_reals(vec)}\n" for key, vec in items)
     write_atomic(path, chain([f"EMB v1 {len(items)} {dim}\n"], records))
 

@@ -15,6 +15,13 @@ layer for one mini-batch, returning one gradient array laid out like the
 parameters. ``optimizer_step`` updates the parameters and both moment arrays
 in place with one element-wise update over the whole array.
 
+A training step is a few dozen numpy calls on small arrays, so call overhead
+dominates it. The core therefore calls ufuncs and their ``reduce`` directly
+and writes each intermediate in place, into a fresh temporary or an ``out=``
+buffer, but still makes each IEEE operation of the plain expressions, in
+their order; only the operands of ``+`` and ``*`` are swapped, which rounds
+the same. The tests keep those expressions as a reference and compare bytes.
+
 All math runs in float64. Training is deterministic given (data, config,
 seed): parameter init draws from the config seed, each epoch's shuffle from
 a generator seeded by (seed, epoch), and batch reductions keep a fixed
@@ -127,7 +134,9 @@ def logits(params: np.ndarray, X: np.ndarray) -> np.ndarray:
         )
     # The bias is added after the product, not folded into X as a column of
     # ones, so the reduction order (and the checkpoint bytes) stay fixed.
-    return X @ params[:, :-1].T + params[:, -1]
+    Z = X @ params[:, :-1].T
+    Z += params[:, -1]
+    return Z
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -139,8 +148,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _log_sum_exp(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))).squeeze(-1)
+    """Row-wise log-sum-exp of an (n, k) matrix, shaped (n, 1)."""
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    e = z - m
+    np.exp(e, out=e)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    np.log(s, out=s)
+    s += m
+    return s
 
 
 def weighted_ce(
@@ -156,9 +171,11 @@ def weighted_ce(
     y = np.asarray(y)
     rows = np.arange(Z.shape[0])
     lse = _log_sum_exp(Z)
-    sample_w = np.asarray(weights, dtype=np.float64)[y]
-    losses = sample_w * (lse - Z[rows, y])
-    G = np.exp(Z - lse[:, None])
+    sample_w = np.asarray(weights, dtype=np.float64).take(y)
+    losses = lse[:, 0] - Z[rows, y]
+    losses *= sample_w
+    G = Z - lse
+    np.exp(G, out=G)
     G[rows, y] -= 1.0
     G *= sample_w[:, None]
     return losses, G
@@ -172,7 +189,10 @@ def loss_and_grads(
     ``params``: dW in columns ``[:, :-1]``, db in column ``[:, -1]``."""
     losses, G = weighted_ce(logits(params, X), y, weights)
     G /= X.shape[0]
-    return float(losses.sum()), np.column_stack([G.T @ X, G.sum(axis=0)])
+    grads = np.empty_like(params)
+    np.matmul(G.T, X, out=grads[:, :-1])
+    np.add.reduce(G, axis=0, out=grads[:, -1])
+    return float(np.add.reduce(losses)), grads
 
 
 def optimizer_step(
@@ -192,13 +212,27 @@ def optimizer_step(
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     m, v = state.m, state.v
+    lr = cfg.learning_rate
+    # The first product and the first quotient are fresh arrays that hold
+    # every later intermediate, computed in the order of
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps).
+    a = (1.0 - b1) * grads
     m *= b1
-    m += (1.0 - b1) * grads
+    m += a
     v *= b2
-    v += (1.0 - b2) * grads * grads
-    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+    np.multiply(1.0 - b2, grads, out=a)
+    a *= grads
+    v += a
+    b = v / bc2
+    np.sqrt(b, out=b)
+    b += cfg.epsilon
+    np.divide(m, bc1, out=a)
+    a *= lr
+    a /= b
+    params -= a
     if cfg.weight_decay > 0.0:
-        params -= cfg.learning_rate * cfg.weight_decay * params
+        np.multiply(lr * cfg.weight_decay, params, out=a)
+        params -= a
 
 
 def initial_params(dim: int, num_labels: int, seed: int) -> np.ndarray:
@@ -258,7 +292,8 @@ def train(
         loss_total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch_sum, grads = loss_and_grads(params, X_train[idx], y_train[idx], w_vec)
+            X_batch, y_batch = X_train.take(idx, axis=0), y_train.take(idx)
+            batch_sum, grads = loss_and_grads(params, X_batch, y_batch, w_vec)
             if not math.isfinite(batch_sum):
                 raise RhetroleError(
                     f"training diverged: non-finite loss in epoch {epoch}, "
@@ -306,9 +341,16 @@ def _check_labels(labels: Sequence[str], k: int) -> None:
         )
 
 
+def _check_finite(params: np.ndarray) -> None:
+    """The CKPT v1 value rule, which the writer and the reader both apply."""
+    if not np.isfinite(params).all():
+        raise CheckpointFormatError("non-finite parameter value (nan or inf)")
+
+
 def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
     k, d = len(ckpt.params), input_dim(ckpt.params)
     _check_labels(ckpt.labels, k)
+    _check_finite(ckpt.params)
     lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}", "\t".join(ckpt.labels)]
     # The weight rows, then the bias as one row.
     lines += map(format_reals, [*ckpt.params[:, :-1], ckpt.params[:, -1]])
@@ -346,8 +388,7 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
     if len(bias) != k:
         raise CheckpointFormatError(f"bias length {len(bias)} does not match {k} labels")
     params = np.column_stack([np.array(rows), bias])
-    if not np.isfinite(params).all():
-        raise CheckpointFormatError("non-finite parameter value (nan or inf)")
+    _check_finite(params)
     return LinearCheckpoint(params=params, labels=labels, provider_id=provider_id)
 
 

@@ -682,6 +682,9 @@ ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u066
                                                  "\u0665\u0666\u0667\u0668\u0669")
 
 
+REAL_FLAGS = ("--lr", "--weight-decay", "--train-fraction")
+
+
 class TestStrictNumbers:
     """Counts are ASCII digits and reals ASCII decimals in flags, provider
     specs, EMB files and checkpoints alike: what int() or float() would also
@@ -705,7 +708,10 @@ class TestStrictNumbers:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--corpus", str(toy_tsv), "--out", str(out), *args, flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}" in capsys.readouterr().err
+        form = "a decimal real" if flag in REAL_FLAGS else "a count in ASCII digits"
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected {form}, got {value!r}" in err
+        assert "read_" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("header", [

@@ -3,9 +3,10 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhetrole.corpus import (
@@ -229,6 +230,19 @@ class TestLengthPercentile:
     def test_constant_counts(self):
         corpus = self.corpus_with_token_counts([5, 5, 5, 5])
         assert length_percentile(corpus, whitespace_tokens, 0.5) == 5
+
+    @given(n=st.integers(1, 120), q=st.floats(0.0, 1.0, exclude_min=True))
+    @example(n=100, q=0.98)
+    @example(n=3, q=1 / 3)
+    @example(n=10, q=0.7)
+    @example(n=120, q=5e-324)
+    @settings(max_examples=200)
+    def test_rank_is_exact_rational_ceiling(self, n, q):
+        """Counts 1..n make the percentile equal its 1-based rank, which must
+        be ceil(q * n) in exact rational arithmetic, and at least 1."""
+        corpus = self.corpus_with_token_counts(range(1, n + 1))
+        expected = max(math.ceil(Fraction(q) * n), 1)
+        assert length_percentile(corpus, whitespace_tokens, q) == expected
 
     @given(
         counts=st.lists(st.integers(1, 40), min_size=1, max_size=30),

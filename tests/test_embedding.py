@@ -335,6 +335,25 @@ class TestEmbeddingFile:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
 
+    @pytest.mark.parametrize("extra,dim,message", [
+        ([("Counsel argued.", np.zeros(4))], 4, "duplicate key 'Counsel argued.'"),
+        ([("c", np.array([0.0, np.nan, 1.0, 2.0]))], 4, "non-finite value (nan or inf) for key 'c'"),
+        ([("c", np.array([0.0, 1.0, np.inf, 2.0]))], 4, "non-finite value (nan or inf) for key 'c'"),
+        ([("c", [0.0, 1.0, 2.0, float("-inf")])], 4, "non-finite value (nan or inf) for key 'c'"),
+        ([(5, np.zeros(4))], 4, "key 5 is not a string"),
+        (None, 0, "dim must be >= 1"),
+    ], ids=["duplicate", "nan", "inf", "minus_inf_list", "int_key", "dim_zero"])
+    def test_entries_the_reader_refuses_are_not_written(self, tmp_path, extra, dim, message):
+        path = tmp_path / "vecs.emb"
+        save_embeddings(self.entries(), 4, path)
+        before = path.read_bytes()
+        entries = [] if extra is None else self.entries() + extra
+        with pytest.raises(EmbeddingFormatError) as exc:
+            save_embeddings(entries, dim, path)
+        assert str(exc.value) == message
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
     def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "vecs.emb"
         save_embeddings(self.entries(), 4, path)

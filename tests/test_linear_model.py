@@ -298,6 +298,80 @@ class TestOptimizerStep:
         assert not np.array_equal(params[:, -1], [-0.25, 1.0])
 
 
+# The batched core as plain expressions, each float operation once, in the
+# order the in-place core must keep: the core's results must match these bit
+# for bit.
+def reference_logits(params, X):
+    return X @ params[:, :-1].T + params[:, -1]
+
+
+def reference_weighted_ce(Z, y, weights):
+    rows = np.arange(Z.shape[0])
+    m = Z.max(axis=-1, keepdims=True)
+    lse = (m + np.log(np.exp(Z - m).sum(axis=-1, keepdims=True))).squeeze(-1)
+    sample_w = np.asarray(weights, dtype=np.float64)[y]
+    losses = sample_w * (lse - Z[rows, y])
+    G = np.exp(Z - lse[:, None])
+    G[rows, y] -= 1.0
+    G *= sample_w[:, None]
+    return losses, G
+
+
+def reference_loss_and_grads(params, X, y, weights):
+    losses, G = reference_weighted_ce(reference_logits(params, X), y, weights)
+    G /= X.shape[0]
+    return float(losses.sum()), np.column_stack([G.T @ X, G.sum(axis=0)])
+
+
+def reference_optimizer_step(params, grads, state, cfg):
+    state.t += 1
+    b1, b2 = cfg.beta1, cfg.beta2
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+    if cfg.weight_decay > 0.0:
+        params -= cfg.learning_rate * cfg.weight_decay * params
+
+
+class TestCoreMatchesReferenceBits:
+    """Fifty training steps through the core and through the reference
+    expressions give the same bytes for the loss, the gradients, the
+    parameters and both moments after every step."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("dim", [1, 4, 256, 768])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("weights", [ONES7, np.array([2.0, 0.5, 0.0, 1.0, 3.0, 1.0, 0.25])],
+                             ids=["ones", "one_zero"])
+    def test_fifty_steps(self, batch, dim, weight_decay, weights):
+        rng = np.random.default_rng([batch, dim])
+        cfg = TrainConfig(learning_rate=1e-2, weight_decay=weight_decay, epochs=1)
+        params = initial_params(dim, 7, seed=dim)
+        ref_params = params.copy()
+        state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
+        ref_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
+        for _ in range(50):
+            X = rng.normal(size=(batch, dim))
+            y = rng.integers(0, 7, size=batch)
+            y[0] = 2  # a class whose weight is zero in one case
+            assert logits(params, X).tobytes() == reference_logits(params, X).tobytes()
+            loss, grads = loss_and_grads(params, X, y, weights)
+            ref_loss, ref_grads = reference_loss_and_grads(ref_params, X, y, weights)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grads.tobytes() == ref_grads.tobytes()
+            optimizer_step(params, grads, state, cfg)
+            reference_optimizer_step(ref_params, ref_grads, ref_state, cfg)
+            assert params.tobytes() == ref_params.tobytes()
+            assert state.m.tobytes() == ref_state.m.tobytes()
+            assert state.v.tobytes() == ref_state.v.tobytes()
+        assert state.t == ref_state.t == 50
+
+
 def two_class_toy(n=200, d=8, seed=123):
     """Separable point cloud around two antipodal centers."""
     rng = np.random.default_rng(seed)
@@ -480,6 +554,20 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointFormatError):
             save_checkpoint(LinearCheckpoint(np.zeros((2, 3)), labels, "hashed:2"), path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("row,col,value", [
+        (0, 0, np.nan), (6, 2, np.inf), (3, -1, -np.inf),
+    ], ids=["weight_nan", "weight_inf", "bias_minus_inf"])
+    def test_non_finite_params_are_not_written(self, row, col, value, tmp_path):
+        path = tmp_path / "checkpoint.txt"
+        save_checkpoint(self.make(), path)
+        before = path.read_bytes()
+        ckpt = self.make()
+        ckpt.params[row, col] = value
+        with pytest.raises(CheckpointFormatError, match="non-finite parameter value"):
+            save_checkpoint(ckpt, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.txt"]
 
     def test_provider_id_may_contain_spaces(self):
         ckpt = self.make()
