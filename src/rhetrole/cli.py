@@ -86,7 +86,7 @@ def cmd_stats(args) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus.sentences:
         raise InputError(f"corpus {args.corpus} contains no sentences")
-    counts = class_distribution(corpus)
+    counts = class_distribution(corpus.sentences)
     total = len(corpus.sentences)
 
     # Weight columns are computed over the labels actually present, so the
@@ -123,7 +123,14 @@ def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int 
 def _provider_for_inference(args, ckpt):
     """The featuriser the checkpoint was trained with. ``--provider`` may only
     point a precomputed checkpoint at another vectors file."""
-    kind, arg, casing, max_len = parse_provider_spec(ckpt.provider_id)
+    try:
+        kind, arg, casing, max_len = parse_provider_spec(ckpt.provider_id)
+        hashed = HashedBowProvider(arg, casing, max_len) if kind == "hashed" else None
+    except ConfigError:
+        raise ConfigError(
+            f"checkpoint {args.checkpoint}: provider id {ckpt.provider_id!r} is neither "
+            "'hashed:<dim>:<casing>:<max_len>' nor 'precomputed:<path>'"
+        ) from None
     if args.provider is not None:
         new_kind, new_arg, _, _ = parse_provider_spec(args.provider)
         if kind != "precomputed" or new_kind != "precomputed":
@@ -133,10 +140,7 @@ def _provider_for_inference(args, ckpt):
                 "(precomputed:<path>) for a precomputed checkpoint"
             )
         arg = new_arg
-    if kind == "precomputed":
-        provider = load_precomputed(arg)
-    else:
-        provider = HashedBowProvider(arg, casing, max_len)
+    provider = hashed if hashed is not None else load_precomputed(arg)
     if provider.dimension != input_dim(ckpt.params):
         raise DimensionMismatchError(
             f"provider dimension {provider.dimension} does not match "
@@ -176,7 +180,7 @@ def _run_training(cfg: RunConfig, out_dir: Path):
         # they cannot rescue a class the inverse scheme has no count for.
         missing = [label for label in LABELS if counts[label] == 0]
         if cfg.weight_scheme == "inverse_frequency" and missing:
-            corpus_counts = class_distribution(corpus)
+            corpus_counts = class_distribution(corpus.sentences)
             raise InputError(
                 "inverse-frequency weights are undefined: the training split has no "
                 "sentence labelled "
@@ -264,8 +268,7 @@ def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus.sentences:
         raise InputError(f"corpus {args.corpus} contains no sentences")
-    cm, report = _evaluate_sentences(ckpt, provider, corpus.sentences)
-    doc = report_to_json(report, cm, ckpt.labels)
+    doc = report_to_json(_evaluate_sentences(ckpt, provider, corpus.sentences), ckpt.labels)
     if args.out:
         write_atomic(args.out, [doc])
         print(f"metrics written to {args.out}")
@@ -308,8 +311,8 @@ def cmd_reproduce_run(args) -> int:
     out_dir = Path(args.out) if args.out else Path(f"{run_key}_out")
     ckpt, val_set, provider = _run_training(cfg, out_dir)
 
-    cm, report = _evaluate_sentences(ckpt, provider, val_set)
-    write_atomic(out_dir / "metrics.json", [report_to_json(report, cm, ckpt.labels)])
+    report = _evaluate_sentences(ckpt, provider, val_set)
+    write_atomic(out_dir / "metrics.json", [report_to_json(report, ckpt.labels)])
     print("resolved config:")
     print((out_dir / "config.json").read_text(encoding="utf-8"), end="")
     print("scores on the local validation split (the original hidden test set "

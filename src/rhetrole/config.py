@@ -1,9 +1,10 @@
 """Run configuration: defaults, the three built-in run presets, and the
 flags > file > preset resolution used by the CLI.
 
-``RunConfig`` extends ``TrainConfig`` with the run's own fields, so
-construction checks every field's type and the training ranges;
-``RunConfig.validate`` holds the choice and cross-field rules.
+``RunConfig`` extends ``TrainConfig`` with the run's own fields, and
+construction checks every rule: each field's type and the training ranges
+first, then the choice and cross-field rules. Every ``RunConfig`` that
+exists is valid.
 
 A resolved config written next to a checkpoint is a closed description of
 the run: feeding it back through ``train --config`` reproduces the training
@@ -56,8 +57,8 @@ class RunConfig(TrainConfig, _RunFields):
     """The twelve _RunFields, then TrainConfig's nine: dataclass fields follow
     the reversed MRO, which keeps config.json's key order."""
 
-    def validate(self) -> None:
-        """The choice and cross-field rules, which construction does not check."""
+    def __post_init__(self):
+        super().__post_init__()
         if self.casing not in CASINGS:
             raise ConfigError(f"casing must be one of {CASINGS}, got {self.casing!r}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
@@ -129,7 +130,7 @@ def resolve_config(
     """Layer defaults < preset < config file < explicit flag overrides.
 
     A config file may itself name a preset; an explicit ``preset`` argument
-    wins over that. The resulting config is validated.
+    wins over that.
     """
     file_config = dict(file_config or {})
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
@@ -152,9 +153,7 @@ def resolve_config(
     unknown = set(merged) - FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cfg = RunConfig(**merged)
-    cfg.validate()
-    return cfg
+    return RunConfig(**merged)
 
 
 def config_to_json(

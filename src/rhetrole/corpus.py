@@ -157,13 +157,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_atomic(path, [serialize_corpus(corpus)])
 
 
-def class_distribution(corpus_or_sentences: Corpus | Iterable[LabeledSentence]) -> dict[str, int]:
+def class_distribution(sentences: Iterable[LabeledSentence]) -> dict[str, int]:
     """Per-label sentence counts. Every canonical label is present, possibly 0."""
-    sentences = (
-        corpus_or_sentences.sentences
-        if isinstance(corpus_or_sentences, Corpus)
-        else corpus_or_sentences
-    )
     counts = dict.fromkeys(LABELS, 0)
     for s in sentences:
         counts[s.label] += 1

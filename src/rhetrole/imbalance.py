@@ -1,7 +1,8 @@
 """Class-imbalance strategies: loss re-weighting schemes and resampling.
 
-Weight vectors are numpy float64 arrays aligned to the canonical label
-order from `rhetrole.corpus`. The inverse-frequency scheme gives rare
+`weights_for_scheme` gives the loss weights of each scheme as a numpy
+float64 array aligned to its counts (the CLI passes them in the canonical
+label order from `rhetrole.corpus`). The inverse-frequency scheme gives rare
 classes more loss mass; the direct-frequency scheme is its elementwise
 reciprocal (frequent classes weigh more). Undersampling and duplication
 oversampling materialize a balanced dataset before batching.
@@ -19,34 +20,6 @@ from .errors import InputError
 WEIGHT_SCHEMES = ("inverse_frequency", "direct_frequency", "uniform")
 
 
-def inverse_frequency_weights(counts: Sequence[int]) -> np.ndarray:
-    """w[c] = N / (K * counts[c]).
-
-    Balanced counts give exactly uniform weights, and the total effective
-    mass is preserved: sum_c w[c] * counts[c] = N.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0:
-        raise InputError("counts must be non-empty")
-    if np.any(counts <= 0):
-        raise InputError("inverse-frequency weight undefined for zero-count classes")
-    n = int(counts.sum())
-    k = counts.size
-    return n / (k * counts.astype(np.float64))
-
-
-def direct_frequency_weights(counts: Sequence[int]) -> np.ndarray:
-    """w[c] = K * counts[c] / N, the elementwise reciprocal of the inverse scheme."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0:
-        raise InputError("counts must be non-empty")
-    n = int(counts.sum())
-    if n <= 0:
-        raise InputError("direct-frequency weights need a positive total count")
-    k = counts.size
-    return k * counts.astype(np.float64) / n
-
-
 def uniform_weights(num_classes: int) -> np.ndarray:
     if num_classes < 1:
         raise InputError("need at least one class")
@@ -54,13 +27,28 @@ def uniform_weights(num_classes: int) -> np.ndarray:
 
 
 def weights_for_scheme(scheme: str, counts: Sequence[int]) -> np.ndarray:
-    if scheme == "inverse_frequency":
-        return inverse_frequency_weights(counts)
-    if scheme == "direct_frequency":
-        return direct_frequency_weights(counts)
+    """Per-class weights under ``scheme``, aligned to ``counts``.
+
+    ``inverse_frequency``: w[c] = N / (K * counts[c]). Balanced counts give
+    exactly uniform weights, and the total effective mass is preserved:
+    sum_c w[c] * counts[c] = N. ``direct_frequency``: w[c] = K * counts[c] / N,
+    the elementwise reciprocal. ``uniform``: all ones.
+    """
+    if scheme not in WEIGHT_SCHEMES:
+        raise InputError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
     if scheme == "uniform":
         return uniform_weights(len(counts))
-    raise InputError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0:
+        raise InputError("counts must be non-empty")
+    n, k = int(counts.sum()), counts.size
+    if scheme == "inverse_frequency":
+        if np.any(counts <= 0):
+            raise InputError("inverse-frequency weight undefined for zero-count classes")
+        return n / (k * counts.astype(np.float64))
+    if n <= 0:
+        raise InputError("direct-frequency weights need a positive total count")
+    return k * counts.astype(np.float64) / n
 
 
 def _indices_by_label(dataset: Sequence[LabeledSentence]) -> dict[str, list[int]]:

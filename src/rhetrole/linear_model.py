@@ -322,8 +322,7 @@ def _validation_score(X_val, y_val, w_vec, params, num_labels, metric):
     Z = logits(params, X_val)
     if metric == "macro_f1":
         preds = np.argmax(Z, axis=1)
-        _, report = evaluate_predictions(y_val.tolist(), preds.tolist(), num_labels)
-        return report.macro_f1
+        return evaluate_predictions(y_val.tolist(), preds.tolist(), num_labels).macro_f1
     losses, _ = weighted_ce(Z, y_val, w_vec)
     return float(losses.sum()) / len(y_val)
 

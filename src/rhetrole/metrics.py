@@ -1,10 +1,11 @@
-"""Confusion-matrix construction and macro-averaged precision/recall/F1.
+"""Macro-averaged precision/recall/F1 from label index lists.
 
-Everything here is plain-Python integer counting and float arithmetic;
-inputs are label index lists. Division conventions: any 0/0 denominator
-yields 0.0, macro values are unweighted means over ALL classes (zero-support
-classes included), and macro F1 is the mean of per-class F1 scores, not the
-F1 of macro precision/recall.
+``evaluate_predictions`` counts the confusion matrix and derives every
+figure from it in one call; ``report_to_json`` writes the result. Everything
+here is plain-Python integer counting and float arithmetic. Division
+conventions: any 0/0 denominator yields 0.0, macro values are unweighted
+means over ALL classes (zero-support classes included), and macro F1 is the
+mean of per-class F1 scores, not the F1 of macro precision/recall.
 """
 
 from __future__ import annotations
@@ -16,41 +17,34 @@ from typing import Sequence
 from .errors import InputError
 
 
-def confusion_matrix(
-    gold: Sequence[int], pred: Sequence[int], num_labels: int
-) -> list[list[int]]:
-    """K x K count matrix; entry (i, j) = gold label i predicted as j."""
-    if len(gold) != len(pred):
-        raise InputError(f"gold has {len(gold)} labels but pred has {len(pred)}")
-    if len(gold) == 0:
-        raise InputError("cannot build a confusion matrix from empty label lists")
-    cm = [[0] * num_labels for _ in range(num_labels)]
-    for g, p in zip(gold, pred):
-        if not (0 <= g < num_labels and 0 <= p < num_labels):
-            raise InputError(f"label index ({g}, {p}) outside 0..{num_labels - 1}")
-        cm[g][p] += 1
-    return cm
-
-
 @dataclass
-class PerClassMetrics:
+class MetricsReport:
+    """``confusion[i][j]`` counts gold label i predicted as j; the per-class
+    lists are indexed by label."""
+
+    confusion: list[list[int]]
     precision: list[float]
     recall: list[float]
     f1: list[float]
     support: list[int]
-
-
-@dataclass
-class MetricsReport:
-    per_class: PerClassMetrics
     macro_precision: float
     macro_recall: float
     macro_f1: float
 
 
-def per_class_prf(cm: Sequence[Sequence[int]]) -> PerClassMetrics:
-    """Per-class precision, recall, F1, and support from a confusion matrix."""
-    k = len(cm)
+def evaluate_predictions(
+    gold: Sequence[int], pred: Sequence[int], num_labels: int
+) -> MetricsReport:
+    if len(gold) != len(pred):
+        raise InputError(f"gold has {len(gold)} labels but pred has {len(pred)}")
+    if len(gold) == 0:
+        raise InputError("cannot build a confusion matrix from empty label lists")
+    k = num_labels
+    cm = [[0] * k for _ in range(k)]
+    for g, p in zip(gold, pred):
+        if not (0 <= g < k and 0 <= p < k):
+            raise InputError(f"label index ({g}, {p}) outside 0..{k - 1}")
+        cm[g][p] += 1
     precision, recall, f1, support = [], [], [], []
     for c in range(k):
         tp = cm[c][c]
@@ -63,43 +57,23 @@ def per_class_prf(cm: Sequence[Sequence[int]]) -> PerClassMetrics:
         recall.append(r)
         f1.append(f)
         support.append(tp + fn)
-    return PerClassMetrics(precision, recall, f1, support)
-
-
-def macro_metrics(per_class: PerClassMetrics) -> MetricsReport:
-    """Unweighted means over all K classes, zero-support classes included."""
-    k = len(per_class.f1)
-    if k < 1:
-        raise InputError("need at least one class")
+    # A range-checked, non-empty gold list means k >= 1.
     return MetricsReport(
-        per_class=per_class,
-        macro_precision=sum(per_class.precision) / k,
-        macro_recall=sum(per_class.recall) / k,
-        macro_f1=sum(per_class.f1) / k,
+        cm, precision, recall, f1, support, sum(precision) / k, sum(recall) / k, sum(f1) / k
     )
 
 
-def evaluate_predictions(
-    gold: Sequence[int], pred: Sequence[int], num_labels: int
-) -> tuple[list[list[int]], MetricsReport]:
-    cm = confusion_matrix(gold, pred, num_labels)
-    return cm, macro_metrics(per_class_prf(cm))
-
-
-def report_to_json(
-    report: MetricsReport, cm: Sequence[Sequence[int]], labels: Sequence[str]
-) -> str:
+def report_to_json(report: MetricsReport, labels: Sequence[str]) -> str:
     """Metrics JSON document: per-class block keyed by label, macro block,
     and the confusion matrix as a row-major integer array-of-arrays."""
-    pc = report.per_class
     doc = {
         "labels": list(labels),
         "per_class": {
             label: {
-                "precision": pc.precision[i],
-                "recall": pc.recall[i],
-                "f1": pc.f1[i],
-                "support": pc.support[i],
+                "precision": report.precision[i],
+                "recall": report.recall[i],
+                "f1": report.f1[i],
+                "support": report.support[i],
             }
             for i, label in enumerate(labels)
         },
@@ -108,7 +82,7 @@ def report_to_json(
             "recall": report.macro_recall,
             "f1": report.macro_f1,
         },
-        "confusion_matrix": [list(row) for row in cm],
-        "total": sum(sum(row) for row in cm),
+        "confusion_matrix": [list(row) for row in report.confusion],
+        "total": sum(sum(row) for row in report.confusion),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -1,10 +1,11 @@
 """Deterministic linearly separable demonstration corpus.
 
-Each rhetorical role gets its own vocabulary, chosen so that every word
-occupies a distinct hashed-BOW bucket at the default dimension. Class
-supports are therefore disjoint in feature space and a linear head can
-reach perfect accuracy. Used by the test suite and handy for smoke-testing
-the CLI end to end.
+``toy_corpus()`` takes no arguments and always builds the same 700
+sentences. Each rhetorical role gets its own vocabulary, chosen so that
+every word occupies a distinct hashed-BOW bucket at the default dimension
+(``hashed:256``). Class supports are therefore disjoint in feature space and
+a linear head can reach perfect accuracy. Used by the test suite and handy
+for smoke-testing the CLI end to end.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import numpy as np
 from .corpus import LABELS, Corpus, LabeledSentence
 from .embedding import fnv1a_64
 
-TOY_DIM = 256
-
 _CLASS_STEMS = ("fact", "lower", "argue", "statute", "preced", "ratio", "present")
 _WORDS_PER_CLASS = 12
 
 
-def _collision_free_vocab(dim: int) -> dict[str, list[str]]:
-    """One vocabulary per label, every word in its own hash bucket.
+def _collision_free_vocab() -> dict[str, list[str]]:
+    """One vocabulary per label, every word in its own bucket at ``hashed:256``.
 
     FNV-1a propagates low-bit agreement, so fixed-prefix word families can
     collide wholesale at power-of-two dims; filtering candidates by bucket
@@ -35,7 +34,7 @@ def _collision_free_vocab(dim: int) -> dict[str, list[str]]:
         while len(words) < _WORDS_PER_CLASS:
             candidate = f"{stem}{k:02d}"
             k += 1
-            bucket = fnv1a_64(candidate) % dim
+            bucket = fnv1a_64(candidate) % 256
             if bucket in used:
                 continue
             used.add(bucket)
@@ -44,26 +43,21 @@ def _collision_free_vocab(dim: int) -> dict[str, list[str]]:
     return vocab
 
 
-def toy_corpus(
-    sentences_per_label: int = 100,
-    num_docs: int = 10,
-    seed: int = 7,
-    min_tokens: int = 3,
-    max_tokens: int = 8,
-    dim: int = TOY_DIM,
-) -> Corpus:
-    """Balanced corpus of nonsense legal-ish sentences, one vocab per label."""
-    vocab = _collision_free_vocab(dim)
-    rng = np.random.default_rng(seed)
-    documents = [f"toy{j:02d}" for j in range(num_docs)]
+def toy_corpus() -> Corpus:
+    """Balanced corpus of nonsense legal-ish sentences, one vocab per label:
+    100 sentences per label dealt round-robin into 10 documents, 3 to 8
+    words each, drawn with seed 7."""
+    vocab = _collision_free_vocab()
+    rng = np.random.default_rng(7)
+    documents = [f"toy{j:02d}" for j in range(10)]
     positions = dict.fromkeys(documents, 0)
     sentences: list[LabeledSentence] = []
-    for i in range(sentences_per_label * len(LABELS)):
+    for i in range(100 * len(LABELS)):
         label = LABELS[i % len(LABELS)]
         words = vocab[label]
-        k = int(rng.integers(min_tokens, max_tokens + 1))
+        k = int(rng.integers(3, 8 + 1))
         text = " ".join(words[w] for w in rng.integers(0, len(words), size=k))
-        doc_id = documents[i % num_docs]
+        doc_id = documents[i % len(documents)]
         sentences.append(
             LabeledSentence(text=text, label=label, doc_id=doc_id, position=positions[doc_id])
         )

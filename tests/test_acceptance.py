@@ -16,12 +16,7 @@ import pytest
 from rhetrole.cli import main
 from rhetrole.corpus import LABELS, Corpus, parse_corpus, serialize_corpus
 from rhetrole.embedding import load_precomputed, save_embeddings
-from rhetrole.imbalance import (
-    direct_frequency_weights,
-    inverse_frequency_weights,
-    oversample,
-    undersample,
-)
+from rhetrole.imbalance import oversample, undersample
 from rhetrole.linear_model import (
     loss_and_grads,
     parse_checkpoint,
@@ -32,7 +27,12 @@ from rhetrole.metrics import evaluate_predictions
 
 from .conftest import TASK_COUNTS, fused
 from .test_corpus import make_corpus
-from .test_imbalance import dataset_with_counts, label_counts
+from .test_imbalance import (
+    dataset_with_counts,
+    direct_frequency_weights,
+    inverse_frequency_weights,
+    label_counts,
+)
 from .test_metrics import brute_force_macro
 
 ONES7 = np.ones(7)
@@ -186,11 +186,11 @@ def test_criterion_5_metrics_oracle():
     for k, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
         for gold in itertools.product(range(k), repeat=n):
             for pred in itertools.product(range(k), repeat=n):
-                _, report = evaluate_predictions(list(gold), list(pred), k)
+                report = evaluate_predictions(list(gold), list(pred), k)
                 p, r, f, mp, mr, mf = brute_force_macro(gold, pred, k)
-                assert report.per_class.precision == p
-                assert report.per_class.recall == r
-                assert report.per_class.f1 == f
+                assert report.precision == p
+                assert report.recall == r
+                assert report.f1 == f
                 assert (report.macro_precision, report.macro_recall, report.macro_f1) == (
                     mp, mr, mf,
                 )
@@ -202,16 +202,16 @@ def test_criterion_5_metrics_oracle():
         n = int(rng.integers(1, 9))
         gold = rng.integers(0, k, size=n).tolist()
         pred = rng.integers(0, k, size=n).tolist()
-        _, report = evaluate_predictions(gold, pred, k)
+        report = evaluate_predictions(gold, pred, k)
         _, _, _, mp, mr, mf = brute_force_macro(gold, pred, k)
         assert (report.macro_precision, report.macro_recall, report.macro_f1) == (mp, mr, mf)
         checked += 1
 
     # absent class: label 2 never occurs in gold or pred -> 0/0 -> 0
-    _, report = evaluate_predictions([0, 1, 0], [0, 1, 1], 3)
-    assert report.per_class.precision[2] == 0.0
-    assert report.per_class.recall[2] == 0.0
-    assert report.per_class.f1[2] == 0.0
+    report = evaluate_predictions([0, 1, 0], [0, 1, 1], 3)
+    assert report.precision[2] == 0.0
+    assert report.recall[2] == 0.0
+    assert report.f1[2] == 0.0
     _report("5 (macro metrics vs brute force)", f"{checked} cases exact")
 
 

@@ -463,6 +463,23 @@ class TestEvaluate:
         assert rc == 2
         assert named in stderr
 
+    @pytest.mark.parametrize("provider_id", ["hashed:256", "magic", "hashed:256:cased:0"])
+    def test_bad_checkpoint_provider_id_names_the_checkpoint(
+        self, provider_id, toy_tsv, tmp_path, capsys
+    ):
+        ckpt_path = tmp_path / "ckpt.txt"
+        save_checkpoint(LinearCheckpoint(
+            params=fused(np.zeros((7, 256)), np.zeros(7)), labels=LABELS,
+            provider_id=provider_id,
+        ), ckpt_path)
+        rc, _, stderr = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt_path),
+                                "--corpus", str(toy_tsv))
+        assert rc == 2
+        assert stderr == (
+            f"error: checkpoint {ckpt_path}: provider id {provider_id!r} is neither "
+            "'hashed:<dim>:<casing>:<max_len>' nor 'precomputed:<path>'\n"
+        )
+
 
 class TestPredict:
     def zero_checkpoint(self, path, dim=8):
@@ -865,11 +882,11 @@ class TestConfigResolution:
 
     def test_loss_weighting_requires_non_uniform(self):
         with pytest.raises(ConfigError):
-            RunConfig(weight_scheme="uniform", balance="loss_weighting").validate()
+            RunConfig(weight_scheme="uniform", balance="loss_weighting")
         RunConfig(
             weight_scheme="uniform", balance="loss_weighting",
             weight_overrides={"Facts": 2.0},
-        ).validate()
+        )
 
     def test_provider_spec_parsing(self):
         assert parse_provider_spec("hashed:128") == ("hashed", 128, None, None)
@@ -880,7 +897,7 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             parse_provider_spec("magic:1")
         with pytest.raises(ConfigError):
-            RunConfig(provider="magic:1").validate()
+            RunConfig(provider="magic:1")
 
     @pytest.mark.parametrize(
         "override",

@@ -140,17 +140,17 @@ def test_serialize_parse_round_trip(corpus):
 class TestDistribution:
     def test_counts_sum_to_corpus_size(self):
         corpus = make_corpus(25)
-        counts = class_distribution(corpus)
+        counts = class_distribution(corpus.sentences)
         assert sum(counts.values()) == 25
         assert set(counts) == set(LABELS)
 
     def test_empty_corpus_all_zero(self):
-        counts = class_distribution(Corpus(sentences=[], documents=[]))
+        counts = class_distribution([])
         assert all(v == 0 for v in counts.values())
 
     def test_single_label(self):
         corpus = make_corpus(3, labels=["Statute"])
-        counts = class_distribution(corpus)
+        counts = class_distribution(corpus.sentences)
         assert counts["Statute"] == 3
         assert sum(counts.values()) == 3
 

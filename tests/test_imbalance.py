@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from rhetrole.corpus import LABELS, LabeledSentence
 from rhetrole.errors import InputError
-from rhetrole.imbalance import (
-    direct_frequency_weights,
-    inverse_frequency_weights,
-    oversample,
-    undersample,
-    uniform_weights,
-    weights_for_scheme,
-)
+from rhetrole.imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 
 from .conftest import TASK_COUNTS
+
+
+def inverse_frequency_weights(counts):
+    return weights_for_scheme("inverse_frequency", counts)
+
+
+def direct_frequency_weights(counts):
+    return weights_for_scheme("direct_frequency", counts)
 
 TASK_COUNT_VECTOR = [TASK_COUNTS[label] for label in LABELS]
 
