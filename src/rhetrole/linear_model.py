@@ -39,6 +39,7 @@ byte-identically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,6 +159,14 @@ def _log_sum_exp(z: np.ndarray) -> np.ndarray:
     return s
 
 
+@functools.cache
+def _identity(k: int) -> np.ndarray:
+    """The read-only (k, k) float64 identity matrix."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
 def weighted_ce(
     Z: np.ndarray, y: np.ndarray, weights: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +185,10 @@ def weighted_ce(
     losses *= sample_w
     G = Z - lse
     np.exp(G, out=G)
-    G[rows, y] -= 1.0
+    # Subtracting one identity row per sample is the one-hot subtraction;
+    # every other entry becomes G - 0.0, which is G. take raises IndexError
+    # for y >= k and wraps -k <= y < 0, as G[rows, y] would.
+    np.subtract(G, _identity(Z.shape[1]).take(y, axis=0), out=G)
     G *= sample_w[:, None]
     return losses, G
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import re
 import sys
 import threading
@@ -177,8 +178,31 @@ class TestFnv1a:
     @example("caf\u00e9")
     @example("\U0001F600")
     def test_non_ascii_memoised_result_matches_uncached(self, token):
-        first = fnv1a_64(token)
-        assert fnv1a_64(token) == first == reference_fnv1a_64(token)
+        # Alone the token is hashed by the scalar tail; a vocabulary of
+        # copies of it takes the vectorised path.
+        expected = reference_fnv1a_64(token)
+        assert fnv1a_64(token) == expected
+        assert embedding._fnv1a_64_many([token]).tolist() == [expected]
+        copies = [token] * embedding._FNV_VECTOR_MIN_TOKENS
+        assert embedding._fnv1a_64_many(copies).tolist() == [expected] * len(copies)
+
+    @given(
+        st.lists(st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=40),
+                 max_size=30),
+        st.lists(st.text(alphabet="abz\u00e9", min_size=5, max_size=5), max_size=60),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150)
+    @example([], [], random.Random(0))
+    @example(["", "a", ""], [], random.Random(0))
+    # Enough equal-length tokens for the vectorised path, then a scalar tail.
+    @example(["\U0001F600" * 30, "s.302" * 20, ""], ["abcde"] * 40, random.Random(1))
+    def test_vectorised_hash_equals_scalar(self, mixed, equal, rnd):
+        tokens = mixed + equal
+        rnd.shuffle(tokens)
+        hashes = embedding._fnv1a_64_many(tokens)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [fnv1a_64(tok) for tok in tokens]
 
 
 class TestHashedBow:
@@ -228,6 +252,31 @@ class TestHashedBow:
         ref = reference_hashed_bow(tokens, dim)
         assert vec.dtype == ref.dtype == np.float64
         assert vec.tobytes() == ref.tobytes()
+
+    @given(st.lists(st.text(max_size=8), max_size=20), st.integers(1, 64))
+    @settings(max_examples=100)
+    def test_shared_vocabulary_gives_the_same_bytes(self, tokens, dim):
+        vocabulary = list(dict.fromkeys(tokens + ["extra", "\u00e9t\u00e9"]))
+        shared = encode_hashed_bow(tokens, dim, embedding.hash_vocabulary(vocabulary, dim))
+        assert shared.tobytes() == encode_hashed_bow(tokens, dim).tobytes()
+
+    @pytest.mark.parametrize("casing", CASINGS)
+    @pytest.mark.parametrize("n", [0, 1, embedding._EMBED_CHUNK_ROWS + 1])
+    def test_embed_equals_encoding_each_row(self, n, casing):
+        rng = np.random.default_rng(n)
+        words = ["The", "court", "s.302", "\u00e9t\u00e9,", "IPC.", "\u201cheld\u201d", "..."]
+        texts = [" ".join(rng.choice(words, size=rng.integers(0, 12))) for _ in range(n)]
+        if texts:
+            texts[-1] = "... -- ,"  # no tokens
+        provider = HashedBowProvider(32, casing, 6)
+        expected = np.zeros((n, 32))
+        for i, text in enumerate(texts):
+            expected[i] = encode_hashed_bow(tokenize(text, casing)[:6], 32)
+        got = provider.embed(texts)
+        assert got.shape == (n, 32)
+        assert got.tobytes() == expected.tobytes()
+        if texts:
+            assert not got[-1].any()
 
     def test_provider_is_deterministic(self):
         provider = HashedBowProvider(64, "uncased", 10)

@@ -130,6 +130,21 @@ class TestWeightedCeLoss:
             w = rng.uniform(0.1, 5.0, size=7)
             assert np.all(row_losses(Z, rng.integers(0, 7, size=5), w) >= 0.0)
 
+    def test_label_bounds_match_fancy_indexing(self):
+        # A label index past the last class raises; one in -k..-1 counts
+        # from the end, as it does in the fancy-indexed reference.
+        Z = np.random.default_rng(3).normal(size=(3, 7))
+        weights = np.arange(1.0, 8.0)
+        for y in ([0, 7, 1], [0, 1, 8]):
+            with pytest.raises(IndexError):
+                weighted_ce(Z, np.array(y), weights)
+        negative = np.array([-1, -7, 2])
+        losses, G = weighted_ce(Z, negative, weights)
+        ref_losses, ref_G = reference_weighted_ce(Z, negative, weights)
+        wrapped_losses, wrapped_G = weighted_ce(Z, negative % 7, weights)
+        assert losses.tobytes() == ref_losses.tobytes() == wrapped_losses.tobytes()
+        assert G.tobytes() == ref_G.tobytes() == wrapped_G.tobytes()
+
 
 class TestLossGradient:
     def test_uniform_case(self):
