@@ -117,6 +117,12 @@ def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int 
         max_len = length_percentile(
             corpus, lambda text: tokenize(text, cfg.casing), cfg.length_percentile_q
         )
+        if max_len == 0:
+            raise InputError(
+                f"corpus {cfg.corpus}: its sentence length at length_percentile_q "
+                f"{cfg.length_percentile_q} is 0 tokens, so every row would be empty; "
+                "give the length with --max-len N (N >= 1)"
+            )
     return HashedBowProvider(arg, cfg.casing, max_len), max_len
 
 

@@ -19,6 +19,13 @@ matrix plus one line. A file that parser does not take whole is read again
 from its start, record by record, only to name its first error. Saving
 holds one line and replaces the file atomically.
 
+``table_rows(sentences, provider)`` gives a ``(table, rows)`` pair: the
+vector of ``sentences[i]`` is ``table[rows[i]]``, and ``rows`` holds
+``np.intp`` row ids. A precomputed provider lends its own matrix through a
+read-only view, so a reader holds no copy of the vectors and cannot write
+into the provider; a repeated sentence repeats its row id. Any other
+provider embeds the sentences, and ``rows`` is ``0 .. n-1``.
+
 The hashed provider embeds its texts in chunks of ``_EMBED_CHUNK_ROWS``.
 Each chunk's texts are tokenised once, and its distinct tokens are hashed
 together by a vectorised FNV-1a (``hash_vocabulary``), so no memo is kept
@@ -255,17 +262,25 @@ class PrecomputedProvider:
     def __init__(self, matrix: np.ndarray, rows: dict[str, int], provider_id: str):
         self.dimension = matrix.shape[1]
         self.provider_id = provider_id
-        self._matrix = matrix
+        # A read-only view: the matrix is lent out by table_rows, and the
+        # caller's own array stays writeable.
+        self._matrix = matrix.view()
+        self._matrix.flags.writeable = False
         self._rows = rows
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """A copy of the rows of ``texts``; MissingEmbeddingError names the first absent one."""
+    def _row_ids(self, texts: Sequence[str]) -> np.ndarray:
+        """The matrix row of each text, as ``np.intp``; MissingEmbeddingError
+        names the first absent one."""
         try:
-            return self._matrix[[self._rows[text] for text in texts]]
+            return np.fromiter(map(self._rows.__getitem__, texts), dtype=np.intp, count=len(texts))
         except KeyError as exc:
             raise MissingEmbeddingError(
                 f"no precomputed embedding for sentence {exc.args[0]!r}"
             ) from None
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """A copy of the rows of ``texts``; MissingEmbeddingError names the first absent one."""
+        return self._matrix.take(self._row_ids(texts), axis=0)
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
@@ -404,3 +419,14 @@ def embed_batch(sentences: Sequence, provider) -> np.ndarray:
     """The provider's (n, dim) float64 embeddings of LabeledSentence objects
     or raw strings, in input order. Missing-embedding errors propagate."""
     return provider.embed([getattr(s, "text", s) for s in sentences])
+
+
+def table_rows(sentences: Sequence, provider) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, rows)`` with ``table[rows[i]]`` the vector of ``sentences[i]``.
+
+    A precomputed provider lends its read-only matrix and gives each
+    sentence's row id; any other provider gives ``embed_batch``'s rows and
+    ``0 .. n-1``. Missing-embedding errors propagate."""
+    if isinstance(provider, PrecomputedProvider):
+        return provider._matrix, provider._row_ids([getattr(s, "text", s) for s in sentences])
+    return embed_batch(sentences, provider), np.arange(len(sentences), dtype=np.intp)

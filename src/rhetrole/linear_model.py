@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import LABELS, LabeledSentence
-from .embedding import embed_batch
+from .embedding import embed_batch, table_rows
 from .errors import (
     CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError, check_field_types
 )
@@ -267,7 +267,9 @@ def train(
     """Mini-batch training with best-on-validation epoch selection.
 
     Each epoch shuffles train indices with a generator seeded by
-    (cfg.seed, epoch); the last batch may be smaller. After every epoch the
+    (cfg.seed, epoch); the last batch may be smaller. The training vectors
+    are not copied: ``table_rows`` lends the provider's table, and each batch
+    is gathered from it by row id. After every epoch the
     selection metric is evaluated on the validation set and the best epoch's
     parameters win (ties keep the earlier epoch). A non-finite batch loss
     stops training with a RhetroleError naming the epoch and the batch.
@@ -287,7 +289,7 @@ def train(
         if s.label not in label_to_idx:
             raise InputError(f"sentence label {s.label!r} not in training label set")
 
-    X_train = embed_batch(train_set, provider)
+    table, rows = table_rows(train_set, provider)
     y_train = np.array([label_to_idx[s.label] for s in train_set], dtype=np.int64)
     X_val = embed_batch(val_set, provider)
     y_val = np.array([label_to_idx[s.label] for s in val_set], dtype=np.int64)
@@ -301,10 +303,11 @@ def train(
 
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        rows_epoch, y_epoch = rows.take(order), y_train.take(order)
         loss_total = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            X_batch, y_batch = X_train.take(idx, axis=0), y_train.take(idx)
+            stop = start + cfg.batch_size
+            X_batch, y_batch = table.take(rows_epoch[start:stop], axis=0), y_epoch[start:stop]
             batch_sum, grads = loss_and_grads(params, X_batch, y_batch, w_vec)
             if not math.isfinite(batch_sum):
                 raise RhetroleError(

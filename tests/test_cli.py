@@ -228,6 +228,22 @@ class TestTrain:
         assert "epoch 1, batch 2" in stderr
         assert not (out / "checkpoint.txt").exists()
 
+    def test_zero_length_percentile_names_the_corpus_exit_2(self, tmp_path, capsys):
+        # Every sentence is punctuation only, so each has 0 tokens.
+        tsv = tmp_path / "punct.tsv"
+        tsv.write_text(
+            "#doc\tD\n—\tFacts\n…\tArgument\n§\tStatute\n(…)\tPrecedent\n",
+            encoding="utf-8",
+        )
+        rc, _, stderr = run_cli(
+            capsys, "train", "--corpus", str(tsv), "--out", str(tmp_path / "o"), "--epochs", "1"
+        )
+        assert rc == 2
+        assert f"corpus {tsv}" in stderr
+        assert "length_percentile_q 0.98 is 0 tokens" in stderr
+        assert "--max-len" in stderr
+        assert "max_len must be" not in stderr
+
     def test_malformed_config_values_exit_2(self, toy_tsv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhetrole.embedding import PrecomputedProvider, embed_batch
-from rhetrole.errors import CheckpointFormatError, ConfigError, DimensionMismatchError, InputError
+from rhetrole.embedding import (
+    HashedBowProvider,
+    PrecomputedProvider,
+    embed_batch,
+    load_precomputed,
+    save_embeddings,
+    table_rows,
+)
+from rhetrole.errors import (
+    CheckpointFormatError,
+    ConfigError,
+    DimensionMismatchError,
+    InputError,
+    MissingEmbeddingError,
+)
 from rhetrole.corpus import LabeledSentence
 from rhetrole.linear_model import (
     LinearCheckpoint,
@@ -461,6 +474,39 @@ class TestTrain:
             train([], sentences, provider, np.ones(2), cfg, labels=self.LABELS2)
         with pytest.raises(InputError):
             train(sentences, [], provider, np.ones(2), cfg, labels=self.LABELS2)
+
+    def test_shuffled_emb_trains_as_its_source_provider(self, toy, tmp_path):
+        """Batches are gathered by row id, so an EMB whose records are in
+        another order than the corpus trains to the same bytes."""
+        hashed = HashedBowProvider(32, "cased", 50)
+        texts = list(dict.fromkeys(s.text for s in toy.sentences))
+        shuffled = [texts[i] for i in np.random.default_rng(5).permutation(len(texts))]
+        assert shuffled != texts
+        path = tmp_path / "shuffled.emb"
+        save_embeddings(zip(shuffled, hashed.embed(shuffled)), 32, path)
+        cfg = TrainConfig(batch_size=8, epochs=2, learning_rate=1e-2, seed=3)
+        train_set, val_set = toy.sentences[:560], toy.sentences[560:]
+        from_emb = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
+        from_hashed = train(train_set, val_set, hashed, np.ones(7), cfg)
+        assert from_emb.params.tobytes() == from_hashed.params.tobytes()
+
+    def test_lent_table_is_the_providers_read_only_matrix(self):
+        sentences, provider, X, _ = two_class_toy(n=20)
+        table, rows = table_rows(sentences[::-1] + sentences[:2], provider)
+        assert np.shares_memory(table, X)
+        assert not table.flags.writeable
+        assert X.flags.writeable  # the caller's array is left as it was
+        assert rows.dtype == np.intp
+        assert rows.tolist() == list(range(19, -1, -1)) + [0, 1]
+        assert table_rows([], provider)[1].shape == (0,)
+
+    def test_training_sentence_absent_from_emb_raises(self):
+        sentences, provider, _, _ = two_class_toy(n=20)
+        absent = LabeledSentence(text="not in the table", label="Facts", doc_id="t", position=20)
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(MissingEmbeddingError, match="sentence 'not in the table'$"):
+            train(sentences[:10] + [absent], sentences[10:], provider, np.ones(2), cfg,
+                  labels=self.LABELS2)
 
     @pytest.mark.parametrize(
         "name,value",
