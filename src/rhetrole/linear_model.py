@@ -8,12 +8,14 @@ The classifier's parameters are one float64 array of shape
 column ``[:, -1]`` the bias b. Only this module knows that layout.
 
 One batched core serves training, validation, evaluation and prediction:
-``logits`` maps an (n, dim) embedding matrix to (n, num_labels) logits,
+``logits`` maps an (n, dim) embedding matrix to (n, num_labels) logits, and
 ``weighted_ce`` gives per-row weighted cross-entropy and its gradient with
-respect to the logits, and ``loss_and_grads`` chains both through the linear
-layer for one mini-batch, returning one gradient array laid out like the
-parameters. ``optimizer_step`` updates the parameters and both moment arrays
-in place with one element-wise update over the whole array.
+respect to the logits (validation by loss computes only the losses).
+``loss_and_grads`` is the per-batch core that ``train`` runs: it chains the
+same arithmetic through the linear layer and writes the gradient into one
+array laid out like the parameters. ``optimizer_step`` updates the
+parameters and both moment arrays in place with one element-wise update
+over the whole array.
 
 A training step is a few dozen numpy calls on small arrays, so call overhead
 dominates it. The core therefore calls ufuncs and their ``reduce`` directly
@@ -21,6 +23,10 @@ and writes each intermediate in place, into a fresh temporary or an ``out=``
 buffer, but still makes each IEEE operation of the plain expressions, in
 their order; only the operands of ``+`` and ``*`` are swapped, which rounds
 the same. The tests keep those expressions as a reference and compare bytes.
+``train`` builds what a step does not change once: per call the views of
+W^T and b and of one gradient array (params only ever change in place); per
+epoch each row's sample weight, one-hot row and flat label-logit index, in
+shuffled order. Each step slices them.
 
 All math runs in float64. Training is deterministic given (data, config,
 seed): parameter init draws from the config seed, each epoch's shuffle from
@@ -148,23 +154,39 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _log_sum_exp(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of an (n, k) matrix, shaped (n, 1)."""
-    m = np.maximum.reduce(z, axis=-1, keepdims=True)
-    e = z - m
-    np.exp(e, out=e)
-    s = np.add.reduce(e, axis=-1, keepdims=True)
-    np.log(s, out=s)
-    s += m
-    return s
-
-
 @functools.cache
 def _identity(k: int) -> np.ndarray:
     """The read-only (k, k) float64 identity matrix."""
     eye = np.eye(k)
     eye.flags.writeable = False
     return eye
+
+
+def _row_labels(y: np.ndarray, weights: np.ndarray, k: int, batch_size: int):
+    """Each row's sample weight, and its label's index in its batch's flat logits."""
+    return weights.take(y), np.arange(len(y)) % batch_size * k + y
+
+
+def _row_losses(Z, sample_w, label_idx):
+    """Per-row weighted CE of (n, k) logits, and their (n, 1) log-sum-exp."""
+    m = np.maximum.reduce(Z, axis=-1, keepdims=True)
+    e = Z - m
+    np.exp(e, out=e)
+    lse = np.add.reduce(e, axis=-1, keepdims=True)
+    np.log(lse, out=lse)
+    lse += m
+    losses = lse[:, 0] - Z.ravel().take(label_idx)
+    losses *= sample_w
+    return losses, lse
+
+
+def _logit_grads(Z, lse, sample_w, onehot):
+    # Subtracting identity rows is the one-hot subtraction: G - 0.0 is G.
+    G = Z - lse
+    np.exp(G, out=G)
+    np.subtract(G, onehot, out=G)
+    G *= sample_w[:, None]
+    return G
 
 
 def weighted_ce(
@@ -177,34 +199,27 @@ def weighted_ce(
     weights[y_i] * (softmax(z_i) - onehot(y_i)). A zero weight gives an exact
     zero loss and gradient.
     """
-    y = np.asarray(y)
-    rows = np.arange(Z.shape[0])
-    lse = _log_sum_exp(Z)
-    sample_w = np.asarray(weights, dtype=np.float64).take(y)
-    losses = lse[:, 0] - Z[rows, y]
-    losses *= sample_w
-    G = Z - lse
-    np.exp(G, out=G)
-    # Subtracting one identity row per sample is the one-hot subtraction;
-    # every other entry becomes G - 0.0, which is G. take raises IndexError
-    # for y >= k and wraps -k <= y < 0, as G[rows, y] would.
-    np.subtract(G, _identity(Z.shape[1]).take(y, axis=0), out=G)
-    G *= sample_w[:, None]
-    return losses, G
+    k = Z.shape[1]
+    # take raises IndexError for y >= k and wraps -k <= y < 0, as Z[rows, y] would.
+    y = np.arange(k).take(y)
+    sample_w, label_idx = _row_labels(y, np.asarray(weights, dtype=np.float64), k, len(y))
+    losses, lse = _row_losses(Z, sample_w, label_idx)
+    return losses, _logit_grads(Z, lse, sample_w, _identity(k).take(y, axis=0))
 
 
-def loss_and_grads(
-    params: np.ndarray, X: np.ndarray, y: np.ndarray, weights: Sequence[float]
-) -> tuple[float, np.ndarray]:
-    """Summed weighted CE over one batch, plus the exact gradient of the
-    batch-mean loss (the sum divided by the batch size), laid out like
-    ``params``: dW in columns ``[:, :-1]``, db in column ``[:, -1]``."""
-    losses, G = weighted_ce(logits(params, X), y, weights)
+def loss_and_grads(X, sample_w, label_idx, onehot, views) -> float:
+    """Summed weighted CE over one batch X, given its rows' ``_row_labels``
+    and one-hot rows. ``views`` is ``(W^T, b, dW, db)``, of the parameters and
+    of a gradient array, into which the batch-mean loss's gradient is written."""
+    W_T, b, dW, db = views
+    Z = X @ W_T
+    Z += b
+    losses, lse = _row_losses(Z, sample_w, label_idx)
+    G = _logit_grads(Z, lse, sample_w, onehot)
     G /= X.shape[0]
-    grads = np.empty_like(params)
-    np.matmul(G.T, X, out=grads[:, :-1])
-    np.add.reduce(G, axis=0, out=grads[:, -1])
-    return float(np.add.reduce(losses)), grads
+    np.matmul(G.T, X, out=dW)
+    np.add.reduce(G, axis=0, out=db)
+    return float(np.add.reduce(losses))
 
 
 def optimizer_step(
@@ -291,12 +306,14 @@ def train(
 
     table, rows = table_rows(train_set, provider)
     y_train = np.array([label_to_idx[s.label] for s in train_set], dtype=np.int64)
-    X_val = embed_batch(val_set, provider)
-    y_val = np.array([label_to_idx[s.label] for s in val_set], dtype=np.int64)
+    X_val, y_val = embed_batch(val_set, provider), [label_to_idx[s.label] for s in val_set]
+    n, k, batch_size = len(train_set), len(labels), cfg.batch_size
+    val_w, val_idx = _row_labels(y_val, w_vec, k, len(y_val))
 
-    n = len(train_set)
-    params = initial_params(provider.dimension, len(labels), cfg.seed)
+    params = initial_params(provider.dimension, k, cfg.seed)
     state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
+    grads = np.empty_like(params)
+    views = (params[:, :-1].T, params[:, -1], grads[:, :-1], grads[:, -1])
     higher_is_better = cfg.selection_metric == "macro_f1"
     best_score = -math.inf if higher_is_better else math.inf
     best_params = params.copy()
@@ -304,20 +321,27 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         rows_epoch, y_epoch = rows.take(order), y_train.take(order)
+        sample_w, label_idx = _row_labels(y_epoch, w_vec, k, batch_size)
+        onehot = _identity(k).take(y_epoch, axis=0)
         loss_total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            X_batch, y_batch = table.take(rows_epoch[start:stop], axis=0), y_epoch[start:stop]
-            batch_sum, grads = loss_and_grads(params, X_batch, y_batch, w_vec)
+        for start in range(0, n, batch_size):
+            stop = start + batch_size
+            batch_sum = loss_and_grads(
+                table.take(rows_epoch[start:stop], axis=0), sample_w[start:stop],
+                label_idx[start:stop], onehot[start:stop], views)
             if not math.isfinite(batch_sum):
                 raise RhetroleError(
                     f"training diverged: non-finite loss in epoch {epoch}, "
-                    f"batch {start // cfg.batch_size + 1}"
+                    f"batch {start // batch_size + 1}"
                 )
             loss_total += batch_sum
             optimizer_step(params, grads, state, cfg)
 
-        score = _validation_score(X_val, y_val, w_vec, params, len(labels), cfg.selection_metric)
+        Z_val = logits(params, X_val)
+        if higher_is_better:
+            score = evaluate_predictions(y_val, Z_val.argmax(1).tolist(), k).macro_f1
+        else:  # only the per-row losses, not their gradient
+            score = float(_row_losses(Z_val, val_w, val_idx)[0].sum()) / len(y_val)
         improved = score > best_score if higher_is_better else score < best_score
         if improved:
             best_score = score
@@ -331,15 +355,6 @@ def train(
         provider_id=provider.provider_id,
         selection_score=best_score,
     )
-
-
-def _validation_score(X_val, y_val, w_vec, params, num_labels, metric):
-    Z = logits(params, X_val)
-    if metric == "macro_f1":
-        preds = np.argmax(Z, axis=1)
-        return evaluate_predictions(y_val.tolist(), preds.tolist(), num_labels).macro_f1
-    losses, _ = weighted_ce(Z, y_val, w_vec)
-    return float(losses.sum()) / len(y_val)
 
 
 def _check_labels(labels: Sequence[str], k: int) -> None:

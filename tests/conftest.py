@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rhetrole.corpus import save_corpus
+from rhetrole.linear_model import loss_and_grads
 from rhetrole.toydata import toy_corpus
 
 TWO_DOC_TSV = (
@@ -80,3 +81,15 @@ def multiclass_perceptron_separates(X: np.ndarray, y: np.ndarray, max_passes: in
 def fused(W, b):
     """The classifier's one parameter array: W's columns, then b."""
     return np.column_stack([W, b])
+
+
+def batch_loss_and_grads(params, X, y, weights):
+    """``loss_and_grads`` on one batch, with its arguments built from plain
+    expressions: the summed loss and a fresh gradient array laid out like
+    ``params``."""
+    y, k = np.asarray(y), len(params)
+    grads = np.empty_like(params)
+    views = (params[:, :-1].T, params[:, -1], grads[:, :-1], grads[:, -1])
+    sample_w = np.asarray(weights, dtype=np.float64)[y]
+    total = loss_and_grads(X, sample_w, np.arange(len(y)) * k + y, np.eye(k)[y], views)
+    return total, grads

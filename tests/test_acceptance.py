@@ -18,14 +18,13 @@ from rhetrole.corpus import LABELS, Corpus, parse_corpus, serialize_corpus
 from rhetrole.embedding import load_precomputed, save_embeddings
 from rhetrole.imbalance import oversample, undersample
 from rhetrole.linear_model import (
-    loss_and_grads,
     parse_checkpoint,
     serialize_checkpoint,
     weighted_ce,
 )
 from rhetrole.metrics import evaluate_predictions
 
-from .conftest import TASK_COUNTS, fused
+from .conftest import TASK_COUNTS, batch_loss_and_grads, fused
 from .test_corpus import make_corpus
 from .test_imbalance import (
     dataset_with_counts,
@@ -107,9 +106,9 @@ def test_criterion_2_gradient_suite():
         b = rng.normal(size=7)
 
         def mean_loss(Wm, bm):
-            return loss_and_grads(fused(Wm, bm), X, y, w)[0] / nb
+            return batch_loss_and_grads(fused(Wm, bm), X, y, w)[0] / nb
 
-        _, g = loss_and_grads(fused(W, b), X, y, w)
+        _, g = batch_loss_and_grads(fused(W, b), X, y, w)
         dW, db = g[:, :-1], g[:, -1]
         num_dW = np.zeros_like(W)
         for i in range(7):

@@ -22,15 +22,15 @@ from rhetrole.errors import (
     InputError,
     MissingEmbeddingError,
 )
-from rhetrole.corpus import LabeledSentence
+from rhetrole.corpus import LABELS, LabeledSentence
 from rhetrole.linear_model import (
+    SELECTION_METRICS,
     LinearCheckpoint,
     OptimizerState,
     TrainConfig,
     initial_params,
     load_checkpoint,
     logits,
-    loss_and_grads,
     optimizer_step,
     parse_checkpoint,
     save_checkpoint,
@@ -39,8 +39,11 @@ from rhetrole.linear_model import (
     train,
     weighted_ce,
 )
+from rhetrole.metrics import evaluate_predictions
 
-from .conftest import FINITE_DOUBLES, fused, multiclass_perceptron_separates
+from .conftest import (
+    FINITE_DOUBLES, batch_loss_and_grads, fused, multiclass_perceptron_separates
+)
 
 ONES7 = np.ones(7)
 
@@ -211,7 +214,7 @@ class TestLossGradient:
 class TestBackward:
     def test_zero_gradient(self):
         params = fused(np.ones((7, 4)), np.ones(7))
-        total, g = loss_and_grads(params, np.ones((3, 4)), [0, 1, 2], np.zeros(7))
+        total, g = batch_loss_and_grads(params, np.ones((3, 4)), [0, 1, 2], np.zeros(7))
         assert total == 0.0
         assert g.shape == params.shape and not g.any()
 
@@ -219,13 +222,13 @@ class TestBackward:
         params = fused(np.zeros((7, 4)), np.zeros(7))
         x = np.zeros((1, 4))
         x[0, 2] = 1.0
-        total, g = loss_and_grads(params, x, [1], ONES7)
+        total, g = batch_loss_and_grads(params, x, [1], ONES7)
         dW, db = g[:, :-1], g[:, -1]
         assert np.count_nonzero(dW[:, [0, 1, 3]]) == 0
         assert np.array_equal(dW[:, 2], db)
         # The gradients are of the batch mean: repeating the batch leaves
         # them unchanged and doubles the summed loss.
-        total2, g2 = loss_and_grads(params, np.vstack([x, x]), [1, 1], ONES7)
+        total2, g2 = batch_loss_and_grads(params, np.vstack([x, x]), [1, 1], ONES7)
         assert total2 == 2 * total
         assert np.array_equal(g2, g)
 
@@ -243,9 +246,9 @@ class TestBackward:
             w_cls[2] = 0.0
 
             def loss_at(Wm, bm):
-                return loss_and_grads(fused(Wm, bm), X, y, w_cls)[0] / nb
+                return batch_loss_and_grads(fused(Wm, bm), X, y, w_cls)[0] / nb
 
-            _, g = loss_and_grads(fused(W, b), X, y, w_cls)
+            _, g = batch_loss_and_grads(fused(W, b), X, y, w_cls)
             dW, db = g[:, :-1], g[:, -1]
             for i in range(3):
                 for j in range(5):
@@ -388,7 +391,7 @@ class TestCoreMatchesReferenceBits:
             y = rng.integers(0, 7, size=batch)
             y[0] = 2  # a class whose weight is zero in one case
             assert logits(params, X).tobytes() == reference_logits(params, X).tobytes()
-            loss, grads = loss_and_grads(params, X, y, weights)
+            loss, grads = batch_loss_and_grads(params, X, y, weights)
             ref_loss, ref_grads = reference_loss_and_grads(ref_params, X, y, weights)
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
             assert grads.tobytes() == ref_grads.tobytes()
@@ -398,6 +401,64 @@ class TestCoreMatchesReferenceBits:
             assert state.m.tobytes() == ref_state.m.tobytes()
             assert state.v.tobytes() == ref_state.v.tobytes()
         assert state.t == ref_state.t == 50
+
+
+def reference_train(train_set, val_set, provider, weights, cfg, labels=LABELS):
+    """train's loop written from the reference expressions: the same initial
+    parameters and (seed, epoch) shuffle, batches of ``embed_batch`` rows,
+    and the best validation epoch kept, ties going to the earlier one.
+    Returns the selected epoch's (score, params)."""
+    index = {label: i for i, label in enumerate(labels)}
+    X, X_val = embed_batch(train_set, provider), embed_batch(val_set, provider)
+    y = np.array([index[s.label] for s in train_set])
+    y_val = np.array([index[s.label] for s in val_set])
+    params = initial_params(provider.dimension, len(labels), cfg.seed)
+    state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
+    best = None
+    for epoch in range(1, cfg.epochs + 1):
+        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _, grads = reference_loss_and_grads(params, X[batch], y[batch], weights)
+            reference_optimizer_step(params, grads, state, cfg)
+        Z = reference_logits(params, X_val)
+        if cfg.selection_metric == "macro_f1":
+            preds = Z.argmax(axis=1).tolist()
+            score = evaluate_predictions(y_val.tolist(), preds, len(labels)).macro_f1
+            better = best is None or score > best[0]
+        else:
+            score = float(reference_weighted_ce(Z, y_val, weights)[0].sum()) / len(y_val)
+            better = best is None or score < best[0]
+        if better:
+            best = (score, params.copy())
+    return best
+
+
+class TestTrainIsTheReferenceLoop:
+    """The checkpoint train selects has the bytes of the reference loop's, so
+    the step the CLI runs is the step TestCoreMatchesReferenceBits checks."""
+
+    @pytest.mark.parametrize("table", ["hashed", "lent"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("metric", SELECTION_METRICS)
+    def test_selected_checkpoint_bytes(self, toy, tmp_path, table, weight_decay, metric):
+        provider = HashedBowProvider(32, "cased", 50)
+        if table == "lent":
+            # Records in reverse order, so the lent table's row ids are not 0 .. n-1.
+            texts = list(dict.fromkeys(s.text for s in toy.sentences))[::-1]
+            save_embeddings(zip(texts, provider.embed(texts)), 32, tmp_path / "toy.emb")
+            provider = load_precomputed(tmp_path / "toy.emb")
+        # 203 training rows: batches of 8 and a short last batch of 3.
+        train_set, val_set = toy.sentences[:203], toy.sentences[600:]
+        weights = np.array([2.0, 0.5, 0.0, 1.0, 3.0, 1.0, 0.25])
+        cfg = TrainConfig(batch_size=8, epochs=6, learning_rate=1e-2, seed=7,
+                          weight_decay=weight_decay, selection_metric=metric)
+        epochs = []
+        ckpt = train(train_set, val_set, provider, weights, cfg, on_epoch=epochs.append)
+        ref_score, ref_params = reference_train(train_set, val_set, provider, weights, cfg)
+        assert ckpt.params.tobytes() == ref_params.tobytes()
+        assert ckpt.selection_score == ref_score
+        assert len({e.val_score for e in epochs}) > 1  # the selection had a choice
 
 
 def two_class_toy(n=200, d=8, seed=123):
