@@ -19,6 +19,12 @@ matrix plus one line. A file that parser does not take whole is read again
 from its start, record by record, only to name its first error. Saving
 holds one line and replaces the file atomically.
 
+Each parse of a regular EMB file also writes a binary cache of its result
+beside it, and a later load of the same bytes reads that cache instead of
+the text; ``_embcache`` holds its format and trust rules. The cache is
+keyed on a digest of the raw lines taken as the parse reads them, so it
+never stands for bytes other than those that were parsed.
+
 ``table_rows(sentences, provider)`` gives a ``(table, rows)`` pair: the
 vector of ``sentences[i]`` is ``table[rows[i]]``, and ``rows`` holds
 ``np.intp`` row ids. A precomputed provider lends its own matrix through a
@@ -37,6 +43,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import unicodedata
 from itertools import chain, islice
 from pathlib import Path
@@ -284,20 +292,50 @@ class PrecomputedProvider:
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
-    """Read an EMB v1 file one record at a time."""
+    """Read an EMB v1 file, or the cache beside it that holds the file's
+    digest; a parse of a regular file rewrites its cache."""
     path = Path(path)
     with open(path, "rb") as f:
-        return _read_emb(f, path)
+        # A pipe cannot be read twice, and the cache's trust rules need POSIX
+        # file owners and O_NOFOLLOW: without them the text is parsed.
+        if os.name != "posix" or not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            return _read_emb(f, path)
+        # Imported here, so a command that loads no EMB file never compiles it.
+        from . import _embcache
+
+        digest = _embcache.new_digest()
+        if digest is None:
+            return _read_emb(f, path)
+        real = Path(os.path.realpath(path))
+        cache = real.with_name(f".{real.name}.cache")
+        cached = _embcache.read(cache, f, digest.copy())
+        if cached is not None:
+            return PrecomputedProvider(*cached, f"precomputed:{path}")
+        f.seek(0)
+        if not os.access(cache.parent, os.W_OK):  # no cache can be written there
+            return _read_emb(f, path)
+        provider = _read_emb(f, path, digest)
+        _embcache.write(cache, digest.hexdigest(), provider._rows, provider._matrix)
+        return provider
 
 
-def _read_emb(f: BinaryIO, path: Path) -> PrecomputedProvider:
+def _hashed(f: BinaryIO, digest) -> Iterator[bytes]:
+    """The raw lines of ``f``, each added to ``digest`` as it is read."""
+    for raw in f:
+        digest.update(raw)
+        yield raw
+
+
+def _read_emb(f: BinaryIO, path: Path, digest=None) -> PrecomputedProvider:
     """Read EMB v1 from the binary stream of the file ``path``.
 
     numpy's C reader converts the values of every record into one matrix.
     A stream it does not take whole is read again from its start only to
-    name its first error, so a valid file is read once.
+    name its first error, so a valid file is read once. Every line read is
+    added to ``digest``, if one is given, so a valid file's digest is that
+    of the bytes parsed.
     """
-    lines = decode_lines(f, path)
+    lines = decode_lines(f if digest is None else _hashed(f, digest), path)
     header_line = next(lines, None)
     if header_line is None:
         raise EmbeddingFormatError("empty embedding file")

@@ -36,9 +36,9 @@ def read_text(path: str | Path) -> str:
         raise _not_utf8(path, data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def decode_lines(f: BinaryIO, path: str | Path) -> Iterator[str]:
-    """The lines of a binary stream less their ``\\n`` or ``\\r\\n``, decoded one at
-    a time: byte 0x0A never occurs inside a UTF-8 multibyte sequence."""
+def decode_lines(f: Iterable[bytes], path: str | Path) -> Iterator[str]:
+    """The raw lines of a binary stream less their ``\\n`` or ``\\r\\n``, decoded
+    one at a time: byte 0x0A never occurs inside a UTF-8 multibyte sequence."""
     for line_no, raw in enumerate(f, start=1):
         try:
             yield raw.rstrip(b"\r\n").decode("utf-8")

@@ -26,7 +26,8 @@ the same. The tests keep those expressions as a reference and compare bytes.
 ``train`` builds what a step does not change once: per call the views of
 W^T and b and of one gradient array (params only ever change in place); per
 epoch each row's sample weight, one-hot row and flat label-logit index, in
-shuffled order. Each step slices them.
+shuffled order, written into the same buffers every epoch. Each step slices
+them.
 
 All math runs in float64. Training is deterministic given (data, config,
 seed): parameter init draws from the config seed, each epoch's shuffle from
@@ -318,11 +319,21 @@ def train(
     best_score = -math.inf if higher_is_better else math.inf
     best_params = params.copy()
 
+    # Each epoch's rows in shuffled order: their row ids, labels, sample
+    # weights, flat label-logit indices and one-hot rows. Every epoch writes
+    # over the last one's; take's mode="clip" does not buffer out=, and
+    # every index is in range.
+    rows_epoch, y_epoch = np.empty_like(rows), np.empty_like(y_train)
+    sample_w, label_idx, onehot = np.empty(n), np.empty(n, np.int64), np.empty((n, k))
+    slots = np.arange(n) % batch_size * k
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
-        rows_epoch, y_epoch = rows.take(order), y_train.take(order)
-        sample_w, label_idx = _row_labels(y_epoch, w_vec, k, batch_size)
-        onehot = _identity(k).take(y_epoch, axis=0)
+        rows.take(order, out=rows_epoch, mode="clip")
+        y_train.take(order, out=y_epoch, mode="clip")
+        del order  # so the next epoch's order is not made beside it
+        w_vec.take(y_epoch, out=sample_w, mode="clip")
+        np.add(slots, y_epoch, out=label_idx)
+        _identity(k).take(y_epoch, axis=0, out=onehot, mode="clip")
         loss_total = 0.0
         for start in range(0, n, batch_size):
             stop = start + batch_size

@@ -638,8 +638,9 @@ class TestScoreBlocks:
             assert "unknown sentence" in stderr
             assert stdout == ""
         assert out.read_text(encoding="utf-8") == "previous\n"
+        # The load keeps its cache beside the EMB file; nothing else is left.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ckpt.txt", "few.emb", "predict.tsv", "s.txt"]
+            ".few.emb.cache", "ckpt.txt", "few.emb", "predict.tsv", "s.txt"]
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_peak_memory_under_half_a_whole_matrix(
@@ -666,6 +667,39 @@ class TestScoreBlocks:
         assert rc == 0
         whole_matrix = n * dim * 8
         assert peak < whole_matrix / 2, (peak, whole_matrix)
+
+
+class TestEmbCacheCommands:
+    def test_warm_commands_write_the_cold_bytes(self, toy, toy_tsv, tmp_path, capsys, monkeypatch):
+        from rhetrole import embedding
+        from rhetrole.embedding import HashedBowProvider
+
+        texts = list(dict.fromkeys(s.text for s in toy.sentences))
+        emb = tmp_path / "toy.emb"
+        save_embeddings(zip(texts, HashedBowProvider(32, "cased", 50).embed(texts)), 32, emb)
+        sf = tmp_path / "s.txt"
+        sf.write_text("".join(f"{text}\n" for text in texts[:50]), encoding="utf-8")
+        outputs = {}
+        for load in ("cold", "warm"):
+            if load == "warm":
+                def parse(*args):
+                    raise AssertionError("the EMB file was parsed")
+
+                monkeypatch.setattr(embedding, "_read_emb", parse)
+            run = tmp_path / load
+            for argv in (
+                ["train", "--corpus", str(toy_tsv), "--out", str(run), "--lr", "1e-2",
+                 "--epochs", "2", "--provider", f"precomputed:{emb}"],
+                ["evaluate", "--checkpoint", str(run / "checkpoint.txt"), "--corpus",
+                 str(toy_tsv), "--out", str(run / "metrics_eval.json")],
+                ["predict", "--checkpoint", str(run / "checkpoint.txt"), "--sentences", str(sf),
+                 "--out", str(run / "predict.tsv")],
+            ):
+                assert run_cli(capsys, *argv)[0] == 0
+            outputs[load] = {name: (run / name).read_bytes() for name in (
+                "checkpoint.txt", "train_log.tsv", "metrics_eval.json", "predict.tsv")}
+            assert (tmp_path / ".toy.emb.cache").is_file()
+        assert outputs["warm"] == outputs["cold"]
 
 
 class TestNonUtf8Input:

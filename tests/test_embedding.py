@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import json
 import math
 import os
 import random
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rhetrole import embedding
+from rhetrole import _embcache, embedding
 from rhetrole.cli import main
 from rhetrole.embedding import (
     CASINGS,
@@ -35,6 +37,7 @@ from rhetrole.errors import (
     InputError,
     MissingEmbeddingError,
 )
+from rhetrole.linear_model import TrainConfig, train
 
 from .conftest import FINITE_DOUBLES
 
@@ -72,6 +75,19 @@ def load_emb(directory, text: str) -> PrecomputedProvider:
     path = directory / "vecs.emb"
     path.write_bytes(text.encode("utf-8"))
     return load_precomputed(path)
+
+
+def npy_header(shape) -> bytes:
+    """A float64 ``.npy`` header declaring ``shape``, with no data after it."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return out.getvalue()
+
+
+def cache_of(path):
+    """The cache file that load_precomputed keeps beside the EMB file ``path``."""
+    return path.with_name(f".{path.name}.cache")
 
 
 def reference_tokenize(text: str, casing: str) -> list[str]:
@@ -422,15 +438,19 @@ class TestEmbeddingFile:
         try:
             save_embeddings(entries, 128, path)
             _, save_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            provider = load_precomputed(path)
-            _, load_peak = tracemalloc.get_traced_memory()
+            load_peaks, providers = [], []
+            for _ in ("cold", "warm"):
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                providers.append(load_precomputed(path))
+                load_peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-        assert np.array_equal(provider.embed([key for key, _ in entries]), vectors)
+        assert cache_of(path).is_file()
+        for provider in providers:
+            assert np.array_equal(provider.embed([key for key, _ in entries]), vectors)
         assert save_peak < path.stat().st_size / 4
-        assert load_peak - base < 1.5 * vectors.nbytes
+        assert max(load_peaks) < 1.5 * vectors.nbytes
 
     @pytest.mark.parametrize("text,message", [
         ('EMB v1 4 2\n"a" 1 2\n"b" 1 nan\n"c" 1 2\n"d" 1 x\n',
@@ -553,6 +573,312 @@ class TestEmbeddingFile:
         provider = load_emb(tmp_path, 'EMB v1 1 2\n"a" 1 2\n')
         with pytest.raises(MissingEmbeddingError, match="sentence 'unseen'$"):
             provider.embed(["a", "unseen", "also unseen"])
+
+
+class TestEmbCache:
+    """load_precomputed keeps a cache of each regular EMB file beside it."""
+
+    def write_emb(self, tmp_path, rows=6, dim=5):
+        path = tmp_path / "vecs.emb"
+        vectors = np.random.default_rng(3).normal(size=(rows, dim))
+        save_embeddings([(f"sentence {i}", row) for i, row in enumerate(vectors)], dim, path)
+        return path
+
+    def no_parse(self, monkeypatch):
+        def parse(*args):
+            raise AssertionError("the EMB file was parsed")
+
+        monkeypatch.setattr(embedding, "_read_emb", parse)
+
+    def count_parses(self, monkeypatch):
+        calls = []
+        read_emb = embedding._read_emb
+
+        def parse(*args):
+            calls.append(args[1])
+            return read_emb(*args)
+
+        monkeypatch.setattr(embedding, "_read_emb", parse)
+        return calls
+
+    def assert_same(self, a, b):
+        assert a._matrix.tobytes() == b._matrix.tobytes()
+        assert a._rows == b._rows and list(a._rows) == list(b._rows)
+        assert a.provider_id == b.provider_id and a.dimension == b.dimension
+
+    def test_warm_load_equals_cold_load_without_a_parse(self, tmp_path, monkeypatch):
+        path = self.write_emb(tmp_path)
+        cold = load_precomputed(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".vecs.emb.cache", "vecs.emb"]
+        self.no_parse(monkeypatch)
+        warm = load_precomputed(path)
+        self.assert_same(warm, cold)
+        assert not warm._matrix.flags.writeable
+
+    def test_keys_with_escapes_and_zero_records_round_trip(self, tmp_path, monkeypatch):
+        keys = ['"quoted"', "back\\slash", "tab\tnew\nline", "\u00e9\u2028", "\ud800", ""]
+        path = tmp_path / "vecs.emb"
+        save_embeddings([(key, np.full(3, float(i))) for i, key in enumerate(keys)], 3, path)
+        empty = tmp_path / "empty.emb"
+        empty.write_text("EMB v1 0 4\n", encoding="utf-8")
+        cold = [load_precomputed(path), load_precomputed(empty)]
+        self.no_parse(monkeypatch)
+        for a, b in zip(cold, [load_precomputed(path), load_precomputed(empty)]):
+            self.assert_same(a, b)
+        assert list(cold[0]._rows) == keys
+
+    def test_train_on_a_warm_load_gives_the_cold_params(self, toy, tmp_path, monkeypatch):
+        texts = list(dict.fromkeys(s.text for s in toy.sentences))
+        encoder = HashedBowProvider(32, "cased", 50)
+        path = tmp_path / "toy.emb"
+        save_embeddings(zip(texts, encoder.embed(texts)), 32, path)
+        cfg = TrainConfig(epochs=2, learning_rate=1e-2)
+        train_set, val_set = toy.sentences[:500], toy.sentences[500:]
+        cold = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
+        self.no_parse(monkeypatch)
+        warm = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
+        assert warm.params.tobytes() == cold.params.tobytes()
+        assert warm.provider_id == cold.provider_id == f"precomputed:{path}"
+
+    def test_file_rewritten_in_place_reads_the_new_values(self, tmp_path, monkeypatch):
+        path = tmp_path / "vecs.emb"
+        path.write_text('EMB v1 2 2\n"a" 1.5 2\n"b" 3 4\n', encoding="utf-8")
+        stamp = path.stat()
+        assert load_precomputed(path).embed(["a"]).tolist() == [[1.5, 2.0]]
+        # One digit changed, the same size and modification time.
+        path.write_text('EMB v1 2 2\n"a" 1.7 2\n"b" 3 4\n', encoding="utf-8")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert load_precomputed(path).embed(["a"]).tolist() == [[1.7, 2.0]]
+        self.no_parse(monkeypatch)  # the cache now holds the new file
+        assert load_precomputed(path).embed(["a"]).tolist() == [[1.7, 2.0]]
+
+    def test_cache_holds_the_digest_of_the_bytes_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "vecs.emb"
+        path.write_text('EMB v1 1 2\n"a" 1 2\n', encoding="utf-8")
+        load_precomputed(path)
+        path.write_text('EMB v1 1 2\n"a" 3 4\n', encoding="utf-8")
+        read_cache = _embcache.read
+
+        def changed_after_the_digest_pass(*args):
+            missed = read_cache(*args)
+            path.write_text('EMB v1 1 2\n"a" 5 6\n', encoding="utf-8")
+            return missed
+
+        monkeypatch.setattr(_embcache, "read", changed_after_the_digest_pass)
+        assert load_precomputed(path).embed(["a"]).tolist() == [[5.0, 6.0]]
+        monkeypatch.setattr(_embcache, "read", read_cache)
+        parses = self.count_parses(monkeypatch)
+        assert load_precomputed(path).embed(["a"]).tolist() == [[5.0, 6.0]]
+        assert parses == []
+        # Back to the bytes the digest pass saw: their values, not the parsed ones.
+        path.write_text('EMB v1 1 2\n"a" 3 4\n', encoding="utf-8")
+        assert load_precomputed(path).embed(["a"]).tolist() == [[3.0, 4.0]]
+        parses.clear()
+        # A change after the parse, before the cache is written, is no hit.
+        path.write_text('EMB v1 1 2\n"a" 1 2\n', encoding="utf-8")
+        write_cache = _embcache.write
+
+        def changed_after_the_parse(*args):
+            path.write_text('EMB v1 1 2\n"a" 7 8\n', encoding="utf-8")
+            write_cache(*args)
+
+        monkeypatch.setattr(_embcache, "write", changed_after_the_parse)
+        assert load_precomputed(path).embed(["a"]).tolist() == [[1.0, 2.0]]
+        monkeypatch.setattr(_embcache, "write", write_cache)
+        assert load_precomputed(path).embed(["a"]).tolist() == [[7.0, 8.0]]
+        assert parses == [path, path]
+
+    @staticmethod
+    def forge(cache, keys=None, matrix=None):
+        """Rewrite ``cache`` under its own digest with other keys (a list, or
+        the bytes of its JSON) or another matrix (an array, or raw bytes)."""
+        with open(cache, "rb") as c:
+            header = c.readline()
+            old_keys = json.loads(c.read(int(header.split()[2])))
+            old_matrix = np.lib.format.read_array(c)
+        keys = old_keys if keys is None else keys(old_keys)
+        keys = keys if isinstance(keys, bytes) else json.dumps(keys).encode()
+        with open(cache, "wb") as c:
+            c.write(b" ".join(header.split()[:2] + [str(len(keys)).encode()]) + b"\n" + keys)
+            matrix = old_matrix if matrix is None else matrix(old_matrix)
+            if isinstance(matrix, bytes):
+                c.write(matrix)
+            else:
+                np.lib.format.write_array(c, matrix)
+
+    @pytest.mark.parametrize("damage", [
+        lambda cache: cache.write_bytes(cache.read_bytes()[:-8]),
+        lambda cache: cache.write_bytes(cache.read_bytes()[:40]),
+        lambda cache: cache.write_bytes(cache.read_bytes() + b"\0"),
+        lambda cache: cache.write_bytes(b"garbage"),
+        lambda cache: cache.write_bytes(b""),
+        lambda cache: cache.write_bytes(np.random.default_rng(1).bytes(4096)),
+        lambda cache: TestEmbCache.forge(cache),  # the control: a valid forged cache
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: np.where(m == m[1, 2], np.nan, m)),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: np.where(m == m[0, 0], np.inf, m)),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: m[:-1]),
+        lambda cache: TestEmbCache.forge(cache, keys=lambda k: k[:-1]),
+        lambda cache: TestEmbCache.forge(cache, keys=lambda k: [k[1]] + k[1:]),
+        lambda cache: TestEmbCache.forge(cache, keys=lambda k: [7] + k[1:]),
+        lambda cache: TestEmbCache.forge(cache, keys=lambda k: dict.fromkeys(k)),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: m.astype(np.float32)),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: m.astype(">f8")),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: m.ravel()),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: np.asfortranarray(m)),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: m[:, :0]),
+        lambda cache: cache.write_bytes(re.sub(
+            rb" \d+\n", b" 99999999999999999999\n", cache.read_bytes(), count=1)),
+        lambda cache: TestEmbCache.forge(cache, keys=lambda k: b"[" * 10**5 + b"]" * 10**5),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: npy_header((10**6, 10**6))),
+    ], ids=["truncated", "header_only", "trailing_byte", "garbage", "empty", "random",
+            "valid", "nan", "inf", "fewer_rows", "fewer_keys", "duplicate_key", "int_key",
+            "object_keys", "float32", "big_endian", "one_dim", "fortran", "zero_dim",
+            "huge_key_length", "deep_keys", "huge_shape"])
+    def test_bad_cache_is_ignored_and_rewritten(self, tmp_path, monkeypatch, damage):
+        path = self.write_emb(tmp_path)
+        cold = load_precomputed(path)
+        good = cache_of(path).read_bytes()
+        damage(cache_of(path))
+        valid = cache_of(path).read_bytes() == good
+        parses = self.count_parses(monkeypatch)
+        self.assert_same(load_precomputed(path), cold)
+        assert parses == ([] if valid else [path])
+        assert cache_of(path).read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".vecs.emb.cache", "vecs.emb"]
+
+    @pytest.mark.parametrize("failing", [(np.lib.format, "write_array"), (os, "replace")],
+                             ids=["write_array", "replace"])
+    def test_failed_cache_write_still_loads(self, tmp_path, monkeypatch, failing):
+        # Monkeypatched, because chmod does not stop root from writing.
+        path = self.write_emb(tmp_path)
+        expected = load_precomputed(path)
+        cache_of(path).unlink()
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(*failing, full_disk)
+        self.assert_same(load_precomputed(path), expected)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
+    def test_interrupted_cache_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = self.write_emb(tmp_path)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np.lib.format, "write_array", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_precomputed(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
+    def test_file_at_the_temporary_name_is_left_alone(self, tmp_path, monkeypatch):
+        path = self.write_emb(tmp_path)
+        expected = load_precomputed(path)
+        cache_of(path).unlink()
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        other = tmp_path / ".vecs.emb.cache.00000000.tmp"
+        other.write_bytes(b"not ours")
+        self.assert_same(load_precomputed(path), expected)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [other.name, "vecs.emb"]
+        assert other.read_bytes() == b"not ours"
+
+    def test_unwritable_directory_parses_without_hashing(self, tmp_path, monkeypatch):
+        # Monkeypatched, because access(2) grants root every write.
+        path = self.write_emb(tmp_path)
+        expected = load_precomputed(path)
+        cache_of(path).unlink()
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        monkeypatch.setattr(embedding, "_hashed", None)
+        self.assert_same(load_precomputed(path), expected)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
+    def test_symlink_at_the_cache_path_is_replaced_not_followed(self, tmp_path, monkeypatch):
+        path = self.write_emb(tmp_path)
+        cold = load_precomputed(path)
+        # A valid cache behind the link is not read, and the link is not written through.
+        elsewhere = tmp_path / "elsewhere"
+        cache_of(path).rename(elsewhere)
+        before = elsewhere.read_bytes()
+        cache_of(path).symlink_to(elsewhere)
+        parses = self.count_parses(monkeypatch)
+        self.assert_same(load_precomputed(path), cold)
+        assert parses == [path]
+        assert not cache_of(path).is_symlink() and cache_of(path).read_bytes() == before
+        assert elsewhere.read_bytes() == before
+
+    def test_cache_of_another_user_is_not_read(self, tmp_path, monkeypatch):
+        path = self.write_emb(tmp_path)
+        cold = load_precomputed(path)
+        if os.geteuid() == 0:
+            os.chown(cache_of(path), 4321, -1)
+        else:
+            monkeypatch.setattr(os, "geteuid", lambda uid=os.geteuid(): uid + 1)
+        parses = self.count_parses(monkeypatch)
+        self.assert_same(load_precomputed(path), cold)
+        assert parses == [path]
+
+    def test_fifo_at_the_cache_path_does_not_block(self, tmp_path):
+        path = self.write_emb(tmp_path)
+        cold = load_precomputed(path)
+        cache_of(path).unlink()
+        os.mkfifo(cache_of(path))
+        unblocked = []
+
+        def unblock():
+            # Opening the write end lets a reader blocked in open go on.
+            unblocked.append(True)
+            with open(cache_of(path), "wb"):
+                pass
+
+        watchdog = threading.Timer(10, unblock)
+        watchdog.start()
+        try:
+            self.assert_same(load_precomputed(path), cold)
+        finally:
+            watchdog.cancel()
+        assert not unblocked
+        assert cache_of(path).is_file()
+
+    @pytest.mark.parametrize("text", [
+        'EMB v1 2 2\n"a" 1 2\n"b" 3 nan\n', 'EMB v1 2 2\n"a" 1 2\n', "EMB v2 0 1\n"])
+    def test_invalid_file_leaves_no_cache(self, tmp_path, text):
+        with pytest.raises(EmbeddingFormatError):
+            load_emb(tmp_path, text)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
+    def test_valid_file_from_a_pipe_has_no_cache(self, tmp_path):
+        fifo = tmp_path / "vecs.emb"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_text('EMB v1 1 2\n"a" 1 2\n', encoding="utf-8"),
+            daemon=True)
+        writer.start()
+        try:
+            assert load_precomputed(fifo).embed(["a"]).tolist() == [[1.0, 2.0]]
+        finally:
+            writer.join(timeout=10)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
+
+    def test_cache_sits_beside_the_file_a_symlink_names(self, tmp_path, monkeypatch):
+        (tmp_path / "data").mkdir()
+        path = self.write_emb(tmp_path / "data")
+        link = tmp_path / "link.emb"
+        link.symlink_to(path)
+        cold = load_precomputed(link)
+        assert cache_of(path).is_file() and not cache_of(link).exists()
+        self.no_parse(monkeypatch)
+        assert load_precomputed(path)._matrix.tobytes() == cold._matrix.tobytes()
+        assert load_precomputed(link).provider_id == f"precomputed:{link}"
+
+    def test_without_blake2_every_load_parses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_embcache, "new_digest", lambda: None)
+        path = self.write_emb(tmp_path)
+        parses = self.count_parses(monkeypatch)
+        load_precomputed(path)
+        load_precomputed(path)
+        assert parses == [path, path]
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
 
 
 class TestEmbedBatch:
