@@ -41,22 +41,13 @@ SPLIT_MODES = ("sentence_shuffled", "document_level")
 
 @dataclass(frozen=True, slots=True)
 class LabeledSentence:
-    """One sentence of a legal document plus its rhetorical-role label."""
+    """One sentence of a legal document plus its rhetorical-role label. It checks
+    nothing itself: ``parse_corpus`` and ``serialize_corpus`` refuse what TSV cannot hold."""
 
     text: str
     label: str
     doc_id: str
     position: int
-
-    def __post_init__(self):
-        if not self.text:
-            raise InputError("sentence text must be non-empty")
-        if "\t" in self.text or "\n" in self.text:
-            raise InputError("sentence text must not contain tabs or newlines")
-        if self.label not in LABELS:
-            raise InputError(f"unknown label {self.label!r}")
-        if self.position < 0:
-            raise InputError("position must be >= 0")
 
 
 @dataclass
@@ -133,7 +124,7 @@ def parse_corpus(text: str) -> Corpus:
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Emit the canonical TSV form (inverse of parse_corpus)."""
+    """Emit the canonical TSV form (inverse of parse_corpus), refusing what it refuses."""
     by_doc: dict[str, list[LabeledSentence]] = {d: [] for d in corpus.documents}
     for s in corpus.sentences:
         if s.doc_id not in by_doc:
@@ -143,8 +134,14 @@ def serialize_corpus(corpus: Corpus) -> str:
     for doc_id in corpus.documents:
         lines.append(f"#doc\t{doc_id}")
         for s in sorted(by_doc[doc_id], key=lambda s: s.position):
+            if not s.text:
+                raise InputError("sentence text must be non-empty")
+            if "\t" in s.text or "\n" in s.text:
+                raise InputError("sentence text must not contain tabs or newlines")
             if s.text == "#doc":
                 raise InputError("sentence text '#doc' is not representable in the TSV format")
+            if s.label not in LABELS:
+                raise InputError(f"unknown label {s.label!r}")
             lines.append(f"{s.text}\t{s.label}")
     return "".join(line + "\n" for line in lines)
 

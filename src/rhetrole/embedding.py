@@ -25,18 +25,13 @@ the text; ``_embcache`` holds its format and trust rules. The cache is
 keyed on a digest of the raw lines taken as the parse reads them, so it
 never stands for bytes other than those that were parsed.
 
-``table_rows(sentences, provider)`` gives a ``(table, rows)`` pair: the
-vector of ``sentences[i]`` is ``table[rows[i]]``, and ``rows`` holds
-``np.intp`` row ids. A precomputed provider lends its own matrix through a
-read-only view, so a reader holds no copy of the vectors and cannot write
-into the provider; a repeated sentence repeats its row id. Any other
-provider embeds the sentences, and ``rows`` is ``0 .. n-1``.
-
 The hashed provider embeds its texts in chunks of ``_EMBED_CHUNK_ROWS``.
 Each chunk's texts are tokenised once, and its distinct tokens are hashed
 together by a vectorised FNV-1a (``hash_vocabulary``), so no memo is kept
 between chunks. Each row is then one ``bincount`` over its tokens' buckets
-and signs, with the same bytes as hashing token by token.
+and signs, with the same bytes as hashing token by token. ``tokenize``
+strips edge punctuation with ``str.strip`` over the constant table
+``_PUNCTUATION`` and looks up the category of an edge only beyond its blocks.
 """
 
 from __future__ import annotations
@@ -79,6 +74,9 @@ _FNV_VECTOR_MIN_TOKENS = 25
 _EMBED_CHUNK_ROWS = 256
 
 _KEY_DECODER = json.JSONDecoder()
+# Every punctuation character (category P*) of U+0000-U+00FF and U+2000-U+206F.
+_PUNCTUATION = "".join(c for c in map(chr, chain(range(0x100), range(0x2000, 0x2070)))
+                       if unicodedata.category(c).startswith("P"))
 
 
 def tokenize(text: str, casing: str) -> list[str]:
@@ -87,30 +85,32 @@ def tokenize(text: str, casing: str) -> list[str]:
     Uncased mode lowercases the text up front. Tokens are split on Unicode
     whitespace, stripped of leading/trailing punctuation only (internal
     periods and hyphens in citations like "s.302" survive), and dropped when
-    nothing remains.
+    nothing remains. No alphanumeric character is punctuation (category
+    P*), so a token that ``str.isalnum`` passes whole is kept as it is.
     """
     if casing == "uncased":
         text = text.lower()
-    tokens: list[str] = []
-    for raw in text.split():
-        # No alphanumeric character is punctuation (category P*), so a token
-        # with alphanumeric edges has nothing to strip.
-        if raw[0].isalnum() and raw[-1].isalnum():
-            tok = raw
-        else:
-            tok = _strip_edge_punctuation(raw)
-        if tok:
-            tokens.append(tok)
-    return tokens
+    return [tok for raw in text.split()
+            if (tok := raw if raw.isalnum() else _strip_edge_punctuation(raw))]
 
 
 def _strip_edge_punctuation(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
-        start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
-        end -= 1
-    return token[start:end]
+    """``token`` without edge punctuation: ``str.strip`` over ``_PUNCTUATION``, then
+    the category loop only if an edge left is neither alphanumeric nor in its blocks."""
+    token = token.strip(_PUNCTUATION)
+    if token and not (token[0].isalnum() and token[-1].isalnum()
+                      or _decided(token[0]) and _decided(token[-1])):
+        start, end = 0, len(token)
+        while start < end and unicodedata.category(token[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+            end -= 1
+        token = token[start:end]
+    return token
+
+
+def _decided(char: str) -> bool:
+    return char.isalnum() or char <= "\xff" or "\u2000" <= char <= "\u206f"
 
 
 def fnv1a_64(text: str) -> int:
@@ -243,11 +243,8 @@ class HashedBowProvider:
         self.provider_id = f"hashed:{dim}:{casing}:{max_len}"
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """The (n, dim) hashed bag-of-words rows of ``texts``.
-
-        Texts are taken ``_EMBED_CHUNK_ROWS`` at a time: each chunk's texts
-        are tokenised once, its distinct tokens hashed together, and each of
-        its rows written straight into the result."""
+        """The (n, dim) hashed bag-of-words rows of ``texts``, a chunk of
+        ``_EMBED_CHUNK_ROWS`` at a time (see the module docstring)."""
         casing, max_len, dim = self.casing, self.max_len, self.dimension
 
         def rows() -> Iterator[np.ndarray]:
@@ -268,8 +265,7 @@ class PrecomputedProvider:
     ``(n, dim)`` matrix and a key -> row dict."""
 
     def __init__(self, matrix: np.ndarray, rows: dict[str, int], provider_id: str):
-        self.dimension = matrix.shape[1]
-        self.provider_id = provider_id
+        self.dimension, self.provider_id = matrix.shape[1], provider_id
         # A read-only view: the matrix is lent out by table_rows, and the
         # caller's own array stays writeable.
         self._matrix = matrix.view()
@@ -460,11 +456,14 @@ def embed_batch(sentences: Sequence, provider) -> np.ndarray:
 
 
 def table_rows(sentences: Sequence, provider) -> tuple[np.ndarray, np.ndarray]:
-    """``(table, rows)`` with ``table[rows[i]]`` the vector of ``sentences[i]``.
+    """``(table, rows)`` with ``table[rows[i]]`` the vector of ``sentences[i]``
+    and ``rows`` in ``np.intp``.
 
-    A precomputed provider lends its read-only matrix and gives each
-    sentence's row id; any other provider gives ``embed_batch``'s rows and
-    ``0 .. n-1``. Missing-embedding errors propagate."""
+    A precomputed provider lends its matrix through a read-only view, so a
+    reader holds no copy of the vectors and cannot write into the provider,
+    and gives each sentence's row id (a repeated sentence repeats it); any
+    other provider gives ``embed_batch``'s rows and ``0 .. n-1``.
+    Missing-embedding errors propagate."""
     if isinstance(provider, PrecomputedProvider):
         return provider._matrix, provider._row_ids([getattr(s, "text", s) for s in sentences])
     return embed_batch(sentences, provider), np.arange(len(sentences), dtype=np.intp)

@@ -18,6 +18,7 @@ from rhetrole.corpus import (
     class_distribution,
     length_percentile,
     parse_corpus,
+    save_corpus,
     serialize_corpus,
     split,
 )
@@ -106,6 +107,33 @@ class TestParse:
         text = serialize_corpus(corpus)
         assert parse_corpus(text) == corpus
         assert serialize_corpus(parse_corpus(text)) == text
+
+
+class TestSerialize:
+    @pytest.mark.parametrize(
+        "text, label, message",
+        [
+            ("", "Facts", "sentence text must be non-empty"),
+            ("a\tb", "Facts", "sentence text must not contain tabs or newlines"),
+            ("a\nb", "Facts", "sentence text must not contain tabs or newlines"),
+            ("#doc", "Facts", "sentence text '#doc' is not representable in the TSV format"),
+            ("text", "Verdict", "unknown label 'Verdict'"),
+        ],
+    )
+    def test_what_the_parser_refuses_is_not_written(self, tmp_path, text, label, message):
+        corpus = Corpus([LabeledSentence(text, label, "D", 0)], ["D"])
+        # Written as it stands, the sentence would not parse back.
+        try:
+            parsed = parse_corpus(f"#doc\tD\n{text}\t{label}\n")
+        except InputError:
+            parsed = None
+        assert parsed != corpus
+        with pytest.raises(InputError) as exc:
+            serialize_corpus(corpus)
+        assert str(exc.value) == message
+        with pytest.raises(InputError):
+            save_corpus(corpus, tmp_path / "corpus.tsv")
+        assert list(tmp_path.iterdir()) == []
 
 
 @st.composite

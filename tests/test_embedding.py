@@ -174,7 +174,39 @@ class TestTokenize:
     @given(TOKENIZER_TEXT, st.sampled_from(CASINGS))
     @settings(max_examples=300)
     @example("\u00ab\u00a7302\u00bb \u201cs.302,\u201d \u2014 \u00e9t\u00e9. ...", "cased")
+    @example("\u300c\u00a7302\u300d\u3001 \u201c\u0130\u201d, x\u0301. \u2014\u3001 \U00010100(a)", "uncased")
     def test_matches_per_character_reference(self, text, casing):
+        assert tokenize(text, casing) == reference_tokenize(text, casing)
+
+    def test_table_is_the_punctuation_of_its_blocks(self):
+        blocks = [chr(cp) for cp in (*range(0x100), *range(0x2000, 0x2070))]
+        expected = [c for c in blocks if unicodedata.category(c).startswith("P")]
+        # In code-point order, so no character is in it twice.
+        assert sorted(embedding._PUNCTUATION) == expected
+        assert len(expected) >= 99  # 30 in Latin-1 and 69 in General Punctuation at Unicode 14
+
+    def test_edges_left_unchecked_are_not_punctuation(self):
+        # An edge _decided passes skips the category loop, so it must never
+        # pass punctuation the table lacks.
+        offenders = [
+            f"U+{cp:04X}"
+            for cp in range(sys.maxunicode + 1)
+            if embedding._decided(chr(cp)) and chr(cp) not in embedding._PUNCTUATION
+            and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert offenders == []
+
+    # Punctuation outside the table's blocks, a combining mark, and the code
+    # points on both sides of each block boundary, next to table punctuation.
+    @pytest.mark.parametrize("char", [
+        "\u3001", "\u300c", "\u300d", "\uff0c", "\u037e", "\u0589", "\U00010100", "\u0301",
+        "\u00ff", "\u0100", "\u1fff", "\u2000", "\u206f", "\u2070",
+    ])
+    @pytest.mark.parametrize("casing", CASINGS)
+    def test_edges_outside_the_table_match_the_reference(self, char, casing):
+        forms = ("{}", "({}x{},)", "\u201c{}Word{}\u201d", "{}.{}", ",{}.", "x{}.", ".{}x",
+                 "\u00ab{}\u00bb{}", "{}\u2014\u3001", "\u2014\u3001", "{}x", "x{}", "{}\u2026{}")
+        text = " ".join(form.format(char, char) for form in forms)
         assert tokenize(text, casing) == reference_tokenize(text, casing)
 
 

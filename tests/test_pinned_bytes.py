@@ -24,9 +24,16 @@ from .conftest import TASK_COUNTS
 # capitals and edge punctuation, which casing and the tokenizer treat apart.
 _SYLLABLES = ("ka", "ri", "mo", "té", "sun", "ßa", "ol", "Ωm", "ni", "dü")
 _FORMS = ("{}", "{}", "{}", "{}", "{}", "{}", "({})", "{},", "{}.", "«{}»")
+# General Punctuation, which the tokenizer strips from its table, and
+# punctuation of other blocks and a combining mark, which need the category
+# of an edge; some forms mix the two.
+_PUNCT_FORMS = ("{}", "{}", "{}", "\u201c{}\u201d", "\u2018{}\u2019", "{}\u2014", "{}\u2026",
+                "\u300c{}\u300d", "{}\u3001", "{}\uff0c", "{}\u037e", "{}\u0589",
+                "\U00010100{}", "{}\u0301", "({}\u3001)", "\u201c{}\u201d\u3001", "\u2014\u3001")
 
 
-def zipf_corpus(num_sentences: int = 400, vocab: int = 600, seed: int = 2022) -> Corpus:
+def zipf_corpus(num_sentences: int = 400, vocab: int = 600, seed: int = 2022,
+                forms: tuple[str, ...] = _FORMS) -> Corpus:
     """Sentences of 1 to 48 words, word rank r drawn with weight
     floor(10**6 / r), labels drawn with the paper's skew (TASK_COUNTS), and
     a new document every 25 sentences. A 64-bit LCG drives every draw."""
@@ -50,7 +57,7 @@ def zipf_corpus(num_sentences: int = 400, vocab: int = 600, seed: int = 2022) ->
             word = words[bisect_right(rank_cum, draw(rank_cum[-1]))]
             if draw(8) == 0:
                 word = word.capitalize()
-            tokens.append(_FORMS[draw(len(_FORMS))].format(word))
+            tokens.append(forms[draw(len(forms))].format(word))
         label = LABELS[bisect_right(label_cum, draw(label_cum[-1]))]
         sentences.append(LabeledSentence(" ".join(tokens), label, documents[-1], i % 25))
     return Corpus(sentences=sentences, documents=documents)
@@ -60,10 +67,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(scope="module", params=["toy", "zipf"])
+@pytest.fixture(scope="module", params=["toy", "zipf", "zipf-punct"])
 def named(request, toy):
     """(name, corpus) for each pinned corpus."""
-    return request.param, toy if request.param == "toy" else zipf_corpus()
+    corpora = {"toy": lambda: toy, "zipf": zipf_corpus,
+               "zipf-punct": lambda: zipf_corpus(forms=_PUNCT_FORMS)}
+    return request.param, corpora[request.param]()
 
 
 EMBED_SHA256 = {
@@ -72,17 +81,22 @@ EMBED_SHA256 = {
     ("toy", "uncased"): "60c1a97f79bd8f5d6faaa9c337f1e498bf029391f20f40c78a0a35f1de7b5189",
     ("zipf", "cased"): "7deb15e4a5b430c22485c4186c13378f85a33d58c323f29cdd8e34203d7bf07c",
     ("zipf", "uncased"): "f1601a8e0b7c325542f9f8af7cfd03c72b99676335adbc38ba097cb270c65c17",
+    ("zipf-punct", "cased"): "0bd75bb80349274aa1c84f275eec2451b8471ddecd36d2536ca058673dfc2ffb",
+    ("zipf-punct", "uncased"): "c9895fd2427b6f8953712f3324b8edda4743a85c522f1777f7dfa7e27d4061a7",
 }
 EMB_FILE_SHA256 = {
     "toy": "a33ec2e6280ba02aea7a21efb5dc99827c423c012f6161bec54c2cbac81a1ee2",
     "zipf": "4842cecb17b129eafe84b4a92d58d53f83350430ee438817d02e68f6a1a03afa",
+    "zipf-punct": "12f292362843c2eb3dab4eeea560769216f6e463f8c491131befd0e0f60467e3",
 }
 CORPUS_FILE_SHA256 = {
     "toy": "0e31cb50633cedd72e2fa522d18cc0f2783a830d3eea4f2eb35a3f93869d7f86",
     "zipf": "a3fe00faa27efc9ad263cb869a4993b9a758d01e4203e73fb6d77cac87720b55",
+    "zipf-punct": "d5a0c477453fc03b0da49603be6bc33ef7779b9b1a9a154ee54e7068e9ed89c4",
 }
 # Nearest-rank token counts at q = 0.5, 0.98 and 1.0, cased then uncased.
-LENGTH_PERCENTILES = {"toy": (6, 8, 8, 6, 8, 8), "zipf": (25, 48, 48, 25, 48, 48)}
+LENGTH_PERCENTILES = {"toy": (6, 8, 8, 6, 8, 8), "zipf": (25, 48, 48, 25, 48, 48),
+                      "zipf-punct": (23, 46, 47, 23, 46, 47)}
 
 
 @pytest.mark.parametrize("casing", ["cased", "uncased"])
