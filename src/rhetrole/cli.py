@@ -176,7 +176,7 @@ def _run_training(cfg: RunConfig, out_dir: Path):
         raise InputError(f"corpus {cfg.corpus} is too small to train on")
     provider, resolved_max_len = _provider_for_training(cfg, corpus)
 
-    train_set, val_set = split(corpus, cfg.split_spec())
+    train_set, val_set = split(corpus, cfg)
     if not train_set or not val_set:
         raise InputError("split produced an empty train or validation set")
 

@@ -1,10 +1,12 @@
 """Run configuration: defaults, the three built-in run presets, and the
 flags > file > preset resolution used by the CLI.
 
-``RunConfig`` extends ``TrainConfig`` with the run's own fields, and
-construction checks every rule: each field's type and the training ranges
-first, then the choice and cross-field rules. Every ``RunConfig`` that
-exists is valid.
+``RunConfig`` holds every setting of one run, in ``config.json``'s key
+order, and is the one home of every rule on them. Construction checks each
+field's type, then the training ranges and choices, the split rules, and
+last the run's choice and cross-field rules. Every ``RunConfig`` that exists
+is valid. ``corpus.split`` and ``linear_model.train`` read their fields
+from it.
 
 A resolved config written next to a checkpoint is a closed description of
 the run: feeding it back through ``train --config`` reproduces the training
@@ -14,16 +16,17 @@ bit for bit (given the same corpus file).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .corpus import LABELS, SplitSpec
+from .corpus import LABELS, SPLIT_MODES
 from .embedding import CASINGS, parse_provider_spec
-from .errors import ConfigError, _is_real
+from .errors import ConfigError
 from .fileio import read_text
 from .imbalance import WEIGHT_SCHEMES
-from .linear_model import TrainConfig
+from .linear_model import SELECTION_METRICS
 
 BALANCE_METHODS = ("loss_weighting", "undersample", "oversample", "none")
 
@@ -36,8 +39,49 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
+def _is_int(value: object) -> bool:
+    """isinstance(value, int) without booleans, which Python counts as integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    """An int or float that converts to a finite float. JSON files and flags
+    can carry nan, inf and integers beyond float range."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_TYPE_RULES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+}
+
+
+def check_field_types(instance: object) -> None:
+    """Raise ConfigError naming the first field of a dataclass instance whose
+    value breaks its ``int``, ``float`` or ``str`` annotation, optionally with
+    ``| None``. Other annotations are left to the class's own rules. The
+    annotations are read as text, which this module's postponed evaluation
+    (``from __future__ import annotations``) makes them."""
+    for f in fields(instance):
+        kind = f.type.removesuffix(" | None")
+        value = getattr(instance, f.name)
+        if kind not in _TYPE_RULES or (value is None and kind != f.type):
+            continue
+        accepts, expected = _TYPE_RULES[kind]
+        if not accepts(value):
+            raise ConfigError(f"{f.name} must be {expected}")
+
+
 @dataclass(frozen=True)
-class _RunFields:
+class RunConfig:
+    """One run's settings, in config.json's key order."""
+
     run_id: str = "custom"
     preset: str | None = None
     corpus: str | None = None
@@ -50,15 +94,38 @@ class _RunFields:
     length_percentile_q: float = 0.98
     train_fraction: float = 0.8
     split_mode: str = "sentence_shuffled"
-
-
-@dataclass(frozen=True)
-class RunConfig(TrainConfig, _RunFields):
-    """The twelve _RunFields, then TrainConfig's nine: dataclass fields follow
-    the reversed MRO, which keeps config.json's key order."""
+    batch_size: int = 8
+    epochs: int = 4
+    learning_rate: float = 2e-5
+    weight_decay: float = 0.01
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    seed: int = 42
+    selection_metric: str = "macro_f1"
 
     def __post_init__(self):
-        super().__post_init__()
+        check_field_types(self)
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
+        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must lie in (0, 1)")
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.selection_metric not in SELECTION_METRICS:
+            raise ConfigError(f"selection_metric must be one of {SELECTION_METRICS}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("train_fraction must lie strictly between 0 and 1")
+        if self.split_mode not in SPLIT_MODES:
+            raise ConfigError(f"split mode must be one of {SPLIT_MODES}, got {self.split_mode!r}")
         if self.casing not in CASINGS:
             raise ConfigError(f"casing must be one of {CASINGS}, got {self.casing!r}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
@@ -97,8 +164,6 @@ class RunConfig(TrainConfig, _RunFields):
                     f"{' and '.join(ignored)} given with provider {self.provider!r}: "
                     "casing and max_len apply only to hashed:<dim> providers"
                 )
-        # The split rules live in SplitSpec.
-        self.split_spec()
         # Exactly one balancing method may be active. Loss weighting needs a
         # non-uniform scheme or explicit weights; the other methods must not
         # smuggle in a weighting scheme on the side.
@@ -114,9 +179,6 @@ class RunConfig(TrainConfig, _RunFields):
                     f"balance={self.balance} must keep weight_scheme=uniform "
                     "and no weight_overrides (exactly one balancing method)"
                 )
-
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec(train_fraction=self.train_fraction, seed=self.seed, mode=self.split_mode)
 
 
 FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))

@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .errors import CorpusParseError, InputError, UnknownLabelError, check_field_types
+from .errors import CorpusParseError, InputError, UnknownLabelError
 from .fileio import read_text, write_atomic
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 # Canonical label order. Index 0..6 is fixed and shared by every module:
 # weight vectors, classifier rows, and confusion matrices all follow it.
@@ -56,22 +59,6 @@ class Corpus:
 
     sentences: list[LabeledSentence]
     documents: list[str]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic train/validation split recipe."""
-
-    train_fraction: float
-    seed: int
-    mode: str = "sentence_shuffled"
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InputError("train_fraction must lie strictly between 0 and 1")
-        if self.mode not in SPLIT_MODES:
-            raise InputError(f"split mode must be one of {SPLIT_MODES}, got {self.mode!r}")
 
 
 def parse_corpus(text: str) -> Corpus:
@@ -124,8 +111,15 @@ def parse_corpus(text: str) -> Corpus:
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Emit the canonical TSV form (inverse of parse_corpus), refusing what it refuses."""
-    by_doc: dict[str, list[LabeledSentence]] = {d: [] for d in corpus.documents}
+    """Emit the canonical TSV form (inverse of parse_corpus), refusing what it refuses
+    or would read back changed."""
+    by_doc: dict[str, list[LabeledSentence]] = {}
+    for doc_id in corpus.documents:
+        if not doc_id or "\n" in doc_id or doc_id.endswith("\r"):
+            raise InputError(f"document id {doc_id!r} is not representable in the TSV format")
+        if doc_id in by_doc:
+            raise InputError(f"duplicate document id {doc_id!r}")
+        by_doc[doc_id] = []
     for s in corpus.sentences:
         if s.doc_id not in by_doc:
             raise InputError(f"sentence doc_id {s.doc_id!r} missing from corpus.documents")
@@ -162,11 +156,12 @@ def class_distribution(sentences: Iterable[LabeledSentence]) -> dict[str, int]:
     return counts
 
 
-def split(corpus: Corpus, spec: SplitSpec) -> tuple[list[LabeledSentence], list[LabeledSentence]]:
-    """Deterministic train/validation partition.
+def split(corpus: Corpus, cfg: RunConfig) -> tuple[list[LabeledSentence], list[LabeledSentence]]:
+    """Deterministic train/validation partition by ``cfg.split_mode``, drawn
+    from ``cfg.seed``.
 
     ``sentence_shuffled`` permutes sentences and takes the first
-    floor(train_fraction * N) for train. ``document_level`` permutes
+    floor(cfg.train_fraction * N) for train. ``document_level`` permutes
     documents and assigns whole documents to train until that quota is met
     or exceeded; the remaining documents go to validation, so one document
     never straddles the split.
@@ -174,10 +169,10 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[list[LabeledSentence], list[
     n = len(corpus.sentences)
     if n < 2:
         raise InputError("cannot split a corpus with fewer than 2 sentences")
-    quota = math.floor(spec.train_fraction * n)
-    rng = np.random.default_rng(spec.seed)
+    quota = math.floor(cfg.train_fraction * n)
+    rng = np.random.default_rng(cfg.seed)
 
-    if spec.mode == "sentence_shuffled":
+    if cfg.split_mode == "sentence_shuffled":
         perm = rng.permutation(n)
         train = [corpus.sentences[i] for i in perm[:quota]]
         val = [corpus.sentences[i] for i in perm[quota:]]

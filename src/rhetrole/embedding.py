@@ -74,9 +74,9 @@ _FNV_VECTOR_MIN_TOKENS = 25
 _EMBED_CHUNK_ROWS = 256
 
 _KEY_DECODER = json.JSONDecoder()
-# Every punctuation character (category P*) of U+0000-U+00FF and U+2000-U+206F.
-_PUNCTUATION = "".join(c for c in map(chr, chain(range(0x100), range(0x2000, 0x2070)))
-                       if unicodedata.category(c).startswith("P"))
+# Every P* character of U+0000-U+00FF and U+2000-U+206F; a test checks it against unicodedata.
+_PUNCTUATION = ("!\"#%&'()*,-./:;?@[\\]_{}¡§«¶·»¿"
+                "‐‑‒–—―‖‗‘’‚‛“”„‟†‡•‣․‥…‧‰‱′″‴‵‶‷‸‹›※‼‽‾‿⁀⁁⁂⁃⁅⁆⁇⁈⁉⁊⁋⁌⁍⁎⁏⁐⁑⁓⁔⁕⁖⁗⁘⁙⁚⁛⁜⁝⁞")
 
 
 def tokenize(text: str, casing: str) -> list[str]:

@@ -50,17 +50,18 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch, table_rows
-from .errors import (
-    CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError, check_field_types
-)
+from .errors import CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError
 from .fileio import format_reals, read_count, read_reals, read_text, write_atomic
 from .metrics import evaluate_predictions
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 SELECTION_METRICS = ("macro_f1", "val_loss")
 
@@ -73,38 +74,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 8
-    epochs: int = 4
-    learning_rate: float = 2e-5
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    seed: int = 42
-    selection_metric: str = "macro_f1"
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise InputError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise InputError("weight_decay must be >= 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise InputError("beta1 and beta2 must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be > 0")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
-        if self.selection_metric not in SELECTION_METRICS:
-            raise InputError(f"selection_metric must be one of {SELECTION_METRICS}")
 
 
 @dataclass
@@ -224,11 +193,12 @@ def loss_and_grads(X, sample_w, label_idx, onehot, views) -> float:
 
 
 def optimizer_step(
-    params: np.ndarray, grads: np.ndarray, state: OptimizerState, cfg: TrainConfig
+    params: np.ndarray, grads: np.ndarray, state: OptimizerState, cfg: RunConfig
 ) -> None:
     """One bias-corrected adaptive-moment update with decoupled weight decay,
     applied in place to ``params`` and ``state``; the bias column gets the
-    same element-wise update and decay as every weight column.
+    same element-wise update and decay as every weight column. ``cfg`` gives
+    ``learning_rate``, ``beta1``, ``beta2``, ``epsilon`` and ``weight_decay``.
 
     The decay is applied directly to the freshly updated parameters
     (p <- p * (1 - lr * weight_decay)), never through the gradient.
@@ -276,11 +246,13 @@ def train(
     val_set: Sequence[LabeledSentence],
     provider,
     class_weights: Sequence[float],
-    cfg: TrainConfig,
+    cfg: RunConfig,
     labels: Sequence[str] = LABELS,
     on_epoch: Callable[[EpochStats], None] | None = None,
 ) -> LinearCheckpoint:
-    """Mini-batch training with best-on-validation epoch selection.
+    """Mini-batch training with best-on-validation epoch selection. Of the
+    run's ``cfg`` it reads ``batch_size``, ``epochs``, ``seed``,
+    ``selection_metric`` and the optimiser fields of ``optimizer_step``.
 
     Each epoch shuffles train indices with a generator seeded by
     (cfg.seed, epoch); the last batch may be smaller. The training vectors

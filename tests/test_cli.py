@@ -170,6 +170,35 @@ class TestTrain:
         assert field in stderr
         assert not (tmp_path / "o").exists()
 
+    # Each training and split rule: a value it refuses, and the message.
+    RULES = {
+        "batch_size": (0, "batch_size must be >= 1"),
+        "epochs": (0, "epochs must be >= 1"),
+        "learning_rate": (0, "learning_rate must be > 0"),
+        "weight_decay": (-0.5, "weight_decay must be >= 0"),
+        "beta1": (1.0, "beta1 and beta2 must lie in (0, 1)"),
+        "beta2": (0.0, "beta1 and beta2 must lie in (0, 1)"),
+        "epsilon": (0.0, "epsilon must be > 0"),
+        "seed": (-1, "seed must be >= 0"),
+        "selection_metric": ("accuracy", "selection_metric must be one of "
+                             "('macro_f1', 'val_loss')"),
+        "train_fraction": (1.0, "train_fraction must lie strictly between 0 and 1"),
+        "split_mode": ("by_page", "split mode must be one of "
+                       "('sentence_shuffled', 'document_level'), got 'by_page'"),
+    }
+
+    @pytest.mark.parametrize("field", RULES)
+    def test_training_and_split_rule_exit_2(self, field, toy_tsv, tmp_path, capsys):
+        value, message = self.RULES[field]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        rc, _, stderr = run_cli(
+            capsys, "train", "--corpus", str(toy_tsv), "--config", str(cfg_path),
+            "--out", str(tmp_path / "o"),
+        )
+        assert (rc, stderr) == (2, f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_flag_overrides_config_file(self, toy_tsv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 2, "corpus": str(toy_tsv)}))

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rhetrole.config import RunConfig
 from rhetrole.corpus import (
     LABELS,
     Corpus,
     LabeledSentence,
-    SplitSpec,
     load_corpus,
     class_distribution,
     length_percentile,
@@ -135,6 +135,33 @@ class TestSerialize:
             save_corpus(corpus, tmp_path / "corpus.tsv")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "documents, message",
+        [
+            ([""], "document id '' is not representable in the TSV format"),
+            (["a\nb"], "document id 'a\\nb' is not representable in the TSV format"),
+            (["a\r"], "document id 'a\\r' is not representable in the TSV format"),
+            (["a", "a"], "duplicate document id 'a'"),
+        ],
+        ids=["empty", "newline", "final_cr", "repeated"],
+    )
+    def test_document_ids_the_parser_refuses_are_not_written(
+        self, tmp_path, documents, message
+    ):
+        corpus = Corpus([LabeledSentence("x", "Facts", documents[0], 0)], documents)
+        # Written as it stands, each header followed by the document's sentences.
+        try:
+            parsed = parse_corpus("".join(f"#doc\t{d}\nx\tFacts\n" for d in documents))
+        except InputError:
+            parsed = None
+        assert parsed != corpus
+        with pytest.raises(InputError) as exc:
+            serialize_corpus(corpus)
+        assert str(exc.value) == message
+        with pytest.raises(InputError):
+            save_corpus(corpus, tmp_path / "corpus.tsv")
+        assert list(tmp_path.iterdir()) == []
+
 
 @st.composite
 def corpora(draw):
@@ -185,31 +212,32 @@ class TestDistribution:
 
 class TestSplit:
     def test_sizes_n10(self):
-        train, val = split(make_corpus(10), SplitSpec(0.8, seed=42))
+        train, val = split(make_corpus(10), RunConfig(train_fraction=0.8, seed=42))
         assert (len(train), len(val)) == (8, 2)
 
     def test_sizes_full_scale(self):
         corpus = make_corpus(11285, docs=60)
-        train, val = split(corpus, SplitSpec(0.8, seed=42))
+        train, val = split(corpus, RunConfig(train_fraction=0.8, seed=42))
         assert (len(train), len(val)) == (9028, 2257)
 
     def test_deterministic(self):
         corpus = make_corpus(40, docs=3)
-        spec = SplitSpec(0.8, seed=7)
-        assert split(corpus, spec) == split(corpus, spec)
-        other = split(corpus, SplitSpec(0.8, seed=8))
-        assert other != split(corpus, spec)
+        cfg = RunConfig(train_fraction=0.8, seed=7)
+        assert split(corpus, cfg) == split(corpus, cfg)
+        other = split(corpus, RunConfig(train_fraction=0.8, seed=8))
+        assert other != split(corpus, cfg)
 
     def test_partition_no_loss_no_duplicates(self):
         corpus = make_corpus(37, docs=4)
-        train, val = split(corpus, SplitSpec(0.6, seed=1))
+        train, val = split(corpus, RunConfig(train_fraction=0.6, seed=1))
         keys = [(s.doc_id, s.position) for s in train + val]
         assert len(keys) == len(set(keys)) == 37
         assert set(keys) == {(s.doc_id, s.position) for s in corpus.sentences}
 
     def test_document_level_keeps_documents_whole(self):
         corpus = make_corpus(50, docs=7)
-        train, val = split(corpus, SplitSpec(0.8, seed=3, mode="document_level"))
+        cfg = RunConfig(train_fraction=0.8, seed=3, split_mode="document_level")
+        train, val = split(corpus, cfg)
         train_docs = {s.doc_id for s in train}
         val_docs = {s.doc_id for s in val}
         assert not train_docs & val_docs
@@ -217,11 +245,11 @@ class TestSplit:
 
     def test_too_small(self):
         with pytest.raises(InputError):
-            split(make_corpus(1), SplitSpec(0.8, seed=0))
+            split(make_corpus(1), RunConfig(train_fraction=0.8, seed=0))
 
     def test_bad_fraction(self):
-        with pytest.raises(InputError):
-            SplitSpec(1.0, seed=0)
+        with pytest.raises(ConfigError, match="^train_fraction must lie strictly between 0 and 1$"):
+            RunConfig(train_fraction=1.0, seed=0)
 
     @pytest.mark.parametrize(
         "name,kwargs",
@@ -231,7 +259,7 @@ class TestSplit:
     )
     def test_wrong_typed_field_rejected(self, name, kwargs):
         with pytest.raises(ConfigError, match=name):
-            SplitSpec(**kwargs)
+            RunConfig(**kwargs)
 
 
 def whitespace_tokens(text):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from rhetrole import _embcache, embedding
 from rhetrole.cli import main
+from rhetrole.config import RunConfig
 from rhetrole.embedding import (
     CASINGS,
     HashedBowProvider,
@@ -37,7 +38,7 @@ from rhetrole.errors import (
     InputError,
     MissingEmbeddingError,
 )
-from rhetrole.linear_model import TrainConfig, train
+from rhetrole.linear_model import train
 
 from .conftest import FINITE_DOUBLES
 
@@ -664,7 +665,7 @@ class TestEmbCache:
         encoder = HashedBowProvider(32, "cased", 50)
         path = tmp_path / "toy.emb"
         save_embeddings(zip(texts, encoder.embed(texts)), 32, path)
-        cfg = TrainConfig(epochs=2, learning_rate=1e-2)
+        cfg = RunConfig(epochs=2, learning_rate=1e-2)
         train_set, val_set = toy.sentences[:500], toy.sentences[500:]
         cold = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
         self.no_parse(monkeypatch)

@@ -22,12 +22,12 @@ from rhetrole.errors import (
     InputError,
     MissingEmbeddingError,
 )
+from rhetrole.config import RunConfig
 from rhetrole.corpus import LABELS, LabeledSentence
 from rhetrole.linear_model import (
     SELECTION_METRICS,
     LinearCheckpoint,
     OptimizerState,
-    TrainConfig,
     initial_params,
     load_checkpoint,
     logits,
@@ -267,7 +267,7 @@ class TestBackward:
 def scalar_setup(lr=2e-5, weight_decay=0.0):
     params = fused(np.zeros((1, 1)), np.zeros(1))
     state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
-    cfg = TrainConfig(learning_rate=lr, weight_decay=weight_decay, epochs=1)
+    cfg = RunConfig(learning_rate=lr, weight_decay=weight_decay, epochs=1)
     return params, state, cfg
 
 
@@ -318,7 +318,7 @@ class TestOptimizerStep:
         decay included."""
         params = fused(np.array([[0.5, -0.25], [0.0, 1.0]]), np.array([-0.25, 1.0]))
         state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
-        cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.1, epochs=1)
+        cfg = RunConfig(learning_rate=1e-2, weight_decay=0.1, epochs=1)
         rng = np.random.default_rng(4)
         for _ in range(5):
             grads = rng.normal(size=params.shape)
@@ -381,7 +381,7 @@ class TestCoreMatchesReferenceBits:
                              ids=["ones", "one_zero"])
     def test_fifty_steps(self, batch, dim, weight_decay, weights):
         rng = np.random.default_rng([batch, dim])
-        cfg = TrainConfig(learning_rate=1e-2, weight_decay=weight_decay, epochs=1)
+        cfg = RunConfig(learning_rate=1e-2, weight_decay=weight_decay, epochs=1)
         params = initial_params(dim, 7, seed=dim)
         ref_params = params.copy()
         state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
@@ -451,7 +451,7 @@ class TestTrainIsTheReferenceLoop:
         # 203 training rows: batches of 8 and a short last batch of 3.
         train_set, val_set = toy.sentences[:203], toy.sentences[600:]
         weights = np.array([2.0, 0.5, 0.0, 1.0, 3.0, 1.0, 0.25])
-        cfg = TrainConfig(batch_size=8, epochs=6, learning_rate=1e-2, seed=7,
+        cfg = RunConfig(batch_size=8, epochs=6, learning_rate=1e-2, seed=7,
                           weight_decay=weight_decay, selection_metric=metric)
         epochs = []
         ckpt = train(train_set, val_set, provider, weights, cfg, on_epoch=epochs.append)
@@ -490,7 +490,7 @@ class TestTrain:
         assert multiclass_perceptron_separates(X, y)
 
         train_set, val_set = sentences[:160], sentences[160:]
-        cfg = TrainConfig(batch_size=8, epochs=20, learning_rate=1e-2, seed=42)
+        cfg = RunConfig(batch_size=8, epochs=20, learning_rate=1e-2, seed=42)
         ckpt = train(train_set, val_set, provider, np.ones(2), cfg, labels=self.LABELS2)
         preds = logits(ckpt.params, embed_batch(val_set, provider)).argmax(axis=1)
         correct = sum(ckpt.labels[i] == s.label for i, s in zip(preds, val_set))
@@ -498,7 +498,7 @@ class TestTrain:
 
     def test_single_epoch_checkpoint_is_that_epoch(self):
         sentences, provider, _, _ = two_class_toy(n=40)
-        cfg = TrainConfig(batch_size=8, epochs=1, learning_rate=1e-2, seed=0)
+        cfg = RunConfig(batch_size=8, epochs=1, learning_rate=1e-2, seed=0)
         stats = []
         ckpt = train(
             sentences[:32], sentences[32:], provider, np.ones(2), cfg,
@@ -509,7 +509,7 @@ class TestTrain:
 
     def test_deterministic_bit_identical(self):
         sentences, provider, _, _ = two_class_toy(n=60)
-        cfg = TrainConfig(batch_size=8, epochs=3, learning_rate=1e-2, seed=42)
+        cfg = RunConfig(batch_size=8, epochs=3, learning_rate=1e-2, seed=42)
         run = lambda: train(
             sentences[:48], sentences[48:], provider, np.ones(2), cfg, labels=self.LABELS2
         )
@@ -518,7 +518,7 @@ class TestTrain:
 
     def test_val_loss_selection_picks_minimum(self):
         sentences, provider, _, _ = two_class_toy(n=60)
-        cfg = TrainConfig(
+        cfg = RunConfig(
             batch_size=8, epochs=5, learning_rate=1e-2, seed=1, selection_metric="val_loss"
         )
         stats = []
@@ -530,7 +530,7 @@ class TestTrain:
 
     def test_empty_sets_rejected(self):
         sentences, provider, _, _ = two_class_toy(n=10)
-        cfg = TrainConfig(epochs=1)
+        cfg = RunConfig(epochs=1)
         with pytest.raises(InputError):
             train([], sentences, provider, np.ones(2), cfg, labels=self.LABELS2)
         with pytest.raises(InputError):
@@ -545,7 +545,7 @@ class TestTrain:
         assert shuffled != texts
         path = tmp_path / "shuffled.emb"
         save_embeddings(zip(shuffled, hashed.embed(shuffled)), 32, path)
-        cfg = TrainConfig(batch_size=8, epochs=2, learning_rate=1e-2, seed=3)
+        cfg = RunConfig(batch_size=8, epochs=2, learning_rate=1e-2, seed=3)
         train_set, val_set = toy.sentences[:560], toy.sentences[560:]
         from_emb = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
         from_hashed = train(train_set, val_set, hashed, np.ones(7), cfg)
@@ -564,7 +564,7 @@ class TestTrain:
     def test_training_sentence_absent_from_emb_raises(self):
         sentences, provider, _, _ = two_class_toy(n=20)
         absent = LabeledSentence(text="not in the table", label="Facts", doc_id="t", position=20)
-        cfg = TrainConfig(epochs=1)
+        cfg = RunConfig(epochs=1)
         with pytest.raises(MissingEmbeddingError, match="sentence 'not in the table'$"):
             train(sentences[:10] + [absent], sentences[10:], provider, np.ones(2), cfg,
                   labels=self.LABELS2)
@@ -576,7 +576,7 @@ class TestTrain:
     )
     def test_wrong_typed_field_rejected_at_construction(self, name, value):
         with pytest.raises(ConfigError, match=name):
-            TrainConfig(**{name: value})
+            RunConfig(**{name: value})
 
 
 class TestPredict:
