@@ -129,13 +129,15 @@ def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int 
 def _provider_for_inference(args, ckpt):
     """The featuriser the checkpoint was trained with. ``--provider`` may only
     point a precomputed checkpoint at another vectors file."""
+    kind = None
     try:
         kind, arg, casing, max_len = parse_provider_spec(ckpt.provider_id)
         hashed = HashedBowProvider(arg, casing, max_len) if kind == "hashed" else None
-    except ConfigError:
+    except ConfigError as exc:
         raise ConfigError(
             f"checkpoint {args.checkpoint}: provider id {ckpt.provider_id!r} is neither "
             "'hashed:<dim>:<casing>:<max_len>' nor 'precomputed:<path>'"
+            + (f": {exc}" if kind == "hashed" else "")
         ) from None
     if args.provider is not None:
         new_kind, new_arg, _, _ = parse_provider_spec(args.provider)

@@ -5,8 +5,8 @@ Corpus TSV format
 -----------------
 UTF-8 text. A line ``#doc<TAB><doc_id>`` opens a document; every following
 non-blank line is ``<sentence text><TAB><canonical label>``. Blank lines are
-ignored. `serialize_corpus` emits exactly this shape with ``\\n`` endings, so
-parse/serialize round-trips are byte-identical.
+ignored, and file order is the only sentence order. `serialize_corpus` emits
+this shape with ``\\n`` endings: parse/serialize round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ class LabeledSentence:
     text: str
     label: str
     doc_id: str
-    position: int
 
 
 @dataclass
 class Corpus:
-    """Sentences in stable order (document ingestion order, then position)."""
+    """Documents in ``documents`` order, each one's sentences contiguous, in file order."""
 
     sentences: list[LabeledSentence]
     documents: list[str]
@@ -72,7 +71,6 @@ def parse_corpus(text: str) -> Corpus:
     documents: list[str] = []
     seen_docs: set[str] = set()
     current_doc: str | None = None
-    position = 0
 
     for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
@@ -87,7 +85,6 @@ def parse_corpus(text: str) -> Corpus:
             seen_docs.add(doc_id)
             documents.append(doc_id)
             current_doc = doc_id
-            position = 0
             continue
         fields = line.split("\t")
         if len(fields) != 2:
@@ -102,32 +99,27 @@ def parse_corpus(text: str) -> Corpus:
             raise UnknownLabelError(f"unknown label {raw_label!r}", line_no)
         if current_doc is None:
             raise CorpusParseError("sentence line before any #doc header", line_no)
-        sentences.append(
-            LabeledSentence(text=sent_text, label=label, doc_id=current_doc, position=position)
-        )
-        position += 1
+        sentences.append(LabeledSentence(text=sent_text, label=label, doc_id=current_doc))
 
     return Corpus(sentences=sentences, documents=documents)
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Emit the canonical TSV form (inverse of parse_corpus), refusing what it refuses
-    or would read back changed."""
-    by_doc: dict[str, list[LabeledSentence]] = {}
+    """Emit the canonical TSV form (inverse of parse_corpus) in one ordered pass,
+    refusing what it refuses or would read back changed."""
+    sentences = corpus.sentences
+    seen: set[str] = set()
+    lines: list[str] = []
+    i = 0
     for doc_id in corpus.documents:
         if not doc_id or "\n" in doc_id or doc_id.endswith("\r"):
             raise InputError(f"document id {doc_id!r} is not representable in the TSV format")
-        if doc_id in by_doc:
+        if doc_id in seen:
             raise InputError(f"duplicate document id {doc_id!r}")
-        by_doc[doc_id] = []
-    for s in corpus.sentences:
-        if s.doc_id not in by_doc:
-            raise InputError(f"sentence doc_id {s.doc_id!r} missing from corpus.documents")
-        by_doc[s.doc_id].append(s)
-    lines: list[str] = []
-    for doc_id in corpus.documents:
+        seen.add(doc_id)
         lines.append(f"#doc\t{doc_id}")
-        for s in sorted(by_doc[doc_id], key=lambda s: s.position):
+        while i < len(sentences) and sentences[i].doc_id == doc_id:
+            s = sentences[i]
             if not s.text:
                 raise InputError("sentence text must be non-empty")
             if "\t" in s.text or "\n" in s.text:
@@ -137,6 +129,14 @@ def serialize_corpus(corpus: Corpus) -> str:
             if s.label not in LABELS:
                 raise InputError(f"unknown label {s.label!r}")
             lines.append(f"{s.text}\t{s.label}")
+            i += 1
+    if i < len(sentences):
+        doc_id = sentences[i].doc_id
+        raise InputError(
+            f"sentence {i} of document {doc_id!r} is out of order: a document's sentences "
+            "must be contiguous, in corpus.documents order" if doc_id in seen
+            else f"sentence doc_id {doc_id!r} missing from corpus.documents"
+        )
     return "".join(line + "\n" for line in lines)
 
 

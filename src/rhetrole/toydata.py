@@ -50,7 +50,6 @@ def toy_corpus() -> Corpus:
     vocab = _collision_free_vocab()
     rng = np.random.default_rng(7)
     documents = [f"toy{j:02d}" for j in range(10)]
-    positions = dict.fromkeys(documents, 0)
     sentences: list[LabeledSentence] = []
     for i in range(100 * len(LABELS)):
         label = LABELS[i % len(LABELS)]
@@ -58,9 +57,6 @@ def toy_corpus() -> Corpus:
         k = int(rng.integers(3, 8 + 1))
         text = " ".join(words[w] for w in rng.integers(0, len(words), size=k))
         doc_id = documents[i % len(documents)]
-        sentences.append(
-            LabeledSentence(text=text, label=label, doc_id=doc_id, position=positions[doc_id])
-        )
-        positions[doc_id] += 1
-    ordered = sorted(sentences, key=lambda s: (documents.index(s.doc_id), s.position))
-    return Corpus(sentences=ordered, documents=documents)
+        sentences.append(LabeledSentence(text=text, label=label, doc_id=doc_id))
+    sentences.sort(key=lambda s: documents.index(s.doc_id))  # stable: keeps dealing order
+    return Corpus(sentences=sentences, documents=documents)

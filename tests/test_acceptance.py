@@ -168,14 +168,14 @@ def test_criterion_4_resampling_laws():
 
         under = undersample(data, seed)
         assert set(label_counts(under).values()) == {mn}
-        under_keys = [(s.doc_id, s.position) for s in under]
+        under_keys = [id(s) for s in under]
         assert len(set(under_keys)) == len(under_keys)
-        assert set(under_keys) <= {(s.doc_id, s.position) for s in data}
+        assert set(under_keys) <= {id(s) for s in data}
         assert undersample(data, seed) == under
 
         over = oversample(data, seed)
         assert set(label_counts(over).values()) == {mx}
-        assert {(s.doc_id, s.position) for s in over} == {(s.doc_id, s.position) for s in data}
+        assert {id(s) for s in over} == {id(s) for s in data}
         assert oversample(data, seed) == over
     _report("4 (undersample/oversample laws, 200 random datasets)")
 

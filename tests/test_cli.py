@@ -508,7 +508,15 @@ class TestEvaluate:
         assert rc == 2
         assert named in stderr
 
-    @pytest.mark.parametrize("provider_id", ["hashed:256", "magic", "hashed:256:cased:0"])
+    # What the provider says of a hashed id's casing or max_len follows the message.
+    PROVIDER_SAYS = {
+        "hashed:256": ": casing must be one of ('cased', 'uncased'), got None",
+        "magic": "",
+        "hashed:256:cased:0": ": max_len must be an integer >= 1, got 0",
+        "hashed:256:lower:8": ": casing must be one of ('cased', 'uncased'), got 'lower'",
+    }
+
+    @pytest.mark.parametrize("provider_id", list(PROVIDER_SAYS))
     def test_bad_checkpoint_provider_id_names_the_checkpoint(
         self, provider_id, toy_tsv, tmp_path, capsys
     ):
@@ -522,7 +530,8 @@ class TestEvaluate:
         assert rc == 2
         assert stderr == (
             f"error: checkpoint {ckpt_path}: provider id {provider_id!r} is neither "
-            "'hashed:<dim>:<casing>:<max_len>' nor 'precomputed:<path>'\n"
+            "'hashed:<dim>:<casing>:<max_len>' nor 'precomputed:<path>'"
+            f"{self.PROVIDER_SAYS[provider_id]}\n"
         )
 
 

@@ -30,19 +30,16 @@ from .conftest import TWO_DOC_TSV
 def make_corpus(n, labels=None, docs=1):
     sentences = []
     doc_ids = [f"d{j}" for j in range(docs)]
-    positions = dict.fromkeys(doc_ids, 0)
     for i in range(n):
-        doc = doc_ids[i % docs]
         sentences.append(
             LabeledSentence(
                 text=f"sentence number {i}",
                 label=labels[i % len(labels)] if labels else LABELS[i % len(LABELS)],
-                doc_id=doc,
-                position=positions[doc],
+                doc_id=doc_ids[i % docs],
             )
         )
-        positions[doc] += 1
-    sentences.sort(key=lambda s: (doc_ids.index(s.doc_id), s.position))
+    # Stable: each document's sentences stay in the order they were made.
+    sentences.sort(key=lambda s: doc_ids.index(s.doc_id))
     return Corpus(sentences=sentences, documents=doc_ids)
 
 
@@ -100,7 +97,7 @@ class TestParse:
 
     def test_blank_lines_ignored_and_positions_sequential(self):
         corpus = parse_corpus("#doc\tD\n\nx\tFacts\n\n\ny\tArgument\n")
-        assert [s.position for s in corpus.sentences] == [0, 1]
+        assert [s.text for s in corpus.sentences] == ["x", "y"]
 
     def test_round_trip_is_identity(self):
         corpus = parse_corpus(TWO_DOC_TSV)
@@ -121,7 +118,7 @@ class TestSerialize:
         ],
     )
     def test_what_the_parser_refuses_is_not_written(self, tmp_path, text, label, message):
-        corpus = Corpus([LabeledSentence(text, label, "D", 0)], ["D"])
+        corpus = Corpus([LabeledSentence(text, label, "D")], ["D"])
         # Written as it stands, the sentence would not parse back.
         try:
             parsed = parse_corpus(f"#doc\tD\n{text}\t{label}\n")
@@ -148,7 +145,7 @@ class TestSerialize:
     def test_document_ids_the_parser_refuses_are_not_written(
         self, tmp_path, documents, message
     ):
-        corpus = Corpus([LabeledSentence("x", "Facts", documents[0], 0)], documents)
+        corpus = Corpus([LabeledSentence("x", "Facts", documents[0])], documents)
         # Written as it stands, each header followed by the document's sentences.
         try:
             parsed = parse_corpus("".join(f"#doc\t{d}\nx\tFacts\n" for d in documents))
@@ -162,16 +159,48 @@ class TestSerialize:
             save_corpus(corpus, tmp_path / "corpus.tsv")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "sentences, message",
+        [
+            ([("x", "a"), ("y", "b"), ("z", "a")],
+             "sentence 2 of document 'a' is out of order: a document's sentences must be "
+             "contiguous, in corpus.documents order"),
+            ([("x", "b"), ("y", "a")],
+             "sentence 1 of document 'a' is out of order: a document's sentences must be "
+             "contiguous, in corpus.documents order"),
+            ([("x", "a"), ("y", "ghost")],
+             "sentence doc_id 'ghost' missing from corpus.documents"),
+        ],
+        ids=["interleaved", "documents_reversed", "unknown_document"],
+    )
+    def test_sentences_out_of_document_order_are_not_written(self, tmp_path, sentences, message):
+        documents = ["a", "b"]
+        corpus = Corpus([LabeledSentence(t, "Facts", d) for t, d in sentences], documents)
+        # Written grouped by document, the sentences would read back reordered or lost.
+        grouped = "".join(
+            f"#doc\t{d}\n" + "".join(f"{t}\tFacts\n" for t, sd in sentences if sd == d)
+            for d in documents
+        )
+        assert parse_corpus(grouped) != corpus
+        with pytest.raises(InputError) as exc:
+            serialize_corpus(corpus)
+        assert str(exc.value) == message
+        with pytest.raises(InputError):
+            save_corpus(corpus, tmp_path / "corpus.tsv")
+        assert list(tmp_path.iterdir()) == []
+
 
 @st.composite
 def corpora(draw):
+    """Corpora in file order; some draws then interleave the documents'
+    sentences, or move one sentence to a document not in ``documents``."""
     num_docs = draw(st.integers(1, 4))
     sentences = []
     documents = []
     for j in range(num_docs):
         doc = f"doc{j}"
         documents.append(doc)
-        for pos in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(1, 6))):
             text = draw(
                 st.text(
                     alphabet="abcdefgh XYZ.,;'()0-9§302¶",
@@ -180,16 +209,36 @@ def corpora(draw):
                 ).filter(lambda t: t.strip() and t != "#doc")
             )
             label = draw(st.sampled_from(LABELS))
-            sentences.append(
-                LabeledSentence(text=text, label=label, doc_id=doc, position=pos)
-            )
+            sentences.append(LabeledSentence(text=text, label=label, doc_id=doc))
+    if draw(st.booleans()):
+        sentences = draw(st.permutations(sentences))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(sentences) - 1))
+        sentences[i] = LabeledSentence(sentences[i].text, sentences[i].label, "ghost")
     return Corpus(sentences=sentences, documents=documents)
 
 
+def in_file_order(corpus):
+    """Every sentence names a known document, and each document's sentences
+    are contiguous and in ``documents`` order."""
+    ranks = [corpus.documents.index(s.doc_id) if s.doc_id in corpus.documents else -1
+             for s in corpus.sentences]
+    return -1 not in ranks and ranks == sorted(ranks)
+
+
 @given(corpora())
-@settings(max_examples=50)
+@example(Corpus([LabeledSentence("x", "Facts", "doc0"), LabeledSentence("y", "Facts", "doc1"),
+                 LabeledSentence("z", "Facts", "doc0")], ["doc0", "doc1"]))
+@example(Corpus([LabeledSentence("x", "Facts", "ghost")], ["doc0"]))
+@settings(max_examples=100)
 def test_serialize_parse_round_trip(corpus):
-    assert parse_corpus(serialize_corpus(corpus)) == corpus
+    """A corpus reads back equal, or serialize_corpus refuses it: exactly
+    when the TSV cannot hold its order or its documents."""
+    if in_file_order(corpus):
+        assert parse_corpus(serialize_corpus(corpus)) == corpus
+    else:
+        with pytest.raises(InputError):
+            serialize_corpus(corpus)
 
 
 class TestDistribution:
@@ -230,9 +279,10 @@ class TestSplit:
     def test_partition_no_loss_no_duplicates(self):
         corpus = make_corpus(37, docs=4)
         train, val = split(corpus, RunConfig(train_fraction=0.6, seed=1))
-        keys = [(s.doc_id, s.position) for s in train + val]
+        # split hands back the corpus's own sentence objects.
+        keys = [id(s) for s in train + val]
         assert len(keys) == len(set(keys)) == 37
-        assert set(keys) == {(s.doc_id, s.position) for s in corpus.sentences}
+        assert set(keys) == {id(s) for s in corpus.sentences}
 
     def test_document_level_keeps_documents_whole(self):
         corpus = make_corpus(50, docs=7)
@@ -269,8 +319,8 @@ def whitespace_tokens(text):
 class TestLengthPercentile:
     def corpus_with_token_counts(self, counts):
         sentences = [
-            LabeledSentence(text=" ".join(["tok"] * c), label="Facts", doc_id="d", position=i)
-            for i, c in enumerate(counts)
+            LabeledSentence(text=" ".join(["tok"] * c), label="Facts", doc_id="d")
+            for c in counts
         ]
         return Corpus(sentences=sentences, documents=["d"])
 

@@ -110,7 +110,7 @@ def dataset_with_counts(counts: dict[str, int]) -> list[LabeledSentence]:
     for label, n in counts.items():
         for _ in range(n):
             out.append(
-                LabeledSentence(text=f"s{i}", label=label, doc_id="d", position=i)
+                LabeledSentence(text=f"s{i}", label=label, doc_id="d")
             )
             i += 1
     return out
@@ -132,9 +132,9 @@ class TestUndersample:
     def test_subset_in_original_order(self):
         data = dataset_with_counts(self.COUNTS)
         out = undersample(data, seed=3)
-        positions = [s.position for s in out]
-        assert positions == sorted(positions)
-        assert set(positions) <= {s.position for s in data}
+        index = {id(s): i for i, s in enumerate(data)}
+        order = [index[id(s)] for s in out]
+        assert order == sorted(order)
 
     def test_balanced_input_is_identity(self):
         data = dataset_with_counts({"Facts": 3, "Argument": 3})
@@ -161,9 +161,9 @@ class TestOversample:
     def test_contains_every_original(self):
         data = dataset_with_counts(self.COUNTS)
         out = oversample(data, seed=1)
-        out_multiset = Counter((s.doc_id, s.position) for s in out)
+        out_multiset = Counter(id(s) for s in out)
         for s in data:
-            assert out_multiset[(s.doc_id, s.position)] >= 1
+            assert out_multiset[id(s)] >= 1
 
     def test_balanced_input_is_identity(self):
         data = dataset_with_counts({"Facts": 4, "Statute": 4})
@@ -191,11 +191,11 @@ def test_resampling_laws(counts, seed):
 
     under = undersample(data, seed)
     assert set(label_counts(under).values()) == {mn}
-    under_keys = Counter((s.doc_id, s.position) for s in under)
+    under_keys = Counter(id(s) for s in under)
     assert all(v == 1 for v in under_keys.values())
-    assert set(under_keys) <= {(s.doc_id, s.position) for s in data}
+    assert set(under_keys) <= {id(s) for s in data}
 
     over = oversample(data, seed)
     assert set(label_counts(over).values()) == {mx}
-    over_keys = Counter((s.doc_id, s.position) for s in over)
-    assert set(over_keys) == {(s.doc_id, s.position) for s in data}
+    over_keys = Counter(id(s) for s in over)
+    assert set(over_keys) == {id(s) for s in data}

@@ -475,8 +475,8 @@ def two_class_toy(n=200, d=8, seed=123):
     keys = [f"point {i}" for i in range(n)]
     provider = PrecomputedProvider(X, {k: i for i, k in enumerate(keys)}, "precomputed:test")
     sentences = [
-        LabeledSentence(text=k, label=lab, doc_id="t", position=i)
-        for i, (k, lab) in enumerate(zip(keys, labels))
+        LabeledSentence(text=k, label=lab, doc_id="t")
+        for k, lab in zip(keys, labels)
     ]
     return sentences, provider, X, labels
 
@@ -563,7 +563,7 @@ class TestTrain:
 
     def test_training_sentence_absent_from_emb_raises(self):
         sentences, provider, _, _ = two_class_toy(n=20)
-        absent = LabeledSentence(text="not in the table", label="Facts", doc_id="t", position=20)
+        absent = LabeledSentence(text="not in the table", label="Facts", doc_id="t")
         cfg = RunConfig(epochs=1)
         with pytest.raises(MissingEmbeddingError, match="sentence 'not in the table'$"):
             train(sentences[:10] + [absent], sentences[10:], provider, np.ones(2), cfg,

@@ -59,7 +59,7 @@ def zipf_corpus(num_sentences: int = 400, vocab: int = 600, seed: int = 2022,
                 word = word.capitalize()
             tokens.append(forms[draw(len(forms))].format(word))
         label = LABELS[bisect_right(label_cum, draw(label_cum[-1]))]
-        sentences.append(LabeledSentence(" ".join(tokens), label, documents[-1], i % 25))
+        sentences.append(LabeledSentence(" ".join(tokens), label, documents[-1]))
     return Corpus(sentences=sentences, documents=documents)
 
 
