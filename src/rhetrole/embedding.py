@@ -31,7 +31,7 @@ together by a vectorised FNV-1a (``hash_vocabulary``), so no memo is kept
 between chunks. Each row is then one ``bincount`` over its tokens' buckets
 and signs, with the same bytes as hashing token by token. ``tokenize``
 strips edge punctuation with ``str.strip`` over the constant table
-``_PUNCTUATION`` and looks up the category of an edge only beyond its blocks.
+``_PUNCTUATION``, then looks up the category of an edge left non-alphanumeric.
 """
 
 from __future__ import annotations
@@ -95,11 +95,9 @@ def tokenize(text: str, casing: str) -> list[str]:
 
 
 def _strip_edge_punctuation(token: str) -> str:
-    """``token`` without edge punctuation: ``str.strip`` over ``_PUNCTUATION``, then
-    the category loop only if an edge left is neither alphanumeric nor in its blocks."""
+    """``token`` without its edge punctuation: ``str.strip``, then the category loop."""
     token = token.strip(_PUNCTUATION)
-    if token and not (token[0].isalnum() and token[-1].isalnum()
-                      or _decided(token[0]) and _decided(token[-1])):
+    if token and not (token[0].isalnum() and token[-1].isalnum()):
         start, end = 0, len(token)
         while start < end and unicodedata.category(token[start]).startswith("P"):
             start += 1
@@ -107,10 +105,6 @@ def _strip_edge_punctuation(token: str) -> str:
             end -= 1
         token = token[start:end]
     return token
-
-
-def _decided(char: str) -> bool:
-    return char.isalnum() or char <= "\xff" or "\u2000" <= char <= "\u206f"
 
 
 def fnv1a_64(text: str) -> int:

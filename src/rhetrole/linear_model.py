@@ -7,15 +7,15 @@ The classifier's parameters are one float64 array of shape
 (num_labels, dim + 1): columns ``[:, :-1]`` hold the weight matrix W and
 column ``[:, -1]`` the bias b. Only this module knows that layout.
 
-One batched core serves training, validation, evaluation and prediction:
-``logits`` maps an (n, dim) embedding matrix to (n, num_labels) logits, and
-``weighted_ce`` gives per-row weighted cross-entropy and its gradient with
-respect to the logits (validation by loss computes only the losses).
-``loss_and_grads`` is the per-batch core that ``train`` runs: it chains the
-same arithmetic through the linear layer and writes the gradient into one
-array laid out like the parameters. ``optimizer_step`` updates the
-parameters and both moment arrays in place with one element-wise update
-over the whole array.
+One batched core serves training, validation, evaluation and prediction.
+``logits`` maps an (n, dim) embedding matrix to (n, num_labels) logits.
+``_row_losses`` gives each row's class-weighted cross-entropy, and
+``_logit_grads`` its gradient with respect to the logits.
+``loss_and_grads``, the per-batch core of each training step, chains both
+through the linear layer and writes the gradient into one array laid out
+like the parameters; validation by loss calls ``_row_losses`` alone.
+``optimizer_step`` updates the parameters and both moment arrays in place
+with one element-wise update over the whole array.
 
 A training step is a few dozen numpy calls on small arrays, so call overhead
 dominates it. The core therefore calls ufuncs and their ``reduce`` directly
@@ -36,17 +36,16 @@ summation order.
 
 Checkpoint file format (CKPT v1)
 --------------------------------
-Line 1: ``CKPT v1 <num_labels> <dim> <provider_id>``, counts in ASCII digits.
-Line 2: the distinct, non-empty labels in order, tab-separated. Then one
-line per weight-matrix row (space-separated decimals, read like EMB v1
-values), final line the bias vector. Lines may end in ``\\r\\n``. Floats use
-shortest round-trip precision, so values survive write -> load -> write
-byte-identically.
+Line 1: ``CKPT v1 <num_labels> <dim> <provider_id>``, counts in ASCII digits,
+the id with no LF and no final CR. Line 2: the distinct, non-empty labels in
+order, tab-separated. Then one line per weight-matrix row (space-separated
+decimals, read like EMB v1 values), final line the bias vector. Lines may end
+in ``\\r\\n``. Floats use shortest round-trip precision, so values survive
+write -> load -> write byte-identically.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,19 +123,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@functools.cache
-def _identity(k: int) -> np.ndarray:
-    """The read-only (k, k) float64 identity matrix."""
-    eye = np.eye(k)
-    eye.flags.writeable = False
-    return eye
-
-
-def _row_labels(y: np.ndarray, weights: np.ndarray, k: int, batch_size: int):
-    """Each row's sample weight, and its label's index in its batch's flat logits."""
-    return weights.take(y), np.arange(len(y)) % batch_size * k + y
-
-
 def _row_losses(Z, sample_w, label_idx):
     """Per-row weighted CE of (n, k) logits, and their (n, 1) log-sum-exp."""
     m = np.maximum.reduce(Z, axis=-1, keepdims=True)
@@ -159,28 +145,10 @@ def _logit_grads(Z, lse, sample_w, onehot):
     return G
 
 
-def weighted_ce(
-    Z: np.ndarray, y: np.ndarray, weights: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row class-weighted cross-entropy and its gradient dLoss/dZ.
-
-    Row i's loss is weights[y_i] * (logsumexp(z_i) - z_i[y_i]), computed via
-    log-sum-exp for stability; its gradient is
-    weights[y_i] * (softmax(z_i) - onehot(y_i)). A zero weight gives an exact
-    zero loss and gradient.
-    """
-    k = Z.shape[1]
-    # take raises IndexError for y >= k and wraps -k <= y < 0, as Z[rows, y] would.
-    y = np.arange(k).take(y)
-    sample_w, label_idx = _row_labels(y, np.asarray(weights, dtype=np.float64), k, len(y))
-    losses, lse = _row_losses(Z, sample_w, label_idx)
-    return losses, _logit_grads(Z, lse, sample_w, _identity(k).take(y, axis=0))
-
-
 def loss_and_grads(X, sample_w, label_idx, onehot, views) -> float:
-    """Summed weighted CE over one batch X, given its rows' ``_row_labels``
-    and one-hot rows. ``views`` is ``(W^T, b, dW, db)``, of the parameters and
-    of a gradient array, into which the batch-mean loss's gradient is written."""
+    """Summed weighted CE over one batch X, given its rows' sample weights, flat
+    label-logit indices and one-hot rows. ``views`` is ``(W^T, b, dW, db)``, of the
+    parameters and of a gradient array, into which the batch-mean loss's gradient is written."""
     W_T, b, dW, db = views
     Z = X @ W_T
     Z += b
@@ -273,15 +241,15 @@ def train(
         )
     if np.any(w_vec < 0) or not np.any(w_vec > 0):
         raise InputError("class weights must be >= 0 with at least one > 0")
-    for s in list(train_set) + list(val_set):
-        if s.label not in label_to_idx:
-            raise InputError(f"sentence label {s.label!r} not in training label set")
-
+    try:
+        y_train = np.array([label_to_idx[s.label] for s in train_set], dtype=np.int64)
+        y_val = [label_to_idx[s.label] for s in val_set]
+    except KeyError as exc:
+        raise InputError(f"sentence label {exc.args[0]!r} not in training label set") from None
     table, rows = table_rows(train_set, provider)
-    y_train = np.array([label_to_idx[s.label] for s in train_set], dtype=np.int64)
-    X_val, y_val = embed_batch(val_set, provider), [label_to_idx[s.label] for s in val_set]
+    X_val = embed_batch(val_set, provider)
     n, k, batch_size = len(train_set), len(labels), cfg.batch_size
-    val_w, val_idx = _row_labels(y_val, w_vec, k, len(y_val))
+    val_w, val_idx = w_vec.take(y_val), np.arange(len(y_val)) * k + y_val
 
     params = initial_params(provider.dimension, k, cfg.seed)
     state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
@@ -305,7 +273,7 @@ def train(
         del order  # so the next epoch's order is not made beside it
         w_vec.take(y_epoch, out=sample_w, mode="clip")
         np.add(slots, y_epoch, out=label_idx)
-        _identity(k).take(y_epoch, axis=0, out=onehot, mode="clip")
+        np.eye(k).take(y_epoch, axis=0, out=onehot, mode="clip")
         loss_total = 0.0
         for start in range(0, n, batch_size):
             stop = start + batch_size
@@ -363,6 +331,9 @@ def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
     k, d = len(ckpt.params), input_dim(ckpt.params)
     _check_labels(ckpt.labels, k)
     _check_finite(ckpt.params)
+    if "\n" in ckpt.provider_id or ckpt.provider_id.endswith("\r"):
+        raise CheckpointFormatError(
+            f"provider id {ckpt.provider_id!r}: header line 1 cannot hold an LF or a final CR")
     lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}", "\t".join(ckpt.labels)]
     # The weight rows, then the bias as one row.
     lines += map(format_reals, [*ckpt.params[:, :-1], ckpt.params[:, -1]])

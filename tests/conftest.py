@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rhetrole.corpus import save_corpus
-from rhetrole.linear_model import loss_and_grads
+from rhetrole.linear_model import _logit_grads, _row_losses, loss_and_grads
 from rhetrole.toydata import toy_corpus
 
 TWO_DOC_TSV = (
@@ -81,6 +81,17 @@ def multiclass_perceptron_separates(X: np.ndarray, y: np.ndarray, max_passes: in
 def fused(W, b):
     """The classifier's one parameter array: W's columns, then b."""
     return np.column_stack([W, b])
+
+
+def row_losses_and_grads(Z, y, weights):
+    """The per-row core that ``loss_and_grads`` and validation run, with its
+    arguments built from plain expressions: each row's class-weighted
+    cross-entropy of the (n, k) logits Z, and its gradient dLoss/dZ."""
+    Z, y = np.asarray(Z, dtype=np.float64), np.asarray(y)
+    k = Z.shape[1]
+    sample_w = np.asarray(weights, dtype=np.float64)[y]
+    losses, lse = _row_losses(Z, sample_w, np.arange(len(y)) * k + y)
+    return losses, _logit_grads(Z, lse, sample_w, np.eye(k)[y])
 
 
 def batch_loss_and_grads(params, X, y, weights):

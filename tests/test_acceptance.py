@@ -17,14 +17,10 @@ from rhetrole.cli import main
 from rhetrole.corpus import LABELS, Corpus, parse_corpus, serialize_corpus
 from rhetrole.embedding import load_precomputed, save_embeddings
 from rhetrole.imbalance import oversample, undersample
-from rhetrole.linear_model import (
-    parse_checkpoint,
-    serialize_checkpoint,
-    weighted_ce,
-)
+from rhetrole.linear_model import parse_checkpoint, serialize_checkpoint
 from rhetrole.metrics import evaluate_predictions
 
-from .conftest import TASK_COUNTS, batch_loss_and_grads, fused
+from .conftest import TASK_COUNTS, batch_loss_and_grads, fused, row_losses_and_grads
 from .test_corpus import make_corpus
 from .test_imbalance import (
     dataset_with_counts,
@@ -45,20 +41,20 @@ def _report(criterion: str, detail: str = ""):
 def test_criterion_1_loss_correctness():
     start = time.perf_counter()
 
-    losses, _ = weighted_ce(np.zeros((1, 7)), [0], ONES7)
+    losses, _ = row_losses_and_grads(np.zeros((1, 7)), [0], ONES7)
     assert losses[0] == pytest.approx(math.log(7), abs=1e-6)
 
     zero_w = np.ones(7)
     zero_w[3] = 0.0
     Z = np.array([[9.0, -4.0, 0.0, 2.0, 1.0, 1.0, 5.0], [0.5, 1.0, -2.0, 3.0, 0.0, 0.0, 1.0]])
-    losses, G = weighted_ce(Z, [3, 0], zero_w)
+    losses, G = row_losses_and_grads(Z, [3, 0], zero_w)
     assert losses[0] == 0.0 and not G[0].any()
     assert losses[1] > 0.0
 
     rng = np.random.default_rng(101)
     Z = rng.normal(scale=6.0, size=(1000, 7))
     y = rng.integers(0, 7, size=1000)
-    ours, _ = weighted_ce(Z, y, ONES7)
+    ours, _ = row_losses_and_grads(Z, y, ONES7)
     worst = 0.0
     for z, c, loss in zip(Z.tolist(), y.tolist(), ours.tolist()):
         m = max(z)
@@ -72,7 +68,7 @@ def test_criterion_1_loss_correctness():
 
 
 def test_criterion_2_gradient_suite():
-    """weighted_ce's dLoss/dZ, and loss_and_grads' gradients of the
+    """The per-row core's dLoss/dZ, and loss_and_grads' gradients of the
     batch-mean loss with respect to W and b, against central differences for
     batch sizes 1, 3 and 8 with non-uniform class weights that include a
     zero."""
@@ -88,16 +84,15 @@ def test_criterion_2_gradient_suite():
         y = rng.integers(0, 7, size=nb)
 
         Z = rng.normal(scale=4.0, size=(nb, 7))
-        _, analytic = weighted_ce(Z, y, w)
+        _, analytic = row_losses_and_grads(Z, y, w)
         numeric = np.zeros_like(Z)
         for i in range(nb):
             for j in range(7):
                 Zp, Zm = Z.copy(), Z.copy()
                 Zp[i, j] += h
                 Zm[i, j] -= h
-                numeric[i, j] = (
-                    weighted_ce(Zp, y, w)[0].sum() - weighted_ce(Zm, y, w)[0].sum()
-                ) / (2 * h)
+                loss_p, loss_m = (row_losses_and_grads(Zs, y, w)[0].sum() for Zs in (Zp, Zm))
+                numeric[i, j] = (loss_p - loss_m) / (2 * h)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
         worst = max(worst, np.abs(analytic - numeric).max() / scale)
 

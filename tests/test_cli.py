@@ -244,6 +244,24 @@ class TestTrain:
         assert rc == 0
         assert json.loads(stdout)["macro"]["f1"] > 0.5
 
+    @pytest.mark.parametrize("name", ["a\nb.emb", "ab.emb\r"], ids=["lf", "final_cr"])
+    def test_provider_id_header_line_1_cannot_hold_exit_2(
+        self, name, toy_emb, toy_tsv, tmp_path, capsys
+    ):
+        emb = tmp_path / name
+        emb.write_bytes(toy_emb.read_bytes())
+        out = tmp_path / "out"
+        rc, _, stderr = run_cli(
+            capsys, "train", "--corpus", str(toy_tsv), "--out", str(out),
+            "--provider", f"precomputed:{emb}", "--lr", "1e-2", "--epochs", "1",
+        )
+        assert rc == 2
+        assert stderr == (
+            f"error: provider id {f'precomputed:{emb}'!r}: "
+            "header line 1 cannot hold an LF or a final CR\n"
+        )
+        assert not (out / "checkpoint.txt").exists()
+
     def test_non_finite_batch_loss_stops_training_exit_1(self, toy_tsv, tmp_path, capsys):
         out = tmp_path / "diverged"
         with np.errstate(all="ignore"):

@@ -37,12 +37,12 @@ from rhetrole.linear_model import (
     serialize_checkpoint,
     softmax,
     train,
-    weighted_ce,
 )
 from rhetrole.metrics import evaluate_predictions
 
 from .conftest import (
-    FINITE_DOUBLES, batch_loss_and_grads, fused, multiclass_perceptron_separates
+    FINITE_DOUBLES, batch_loss_and_grads, fused, multiclass_perceptron_separates,
+    row_losses_and_grads,
 )
 
 ONES7 = np.ones(7)
@@ -56,11 +56,11 @@ def reference_unweighted_ce(z, class_index):
 
 
 def row_losses(Z, y, weights):
-    return weighted_ce(np.asarray(Z, dtype=np.float64), y, weights)[0]
+    return row_losses_and_grads(Z, y, weights)[0]
 
 
 def row_grads(Z, y, weights):
-    return weighted_ce(np.asarray(Z, dtype=np.float64), y, weights)[1]
+    return row_losses_and_grads(Z, y, weights)[1]
 
 
 class TestForward:
@@ -145,21 +145,6 @@ class TestWeightedCeLoss:
             Z = rng.normal(scale=3.0, size=(5, 7))
             w = rng.uniform(0.1, 5.0, size=7)
             assert np.all(row_losses(Z, rng.integers(0, 7, size=5), w) >= 0.0)
-
-    def test_label_bounds_match_fancy_indexing(self):
-        # A label index past the last class raises; one in -k..-1 counts
-        # from the end, as it does in the fancy-indexed reference.
-        Z = np.random.default_rng(3).normal(size=(3, 7))
-        weights = np.arange(1.0, 8.0)
-        for y in ([0, 7, 1], [0, 1, 8]):
-            with pytest.raises(IndexError):
-                weighted_ce(Z, np.array(y), weights)
-        negative = np.array([-1, -7, 2])
-        losses, G = weighted_ce(Z, negative, weights)
-        ref_losses, ref_G = reference_weighted_ce(Z, negative, weights)
-        wrapped_losses, wrapped_G = weighted_ce(Z, negative % 7, weights)
-        assert losses.tobytes() == ref_losses.tobytes() == wrapped_losses.tobytes()
-        assert G.tobytes() == ref_G.tobytes() == wrapped_G.tobytes()
 
 
 class TestLossGradient:
@@ -647,17 +632,24 @@ class TestCheckpointIO:
                                            exclude_characters="\t\n\r"), min_size=1, max_size=8),
             min_size=1, max_size=5, unique=True),
         dim=st.integers(1, 4),
-        provider_id=st.text(alphabet=st.characters(exclude_categories=("Cs",),
-                                                   exclude_characters="\n\r"), max_size=12),
+        provider_id=st.text(alphabet=st.characters(exclude_categories=("Cs",))
+                            | st.sampled_from("\n\r"), max_size=12),
         data=st.data(),
     )
     @settings(max_examples=100)
     def test_round_trip_property(self, tmp_path_factory, labels, dim, provider_id, data):
+        # The provider id reads back as written, or the save refuses it, for
+        # the LF or final CR that header line 1 cannot hold, and writes nothing.
         values = data.draw(st.lists(FINITE_DOUBLES, min_size=len(labels) * (dim + 1),
                                     max_size=len(labels) * (dim + 1)))
         params = np.array(values, dtype=np.float64).reshape(len(labels), dim + 1)
         path = tmp_path_factory.mktemp("ckpt") / "checkpoint.txt"
-        save_checkpoint(LinearCheckpoint(params, tuple(labels), provider_id), path)
+        try:
+            save_checkpoint(LinearCheckpoint(params, tuple(labels), provider_id), path)
+        except CheckpointFormatError:
+            assert "\n" in provider_id or provider_id.endswith("\r")
+            assert list(path.parent.iterdir()) == []
+            return
         written = path.read_bytes()
         crlf = parse_checkpoint(written.decode("utf-8").replace("\n", "\r\n"))
         for loaded in (load_checkpoint(path), crlf):
