@@ -60,14 +60,7 @@ CASINGS = ("cased", "uncased")
 
 # FNV-1a 64-bit constants (public-domain reference parameters).
 _FNV64_OFFSET = 0xCBF29CE484222325
-_FNV64_PRIME = 0x100000001B3
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
-_FNV64_PRIME_U64 = np.uint64(_FNV64_PRIME)
-# Below this many tokens still being hashed, _fnv1a_64_many hashes them
-# with the scalar fnv1a_64: one vectorised step over 8 to 64 tokens cost as
-# much as 23 to 27 scalar bytes (2-vCPU x86-64 host, Python 3.11, numpy
-# 2.4), so a few long tokens cost about what the scalar loop costs.
-_FNV_VECTOR_MIN_TOKENS = 25
+_FNV64_PRIME = np.uint64(0x100000001B3)
 # Rows HashedBowProvider.embed tokenises and hashes together. Chunks of 128
 # to 1,024 rows ran equally fast on a 5k-sentence corpus; each chunk's
 # token lists and vocabulary add about 1 MB per 1,000 rows to the peak.
@@ -107,24 +100,12 @@ def _strip_edge_punctuation(token: str) -> str:
     return token
 
 
-def fnv1a_64(text: str) -> int:
-    """FNV-1a 64-bit hash of the UTF-8 bytes. Platform-independent."""
-    # The mask stays inside the loop: without it the integer grows by about
-    # 40 bits a byte, and long tokens would cost quadratic time.
-    h = _FNV64_OFFSET
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * _FNV64_PRIME) & _U64_MASK
-    return h
-
-
 def _fnv1a_64_many(tokens: Sequence[str]) -> np.ndarray:
-    """``fnv1a_64`` of each token, as a uint64 array.
+    """FNV-1a 64-bit hash of each token's UTF-8 bytes, as a uint64 array.
 
     The tokens are sorted longest first, so the ones that still have a byte
     at position p are a prefix; each step hashes that byte of all of them at
-    once. uint64 multiplication wraps modulo 2**64, as ``& _U64_MASK`` does.
-    The last few tokens are hashed again by ``fnv1a_64``.
+    once. uint64 multiplication wraps modulo 2**64, as FNV-1a's does.
     """
     data = list(map(str.encode, tokens))  # UTF-8
     lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
@@ -136,14 +117,12 @@ def _fnv1a_64_many(tokens: Sequence[str]) -> np.ndarray:
     active = (len(data) - np.cumsum(np.bincount(lengths))).tolist() + [0]
     hashes = np.full(len(data), _FNV64_OFFSET, dtype=np.uint64)
     p = 0
-    while active[p] >= _FNV_VECTOR_MIN_TOKENS:
+    while active[p]:
         h, at = hashes[: active[p]], pos[: active[p]]
         np.bitwise_xor(h, buf.take(at), out=h)
-        np.multiply(h, _FNV64_PRIME_U64, out=h)
+        np.multiply(h, _FNV64_PRIME, out=h)
         np.add(at, 1, out=at)
         p += 1
-    for i in range(active[p]):
-        hashes[i] = fnv1a_64(tokens[order[i]])
     out = np.empty_like(hashes)
     out[order] = hashes
     return out
@@ -153,9 +132,9 @@ def hash_vocabulary(
     tokens: Sequence[str], dim: int
 ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """``(ids, buckets, signs)`` of distinct ``tokens``: ``ids`` maps each
-    token to its position, ``buckets[i]`` is ``fnv1a_64(tokens[i]) % dim``
-    and ``signs[i]`` is -1.0 where that hash's second-lowest bit is set,
-    else +1.0."""
+    token to its position, ``buckets[i]`` is the FNV-1a 64-bit hash of
+    ``tokens[i]``'s UTF-8 bytes mod ``dim``, and ``signs[i]`` is -1.0 where
+    that hash's second-lowest bit is set, else +1.0."""
     hashes = _fnv1a_64_many(tokens)
     buckets = (hashes % np.uint64(dim)).astype(np.intp)
     signs = np.where(hashes & np.uint64(2), -1.0, 1.0)
@@ -169,7 +148,7 @@ def encode_hashed_bow(
 ) -> np.ndarray:
     """Signed hashed bag-of-words vector, L2-normalized unless all-zero.
 
-    Each token adds +-1 at index ``fnv1a_64(token) % dim``; the sign comes
+    Each token adds +-1 at its ``hash_vocabulary`` bucket; the sign comes
     from the hash's second-lowest bit (+1 when that bit is 0) to dampen
     collision bias. ``vocab``, from ``hash_vocabulary`` over ``dim``, must
     hold every token; without it the row's own vocabulary is hashed.

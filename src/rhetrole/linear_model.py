@@ -232,6 +232,7 @@ def train(
     """
     if not train_set or not val_set:
         raise InputError("train and validation sets must both be non-empty")
+    _check_provider_id(provider.provider_id)
     labels = tuple(labels)
     label_to_idx = {name: i for i, name in enumerate(labels)}
     w_vec = np.asarray(class_weights, dtype=np.float64)
@@ -321,6 +322,13 @@ def _check_labels(labels: Sequence[str], k: int) -> None:
         )
 
 
+def _check_provider_id(provider_id: str) -> None:
+    """The CKPT v1 provider-id rule: the writer applies it, and ``train`` before any epoch."""
+    if "\n" in provider_id or provider_id.endswith("\r"):
+        raise CheckpointFormatError(
+            f"provider id {provider_id!r}: header line 1 cannot hold an LF or a final CR")
+
+
 def _check_finite(params: np.ndarray) -> None:
     """The CKPT v1 value rule, which the writer and the reader both apply."""
     if not np.isfinite(params).all():
@@ -331,9 +339,7 @@ def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
     k, d = len(ckpt.params), input_dim(ckpt.params)
     _check_labels(ckpt.labels, k)
     _check_finite(ckpt.params)
-    if "\n" in ckpt.provider_id or ckpt.provider_id.endswith("\r"):
-        raise CheckpointFormatError(
-            f"provider id {ckpt.provider_id!r}: header line 1 cannot hold an LF or a final CR")
+    _check_provider_id(ckpt.provider_id)
     lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}", "\t".join(ckpt.labels)]
     # The weight rows, then the bias as one row.
     lines += map(format_reals, [*ckpt.params[:, :-1], ckpt.params[:, -1]])

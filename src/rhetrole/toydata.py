@@ -13,14 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import LABELS, Corpus, LabeledSentence
-from .embedding import fnv1a_64
+from .embedding import hash_vocabulary
 
 _CLASS_STEMS = ("fact", "lower", "argue", "statute", "preced", "ratio", "present")
 _WORDS_PER_CLASS = 12
 
 
 def _collision_free_vocab() -> dict[str, list[str]]:
-    """One vocabulary per label, every word in its own bucket at ``hashed:256``.
+    """One vocabulary per label, each word in its own ``hash_vocabulary`` bucket at ``hashed:256``.
 
     FNV-1a propagates low-bit agreement, so fixed-prefix word families can
     collide wholesale at power-of-two dims; filtering candidates by bucket
@@ -34,7 +34,7 @@ def _collision_free_vocab() -> dict[str, list[str]]:
         while len(words) < _WORDS_PER_CLASS:
             candidate = f"{stem}{k:02d}"
             k += 1
-            bucket = fnv1a_64(candidate) % 256
+            _, (bucket,), _ = hash_vocabulary([candidate], 256)
             if bucket in used:
                 continue
             used.add(bucket)

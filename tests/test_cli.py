@@ -251,16 +251,18 @@ class TestTrain:
         emb = tmp_path / name
         emb.write_bytes(toy_emb.read_bytes())
         out = tmp_path / "out"
-        rc, _, stderr = run_cli(
+        rc, stdout, stderr = run_cli(
             capsys, "train", "--corpus", str(toy_tsv), "--out", str(out),
-            "--provider", f"precomputed:{emb}", "--lr", "1e-2", "--epochs", "1",
+            "--provider", f"precomputed:{emb}", "--lr", "1e-2", "--epochs", "2",
         )
         assert rc == 2
         assert stderr == (
             f"error: provider id {f'precomputed:{emb}'!r}: "
             "header line 1 cannot hold an LF or a final CR\n"
         )
-        assert not (out / "checkpoint.txt").exists()
+        # Refused before the first epoch: no epoch line, no --out directory.
+        assert stdout == ""
+        assert not out.exists()
 
     def test_non_finite_batch_loss_stops_training_exit_1(self, toy_tsv, tmp_path, capsys):
         out = tmp_path / "diverged"

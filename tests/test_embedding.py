@@ -26,7 +26,6 @@ from rhetrole.embedding import (
     PrecomputedProvider,
     embed_batch,
     encode_hashed_bow,
-    fnv1a_64,
     load_precomputed,
     save_embeddings,
     tokenize,
@@ -205,7 +204,8 @@ class TestTokenize:
 class TestFnv1a:
     @pytest.mark.parametrize("text,expected", sorted(FNV_VECTORS.items()))
     def test_reference_vectors(self, text, expected):
-        assert fnv1a_64(text) == expected
+        assert embedding._fnv1a_64_many([text]).tolist() == [expected]
+        assert embedding._fnv1a_64_many(list(FNV_VECTORS)).tolist() == list(FNV_VECTORS.values())
 
     @given(
         st.text(
@@ -218,13 +218,10 @@ class TestFnv1a:
     @example("caf\u00e9")
     @example("\U0001F600")
     def test_non_ascii_memoised_result_matches_uncached(self, token):
-        # Alone the token is hashed by the scalar tail; a vocabulary of
-        # copies of it takes the vectorised path.
+        # Alone, and among copies of itself that are hashed side by side.
         expected = reference_fnv1a_64(token)
-        assert fnv1a_64(token) == expected
         assert embedding._fnv1a_64_many([token]).tolist() == [expected]
-        copies = [token] * embedding._FNV_VECTOR_MIN_TOKENS
-        assert embedding._fnv1a_64_many(copies).tolist() == [expected] * len(copies)
+        assert embedding._fnv1a_64_many([token] * 25).tolist() == [expected] * 25
 
     @given(
         st.lists(st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=40),
@@ -235,14 +232,16 @@ class TestFnv1a:
     @settings(max_examples=150)
     @example([], [], random.Random(0))
     @example(["", "a", ""], [], random.Random(0))
-    # Enough equal-length tokens for the vectorised path, then a scalar tail.
     @example(["\U0001F600" * 30, "s.302" * 20, ""], ["abcde"] * 40, random.Random(1))
+    # One token runs far past the others, or only a few long ones are hashed.
+    @example(["s.302" * 200], [f"w{i}" for i in range(30)], random.Random(2))
+    @example(["\u00a7" * 300, "\u5224\u6c7a" * 100, "\U0001F600" * 50], [], random.Random(3))
     def test_vectorised_hash_equals_scalar(self, mixed, equal, rnd):
         tokens = mixed + equal
         rnd.shuffle(tokens)
         hashes = embedding._fnv1a_64_many(tokens)
         assert hashes.dtype == np.uint64
-        assert hashes.tolist() == [fnv1a_64(tok) for tok in tokens]
+        assert hashes.tolist() == [reference_fnv1a_64(tok) for tok in tokens]
 
 
 class TestHashedBow:
@@ -254,13 +253,13 @@ class TestHashedBow:
     def test_repeated_token_single_unit_bucket(self):
         dim = 16
         vec = encode_hashed_bow(["a", "a"], dim)
-        idx = fnv1a_64("a") % dim
+        idx = reference_fnv1a_64("a") % dim
         assert abs(vec[idx]) == 1.0
         assert np.count_nonzero(vec) == 1
 
     def test_two_distinct_buckets_inv_sqrt2(self):
         dim = 16
-        assert fnv1a_64("a") % dim != fnv1a_64("b") % dim
+        assert reference_fnv1a_64("a") % dim != reference_fnv1a_64("b") % dim
         vec = encode_hashed_bow(["a", "b"], dim)
         nonzero = np.abs(vec[vec != 0])
         assert nonzero == pytest.approx([1 / math.sqrt(2)] * 2)
