@@ -14,6 +14,7 @@ written only once every block is scored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -74,8 +75,6 @@ _BALANCE_FLAG_TO_METHOD = {
 
 def cmd_ingest(args) -> int:
     corpus = load_corpus(args.corpus)
-    if not corpus.sentences:
-        raise InputError(f"corpus {args.corpus} contains no sentences")
     if args.out:
         save_corpus(corpus, args.out)
     print(f"{len(corpus.documents)} documents, {len(corpus.sentences)} sentences")
@@ -84,8 +83,6 @@ def cmd_ingest(args) -> int:
 
 def cmd_stats(args) -> int:
     corpus = load_corpus(args.corpus)
-    if not corpus.sentences:
-        raise InputError(f"corpus {args.corpus} contains no sentences")
     counts = class_distribution(corpus.sentences)
     total = len(corpus.sentences)
 
@@ -107,11 +104,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int | None]:
-    """Provider per config; returns (provider, resolved max_len or None)."""
+def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, RunConfig]:
+    """The provider per config, and the config with a hashed provider's max_len filled in."""
     kind, arg, _, _ = parse_provider_spec(cfg.provider)
     if kind == "precomputed":
-        return load_precomputed(arg), None
+        return load_precomputed(arg), cfg
     max_len = cfg.max_len
     if max_len is None:
         max_len = length_percentile(
@@ -123,7 +120,7 @@ def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, int 
                 f"{cfg.length_percentile_q} is 0 tokens, so every row would be empty; "
                 "give the length with --max-len N (N >= 1)"
             )
-    return HashedBowProvider(arg, cfg.casing, max_len), max_len
+    return HashedBowProvider(arg, cfg.casing, max_len), dataclasses.replace(cfg, max_len=max_len)
 
 
 def _provider_for_inference(args, ckpt):
@@ -173,14 +170,13 @@ def _run_training(cfg: RunConfig, out_dir: Path):
     train_log.tsv into out_dir; returns what evaluate-on-validation needs."""
     if not cfg.corpus:
         raise ConfigError("no corpus given (flag --corpus or config field 'corpus')")
+    # Refused before training: an out_dir that names, or lies below, a non-directory.
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise InputError(f"output directory {out_dir}: {existing} is not a directory")
     corpus = load_corpus(cfg.corpus)
-    if len(corpus.sentences) < 2:
-        raise InputError(f"corpus {cfg.corpus} is too small to train on")
-    provider, resolved_max_len = _provider_for_training(cfg, corpus)
-
     train_set, val_set = split(corpus, cfg)
-    if not train_set or not val_set:
-        raise InputError("split produced an empty train or validation set")
+    provider, cfg = _provider_for_training(cfg, corpus)
 
     if cfg.balance == "loss_weighting":
         counts = class_distribution(train_set)
@@ -221,10 +217,7 @@ def _run_training(cfg: RunConfig, out_dir: Path):
     save_checkpoint(ckpt, out_dir / "checkpoint.txt")
     resolved_weights = {label: float(w) for label, w in zip(LABELS, weights)}
     write_atomic(out_dir / "config.json", [config_to_json(
-        cfg,
-        resolved_weights=resolved_weights,
-        resolved_max_len=resolved_max_len,
-        resolved_provider_id=ckpt.provider_id,
+        cfg, resolved_weights=resolved_weights, resolved_provider_id=ckpt.provider_id
     )])
     write_atomic(out_dir / "train_log.tsv", (l + "\n" for l in log_lines))
     print(f"checkpoint written to {out_dir / 'checkpoint.txt'} "
@@ -274,8 +267,6 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
     corpus = load_corpus(args.corpus)
-    if not corpus.sentences:
-        raise InputError(f"corpus {args.corpus} contains no sentences")
     doc = report_to_json(_evaluate_sentences(ckpt, provider, corpus.sentences), ckpt.labels)
     if args.out:
         write_atomic(args.out, [doc])

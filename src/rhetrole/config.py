@@ -219,17 +219,11 @@ def resolve_config(
 
 
 def config_to_json(
-    cfg: RunConfig,
-    resolved_weights: Mapping[str, float],
-    resolved_max_len: int | None,
-    resolved_provider_id: str,
+    cfg: RunConfig, resolved_weights: Mapping[str, float], resolved_provider_id: str
 ) -> str:
-    """Resolved-config JSON. The resolved_* entries are informational
-    outputs of the run; re-running re-derives them from the same inputs.
-    ``resolved_max_len`` is None when the provider does not tokenise."""
+    """Resolved-config JSON: ``cfg`` as it is, then the resolved_* entries,
+    informational outputs of the run that re-running re-derives."""
     doc = asdict(cfg)
-    if resolved_max_len is not None:
-        doc["max_len"] = resolved_max_len
     doc["resolved_class_weights"] = dict(resolved_weights)
     doc["resolved_provider_id"] = resolved_provider_id
     return json.dumps(doc, indent=2) + "\n"

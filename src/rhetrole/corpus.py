@@ -141,7 +141,11 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    return parse_corpus(read_text(path))
+    """Parse the corpus file at ``path``, refusing one with no sentence."""
+    corpus = parse_corpus(read_text(path))
+    if not corpus.sentences:
+        raise InputError(f"corpus {path} contains no sentences")
+    return corpus
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -164,11 +168,9 @@ def split(corpus: Corpus, cfg: RunConfig) -> tuple[list[LabeledSentence], list[L
     floor(cfg.train_fraction * N) for train. ``document_level`` permutes
     documents and assigns whole documents to train until that quota is met
     or exceeded; the remaining documents go to validation, so one document
-    never straddles the split.
+    never straddles the split. Raises InputError when either side is empty.
     """
     n = len(corpus.sentences)
-    if n < 2:
-        raise InputError("cannot split a corpus with fewer than 2 sentences")
     quota = math.floor(cfg.train_fraction * n)
     rng = np.random.default_rng(cfg.seed)
 
@@ -176,35 +178,32 @@ def split(corpus: Corpus, cfg: RunConfig) -> tuple[list[LabeledSentence], list[L
         perm = rng.permutation(n)
         train = [corpus.sentences[i] for i in perm[:quota]]
         val = [corpus.sentences[i] for i in perm[quota:]]
-        return train, val
-
-    by_doc: dict[str, list[LabeledSentence]] = {d: [] for d in corpus.documents}
-    for s in corpus.sentences:
-        by_doc[s.doc_id].append(s)
-    train, val = [], []
-    for di in rng.permutation(len(corpus.documents)):
-        doc_sentences = by_doc[corpus.documents[di]]
-        if len(train) < quota:
-            train.extend(doc_sentences)
-        else:
-            val.extend(doc_sentences)
+    else:
+        by_doc: dict[str, list[LabeledSentence]] = {d: [] for d in corpus.documents}
+        for s in corpus.sentences:
+            by_doc[s.doc_id].append(s)
+        train, val = [], []
+        for di in rng.permutation(len(corpus.documents)):
+            (train if len(train) < quota else val).extend(by_doc[corpus.documents[di]])
+    if not train or not val:
+        side = "validation" if train else "training"
+        raise InputError(
+            f"the {cfg.split_mode} split leaves the {side} set empty "
+            f"(sentences: {n}, train_fraction: {cfg.train_fraction})"
+        )
     return train, val
 
 
 def length_percentile(
     corpus: Corpus, tokenizer: Callable[[str], list[str]], q: float
 ) -> int:
-    """Nearest-rank q-th percentile of per-sentence token counts.
+    """Nearest-rank q-th percentile, q in (0, 1], of a non-empty corpus's token counts.
 
     Returns the value at 1-based index ceil(q * N) of the sorted count list;
     no interpolation. The rank is computed in exact integer arithmetic on
     q's binary ratio, so q values like 0.98 never overshoot from float
     rounding.
     """
-    if not corpus.sentences:
-        raise InputError("cannot take a percentile of an empty corpus")
-    if not 0.0 < q <= 1.0:
-        raise InputError("percentile q must lie in (0, 1]")
     counts = sorted(len(tokenizer(s.text)) for s in corpus.sentences)
     num, den = q.as_integer_ratio()
     rank = -(-num * len(counts) // den)  # >= 1, because q > 0

@@ -21,8 +21,6 @@ WEIGHT_SCHEMES = ("inverse_frequency", "direct_frequency", "uniform")
 
 
 def uniform_weights(num_classes: int) -> np.ndarray:
-    if num_classes < 1:
-        raise InputError("need at least one class")
     return np.ones(num_classes, dtype=np.float64)
 
 
@@ -36,11 +34,11 @@ def weights_for_scheme(scheme: str, counts: Sequence[int]) -> np.ndarray:
     """
     if scheme not in WEIGHT_SCHEMES:
         raise InputError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
-    if scheme == "uniform":
-        return uniform_weights(len(counts))
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0:
         raise InputError("counts must be non-empty")
+    if scheme == "uniform":
+        return uniform_weights(counts.size)
     n, k = int(counts.sum()), counts.size
     if scheme == "inverse_frequency":
         if np.any(counts <= 0):
@@ -51,31 +49,25 @@ def weights_for_scheme(scheme: str, counts: Sequence[int]) -> np.ndarray:
     return k * counts.astype(np.float64) / n
 
 
-def _indices_by_label(dataset: Sequence[LabeledSentence]) -> dict[str, list[int]]:
+def _present_label_indices(dataset: Sequence[LabeledSentence]) -> list[list[int]]:
+    """Each present label's dataset indices, labels in canonical order."""
     by_label: dict[str, list[int]] = {}
     for i, s in enumerate(dataset):
         by_label.setdefault(s.label, []).append(i)
-    return by_label
-
-
-def _present_in_canonical_order(by_label: dict[str, list[int]]) -> list[str]:
-    return [label for label in LABELS if label in by_label]
+    return [by_label[label] for label in LABELS if label in by_label]
 
 
 def undersample(dataset: Sequence[LabeledSentence], seed: int) -> list[LabeledSentence]:
-    """Keep exactly min-class-count samples per present label.
+    """Keep exactly min-class-count samples per present label of a non-empty dataset.
 
     Retained items are chosen uniformly without replacement (seeded) and
     returned in their original relative order.
     """
-    if not dataset:
-        raise InputError("cannot undersample an empty dataset")
-    by_label = _indices_by_label(dataset)
-    m = min(len(v) for v in by_label.values())
+    groups = _present_label_indices(dataset)
+    m = min(len(idxs) for idxs in groups)
     rng = np.random.default_rng(seed)
     keep: list[int] = []
-    for label in _present_in_canonical_order(by_label):
-        idxs = by_label[label]
+    for idxs in groups:
         chosen = rng.choice(len(idxs), size=m, replace=False)
         keep.extend(idxs[c] for c in chosen)
     keep.sort()
@@ -83,20 +75,17 @@ def undersample(dataset: Sequence[LabeledSentence], seed: int) -> list[LabeledSe
 
 
 def oversample(dataset: Sequence[LabeledSentence], seed: int) -> list[LabeledSentence]:
-    """Grow every present label to max-class-count samples.
+    """Grow every present label of a non-empty dataset to max-class-count samples.
 
     Output starts with all originals in order, then appends duplicates
     drawn uniformly with replacement (seeded), class by class in canonical
     label order.
     """
-    if not dataset:
-        raise InputError("cannot oversample an empty dataset")
-    by_label = _indices_by_label(dataset)
-    target = max(len(v) for v in by_label.values())
+    groups = _present_label_indices(dataset)
+    target = max(len(idxs) for idxs in groups)
     rng = np.random.default_rng(seed)
     out = list(dataset)
-    for label in _present_in_canonical_order(by_label):
-        idxs = by_label[label]
+    for idxs in groups:
         need = target - len(idxs)
         if need > 0:
             draws = rng.integers(0, len(idxs), size=need)

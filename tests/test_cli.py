@@ -406,6 +406,25 @@ class TestTrain:
         assert isinstance(resolved["max_len"], int)
         assert 3 <= resolved["max_len"] <= 8
 
+    @pytest.mark.parametrize("command", ["train", "reproduce-run"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_that_cannot_be_a_directory_exit_2_before_training(
+        self, command, below, toy_tsv, tmp_path, capsys
+    ):
+        blocker = tmp_path / "outfile"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / "sub" if below else blocker
+        argv = ["train"] if command == "train" else ["reproduce-run", "1"]
+        rc, stdout, stderr = run_cli(
+            capsys, *argv, "--corpus", str(toy_tsv), "--out", str(out), "--epochs", "3"
+        )
+        assert rc == 2
+        assert stderr == f"error: output directory {out}: {blocker} is not a directory\n"
+        # Refused before the first epoch: no epoch line, nothing written.
+        assert stdout == ""
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["outfile"]
+
 
 @pytest.fixture(scope="module")
 def trained(toy_tsv, tmp_path_factory):
@@ -916,6 +935,60 @@ class TestReproduceRun:
         assert "validation" in stdout
 
 
+class TestEmptyCorpusOrSplit:
+    """``load_corpus`` refuses a corpus with no sentence, and ``split`` a split
+    with an empty side, for every command that reads a corpus or splits one."""
+
+    @pytest.mark.parametrize(
+        "argv", [["ingest"], ["stats"], ["train"], ["evaluate"], ["reproduce-run", "1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_corpus_with_no_sentences_exit_2(self, argv, trained, tmp_path, capsys):
+        tsv = tmp_path / "headers.tsv"
+        tsv.write_text("#doc\tA\n\n#doc\tB\n", encoding="utf-8")
+        if argv[0] in ("train", "reproduce-run"):
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        if argv[0] == "evaluate":
+            argv = [*argv, "--checkpoint", str(trained / "checkpoint.txt")]
+        rc, stdout, stderr = run_cli(capsys, *argv, "--corpus", str(tsv))
+        assert (rc, stdout) == (2, "")
+        assert stderr == f"error: corpus {tsv} contains no sentences\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_one_sentence_corpus_exit_2_with_the_split_message(self, tmp_path, capsys):
+        tsv = tmp_path / "one.tsv"
+        tsv.write_text("#doc\tA\nThe appeal is allowed.\tFacts\n", encoding="utf-8")
+        rc, stdout, stderr = run_cli(
+            capsys, "train", "--corpus", str(tsv), "--out", str(tmp_path / "out")
+        )
+        assert (rc, stdout) == (2, "")
+        assert stderr == (
+            "error: the sentence_shuffled split leaves the training set empty "
+            "(sentences: 1, train_fraction: 0.8)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_one_document_split_refused_before_the_vectors_file_is_read(
+        self, tmp_path, capsys
+    ):
+        tsv = tmp_path / "one_doc.tsv"
+        tsv.write_text(
+            "#doc\tA\nThe appeal is allowed.\tFacts\nSection 302 applies.\tStatute\n",
+            encoding="utf-8",
+        )
+        rc, stdout, stderr = run_cli(
+            capsys, "train", "--corpus", str(tsv), "--out", str(tmp_path / "out"),
+            "--split-mode", "document_level",
+            "--provider", f"precomputed:{tmp_path / 'missing.emb'}",
+        )
+        assert (rc, stdout) == (2, "")
+        assert stderr == (
+            "error: the document_level split leaves the validation set empty "
+            "(sentences: 2, train_fraction: 0.8)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigResolution:
     def test_presets_match_run_descriptions(self):
         assert PRESETS["run1"] == {
@@ -952,7 +1025,7 @@ class TestConfigResolution:
             preset="run2", overrides={"corpus": "corpus.tsv", "learning_rate": 1e-2, "max_len": 12}
         )
         weights = {label: (i + 1) / 4 for i, label in enumerate(LABELS)}
-        assert config_to_json(cfg, weights, 12, "hashed:256:uncased:12") == """\
+        assert config_to_json(cfg, weights, "hashed:256:uncased:12") == """\
 {
   "run_id": "run2",
   "preset": "run2",

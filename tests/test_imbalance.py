@@ -103,6 +103,11 @@ class TestSchemeDispatch:
         with pytest.raises(InputError):
             weights_for_scheme("focal", [1, 2])
 
+    @pytest.mark.parametrize("scheme", ["inverse_frequency", "direct_frequency", "uniform"])
+    def test_empty_counts_rejected(self, scheme):
+        with pytest.raises(InputError, match="^counts must be non-empty$"):
+            weights_for_scheme(scheme, [])
+
 
 def dataset_with_counts(counts: dict[str, int]) -> list[LabeledSentence]:
     out = []
@@ -144,10 +149,6 @@ class TestUndersample:
         data = dataset_with_counts(self.COUNTS)
         assert undersample(data, seed=5) == undersample(data, seed=5)
 
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            undersample([], seed=0)
-
 
 class TestOversample:
     COUNTS = {"Facts": 5, "Argument": 2, "Statute": 3}
@@ -172,10 +173,6 @@ class TestOversample:
     def test_deterministic(self):
         data = dataset_with_counts(self.COUNTS)
         assert oversample(data, seed=5) == oversample(data, seed=5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            oversample([], seed=0)
 
 
 @given(
