@@ -73,7 +73,14 @@ _BALANCE_FLAG_TO_METHOD = {
 }
 
 
+def _refuse_directory_out(out: str | None) -> None:
+    """Refuse an ``--out`` file that names a directory, before any input is read."""
+    if out and Path(out).is_dir():
+        raise InputError(f"output file {out} is a directory")
+
+
 def cmd_ingest(args) -> int:
+    _refuse_directory_out(args.out)
     corpus = load_corpus(args.corpus)
     if args.out:
         save_corpus(corpus, args.out)
@@ -255,15 +262,16 @@ def _score(ckpt, provider, items, with_prob=False):
 
 def _evaluate_sentences(ckpt, provider, sentences):
     label_to_idx = {name: i for i, name in enumerate(ckpt.labels)}
-    for s in sentences:
-        if s.label not in label_to_idx:
-            raise InputError(f"label {s.label!r} not in checkpoint label set")
-    gold = [label_to_idx[s.label] for s in sentences]
+    try:
+        gold = [label_to_idx[s.label] for s in sentences]
+    except KeyError as exc:
+        raise InputError(f"label {exc.args[0]!r} not in checkpoint label set") from None
     preds = list(_score(ckpt, provider, sentences))
     return evaluate_predictions(gold, preds, len(ckpt.labels))
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_directory_out(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
     corpus = load_corpus(args.corpus)
@@ -277,6 +285,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _refuse_directory_out(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
     lines = []

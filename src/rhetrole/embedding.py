@@ -13,10 +13,11 @@ holds one record: the sentence key as a JSON-quoted string, a space, then
 notation both accepted). Floats are written with shortest round-trip
 precision, so write -> load -> write is byte-identical.
 
-Loading streams the records through numpy's C text parser (``np.loadtxt``)
-into one ``(count, dim)`` matrix with a key -> row dict, so it holds that
-matrix plus one line. A file that parser does not take whole is read again
-from its start, record by record, only to name its first error. Saving
+Loading reads every file once, a pipe included: each record's key is
+checked and its values converted by numpy's C text parser
+(``fileio.read_reals``) into one ``(count, dim)`` matrix with a key -> row
+dict, so a load holds that matrix plus one line. After the first bad record
+the rest is only counted, so a count mismatch is named before it. Saving
 holds one line and replaces the file atomically.
 
 Each parse of a regular EMB file also writes a binary cache of its result
@@ -41,7 +42,7 @@ import math
 import os
 import stat
 import unicodedata
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Container, Iterable, Iterator, Sequence
 
@@ -296,14 +297,9 @@ def _hashed(f: BinaryIO, digest) -> Iterator[bytes]:
 
 
 def _read_emb(f: BinaryIO, path: Path, digest=None) -> PrecomputedProvider:
-    """Read EMB v1 from the binary stream of the file ``path``.
-
-    numpy's C reader converts the values of every record into one matrix.
-    A stream it does not take whole is read again from its start only to
-    name its first error, so a valid file is read once. Every line read is
-    added to ``digest``, if one is given, so a valid file's digest is that
-    of the bytes parsed.
-    """
+    """Read EMB v1 from the binary stream of the file ``path``, in one pass
+    (see the module docstring). Every line read is added to ``digest``, if
+    one is given, so a valid file's digest is that of the bytes parsed."""
     lines = decode_lines(f if digest is None else _hashed(f, digest), path)
     header_line = next(lines, None)
     if header_line is None:
@@ -318,37 +314,38 @@ def _read_emb(f: BinaryIO, path: Path, digest=None) -> PrecomputedProvider:
     if dim < 1:
         raise EmbeddingFormatError("count must be >= 0 and dim >= 1")
     rows: dict[str, int] = {}
+    # Doubled in place (no view of it exists yet) up to the declared count,
+    # so nothing is allocated from the header and a valid file's is count rows.
+    matrix = np.empty((0, dim))
+    error: EmbeddingFormatError | None = None
+    seen = 0
+    for seen, record in enumerate(lines, start=1):
+        if error is not None or seen > count:
+            continue
+        try:
+            key, row = _read_record(record, seen + 1, dim, rows)
+        except EmbeddingFormatError as exc:
+            error = exc
+            continue
+        if len(rows) == len(matrix):
+            matrix.resize((min(2 * len(rows) or 1, count), dim), refcheck=False)
+        matrix[len(rows)] = row
+        rows[key] = len(rows)
+    if seen != count:
+        raise EmbeddingFormatError(f"header declares {count} records but file contains {seen}")
+    # Every row stored comes before the first bad record.
+    finite = np.isfinite(matrix[:len(rows)]).all(axis=1)
+    if not finite.all():
+        raise EmbeddingFormatError(f"line {finite.argmin() + 2}: non-finite value (nan or inf)")
+    if error is not None:
+        raise error
+    return PrecomputedProvider(matrix, rows, f"precomputed:{path}")
 
-    def bodies() -> Iterator[str]:
-        # The text after each key, up to the declared count. A bad or
-        # repeated key ends the matrix read short.
-        for line_no, record in enumerate(islice(lines, count), start=2):
-            try:
-                key, body = _split_record(record, line_no, rows)
-            except EmbeddingFormatError:
-                return
-            rows[key] = len(rows)
-            yield body
 
-    try:
-        matrix = read_reals(bodies())
-        # A row width other than dim fails here; an empty read has shape (0, 1).
-        matrix = matrix.reshape(len(matrix), dim)
-    except ValueError:
-        pass
-    else:
-        if len(matrix) == count and next(lines, None) is None and np.isfinite(matrix).all():
-            return PrecomputedProvider(matrix, rows, f"precomputed:{path}")
-    if not f.seekable():
-        raise EmbeddingFormatError(
-            f"{path}: not a valid EMB v1 file; a pipe cannot be read again to name the bad line")
-    f.seek(0)
-    _raise_first_error(decode_lines(f, path), count, dim)
-    raise AssertionError("the record checks accepted a file the matrix read refused")
-
-
-def _split_record(record: str, line_no: int, keys: Container[str]) -> tuple[str, str]:
-    """A record's key, a JSON string not in ``keys``, and the text after it."""
+def _read_record(
+    record: str, line_no: int, dim: int, keys: Container[str]
+) -> tuple[str, np.ndarray]:
+    """A record's key, a JSON string not in ``keys``, and its ``(1, dim)`` values."""
     try:
         key, end = _KEY_DECODER.raw_decode(record)
     except json.JSONDecodeError:
@@ -357,43 +354,18 @@ def _split_record(record: str, line_no: int, keys: Container[str]) -> tuple[str,
         raise EmbeddingFormatError(f"line {line_no}: key is not a JSON string")
     if key in keys:
         raise EmbeddingFormatError(f"line {line_no}: duplicate key {key!r}")
-    return key, record[end:]
-
-
-def _raise_first_error(lines: Iterator[str], count: int, dim: int) -> None:
-    """Raise the error of the first bad record of an EMB v1 file.
-
-    The record count is checked before any record error is reported: after
-    the first bad record, the remaining lines are only counted.
-    """
-    next(lines)  # the header, already checked
-    keys: set[str] = set()
-    error: EmbeddingFormatError | None = None
-    seen = 0
-    for seen, record in enumerate(lines, start=1):
-        if error is None and seen <= count:
-            try:
-                _check_record(record, seen + 1, dim, keys)
-            except EmbeddingFormatError as exc:
-                error = exc
-    if seen != count:
-        raise EmbeddingFormatError(f"header declares {count} records but file contains {seen}")
-    if error is not None:
-        raise error
-
-
-def _check_record(record: str, line_no: int, dim: int, keys: set[str]) -> None:
-    key, body = _split_record(record, line_no, keys)
-    keys.add(key)
+    body = record[end:]
+    try:
+        row = read_reals([body])
+        if row.shape == (1, dim):
+            return key, row
+    except ValueError:
+        pass
+    # Counted only now, for the message: a wrong count is named before a bad value.
     got = len(body.split())
     if got != dim:
         raise EmbeddingFormatError(f"line {line_no}: expected {dim} values, got {got}")
-    try:
-        row = read_reals([body])
-    except ValueError:
-        raise EmbeddingFormatError(f"line {line_no}: non-numeric value") from None
-    if not np.isfinite(row).all():
-        raise EmbeddingFormatError(f"line {line_no}: non-finite value (nan or inf)")
+    raise EmbeddingFormatError(f"line {line_no}: non-numeric value")
 
 
 def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: str | Path) -> None:

@@ -14,9 +14,8 @@ file. Only a device or pipe, which cannot be replaced, is written in place.
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,13 +52,13 @@ def read_count(text: str) -> int:
     return int(text)
 
 
-def read_reals(lines: Iterable[str]) -> np.ndarray:
-    """numpy's C parse of whitespace-separated reals, one row per non-blank
-    string; ValueError on a value it does not take or on ragged rows."""
-    with warnings.catch_warnings():
-        # loadtxt warns when it gets no rows, and a file of 0 records is valid.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+def read_reals(lines: Sequence[str]) -> np.ndarray:
+    """numpy's C parse of whitespace-separated reals, one row per string;
+    ValueError on a value it does not take, on ragged rows or on a string
+    that holds no value, which the parser would skip."""
+    if not all(line and not line.isspace() for line in lines):
+        raise ValueError("a blank line holds no values")
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
 
 
 def read_real(text: str) -> float:

@@ -370,7 +370,7 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
         )
     try:
         *rows, bias = [read_reals([line])[0] for line in lines[2:]]
-    except (ValueError, IndexError):  # IndexError: a blank line has no row
+    except ValueError:
         raise CheckpointFormatError("non-numeric parameter value") from None
     if any(len(row) != d for row in rows):
         raise CheckpointFormatError(f"weight row length does not match dim {d}")

@@ -447,6 +447,19 @@ class TestEvaluate:
         assert doc["total"] == 700
         assert len(doc["confusion_matrix"]) == 7
 
+    def test_first_label_outside_the_checkpoint_exit_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.txt"
+        save_checkpoint(LinearCheckpoint(params=fused(np.zeros((2, 8)), np.zeros(2)),
+                                         labels=("Facts", "Argument"),
+                                         provider_id="hashed:8:cased:120"), ckpt)
+        tsv = tmp_path / "c.tsv"
+        tsv.write_text("#doc\tA\nOne.\tFacts\nTwo.\tStatute\nThree.\tPrecedent\n",
+                       encoding="utf-8")
+        rc, stdout, stderr = run_cli(
+            capsys, "evaluate", "--checkpoint", str(ckpt), "--corpus", str(tsv))
+        assert (rc, stdout) == (2, "")
+        assert stderr == "error: label 'Statute' not in checkpoint label set\n"
+
     def test_perfect_predictions_give_macro_one(self, tmp_path, capsys):
         # one sentence per label, one-hot embeddings, identity head:
         # predictions equal gold by construction
@@ -933,6 +946,27 @@ class TestReproduceRun:
         assert (out / "metrics.json").exists()
         assert "macro_f1" in stdout
         assert "validation" in stdout
+
+
+class TestOutIsADirectory:
+    """``ingest``, ``evaluate`` and ``predict`` refuse an ``--out`` file that
+    names a directory before they read any input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--corpus"],
+        ["evaluate", "--checkpoint", "missing", "--corpus"],
+        ["predict", "--checkpoint", "missing", "--sentences"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_2_naming_the_path(self, argv, tmp_path, capsys):
+        # Every input is missing, so reading any of them first would fail otherwise.
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "adir"
+        out.mkdir()
+        argv = [missing if arg == "missing" else arg for arg in argv]
+        rc, stdout, stderr = run_cli(capsys, *argv, missing, "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert stderr == f"error: output file {out} is a directory\n"
+        assert list(out.iterdir()) == []
 
 
 class TestEmptyCorpusOrSplit:

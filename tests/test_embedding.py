@@ -454,26 +454,29 @@ class TestEmbeddingFile:
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
 
     def test_memory_tracks_the_vectors_not_the_file(self, tmp_path):
-        vectors = np.random.default_rng(0).normal(size=(250, 128))
-        entries = [(f"sentence {i}", row) for i, row in enumerate(vectors)]
-        path = tmp_path / "vecs.emb"
-        tracemalloc.start()
-        try:
-            save_embeddings(entries, 128, path)
-            _, save_peak = tracemalloc.get_traced_memory()
-            load_peaks, providers = [], []
-            for _ in ("cold", "warm"):
-                tracemalloc.reset_peak()
-                base, _ = tracemalloc.get_traced_memory()
-                providers.append(load_precomputed(path))
-                load_peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-        assert cache_of(path).is_file()
-        for provider in providers:
-            assert np.array_equal(provider.embed([key for key, _ in entries]), vectors)
-        assert save_peak < path.stat().st_size / 4
-        assert max(load_peaks) < 1.5 * vectors.nbytes
+        # The load's matrix grows by doubling up to the record count, so
+        # counts past 512 and 1,024 rows are checked as well as 250.
+        for n in (250, 700, 1500):
+            vectors = np.random.default_rng(0).normal(size=(n, 128))
+            entries = [(f"sentence {i}", row) for i, row in enumerate(vectors)]
+            path = tmp_path / f"vecs{n}.emb"
+            tracemalloc.start()
+            try:
+                save_embeddings(entries, 128, path)
+                _, save_peak = tracemalloc.get_traced_memory()
+                load_peaks, providers = [], []
+                for _ in ("cold", "warm"):
+                    tracemalloc.reset_peak()
+                    base, _ = tracemalloc.get_traced_memory()
+                    providers.append(load_precomputed(path))
+                    load_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert cache_of(path).is_file()
+            for provider in providers:
+                assert np.array_equal(provider.embed([key for key, _ in entries]), vectors)
+            assert save_peak < path.stat().st_size / 4
+            assert max(load_peaks) < 1.5 * vectors.nbytes, n
 
     @pytest.mark.parametrize("text,message", [
         ('EMB v1 4 2\n"a" 1 2\n"b" 1 nan\n"c" 1 2\n"d" 1 x\n',
@@ -485,6 +488,9 @@ class TestEmbeddingFile:
         ('EMB v1 2 2\n"a" 1 2\nb 1 2\n', "line 3: key is not a JSON string"),
         ('EMB v1 2 2\n"a" 1 2\n7 1 2\n', "line 3: key is not a JSON string"),
         ('EMB v1 1 2\n"a" 1 2\n"b" 3 4\n', "header declares 1 records but file contains 2"),
+        # Headers no file could hold: nothing is allocated from them.
+        ("EMB v1 99999999999 768\n", "header declares 99999999999 records but file contains 0"),
+        ('EMB v1 1 1000000000\n"a" 1\n', "line 2: expected 1000000000 values, got 1"),
     ])
     def test_first_error_in_the_file_named(self, tmp_path, text, message):
         path = tmp_path / "bad.emb"
@@ -516,21 +522,26 @@ class TestEmbeddingFile:
         monkeypatch.setattr(embedding, "read_reals", spy)
         with pytest.raises(EmbeddingFormatError, match="declares 1 records but file contains 3"):
             load_emb(tmp_path, 'EMB v1 1 2\n"a" 1 2\n"b" 3 4\n"c" 5 6\n')
-        assert calls[0] == 1
+        assert calls == [1]
 
     def test_bad_file_from_a_pipe_exits_2(self, tmp_path):
-        fifo = tmp_path / "vecs.emb"
-        os.mkfifo(fifo)
-        writer = threading.Thread(
-            target=lambda: fifo.write_text('EMB v1 1 2\n"a" 1 x\n', encoding="utf-8"),
-            daemon=True)
-        writer.start()
-        try:
-            with pytest.raises(EmbeddingFormatError, match="a pipe cannot be read again"):
-                load_precomputed(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        # A pipe is read once, as a regular file is, and gets the same messages.
+        for text, message in [('EMB v1 1 2\n"a" 1 x\n', "line 2: non-numeric value"),
+                              ('EMB v1 3 2\n"a" 1 x\n"b" 3 4\n',
+                               "header declares 3 records but file contains 2")]:
+            fifo = tmp_path / "vecs.emb"
+            os.mkfifo(fifo)
+            writer = threading.Thread(
+                target=lambda: fifo.write_text(text, encoding="utf-8"), daemon=True)
+            writer.start()
+            try:
+                with pytest.raises(EmbeddingFormatError) as exc:
+                    load_precomputed(fifo)
+            finally:
+                writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert str(exc.value) == message
+            fifo.unlink()
 
     def test_lone_surrogate_in_text_fails_as_a_bad_byte(self, tmp_path):
         # The bytes a lone surrogate (U+D800) would have in UTF-8.
@@ -540,28 +551,43 @@ class TestEmbeddingFile:
             load_precomputed(path)
 
     def test_zero_records_load_without_a_warning(self, tmp_path):
-        path = tmp_path / "empty.emb"
-        path.write_text("EMB v1 0 4\n", encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            provider = load_precomputed(path)
-        assert provider.dimension == 4
-        assert provider.embed([]).shape == (0, 4)
+        # A dimension no record could hold still loads when there are no records.
+        for dim in (4, 10**9):
+            path = tmp_path / f"empty{dim}.emb"
+            path.write_text(f"EMB v1 0 {dim}\n", encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                provider = load_precomputed(path)
+            assert provider.dimension == dim
+            assert provider.embed([]).shape == (0, dim)
 
-    def test_valid_file_is_read_once(self, tmp_path, monkeypatch):
-        def second_pass(*args):
-            raise AssertionError("a valid file reached the error pass")
+    def test_every_file_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+        decode_lines = embedding.decode_lines
 
-        monkeypatch.setattr(embedding, "_raise_first_error", second_pass)
+        def counted(*args):
+            reads.append(args[1])
+            return decode_lines(*args)
+
+        monkeypatch.setattr(embedding, "decode_lines", counted)
         path = tmp_path / "vecs.emb"
         save_embeddings(self.entries(), 4, path)
-        cases = [(path.read_text(encoding="utf-8"), [key for key, _ in self.entries()]),
+        valid = [(path.read_text(encoding="utf-8"), [key for key, _ in self.entries()]),
                  ("EMB v1 0 3\n", []), ('EMB v1 2 2\r\n"a" 1 2\r\n"b" 3 -4e1\r\n', ["a", "b"]),
                  ('EMB v1 1 3\n"a" 1 -2.5e-3 4E2', ["a"])]
-        for text, keys in cases:
+        for text, keys in valid:
             path.write_text(text, encoding="utf-8")
+            reads.clear()
             provider = load_precomputed(path)
+            assert reads == [path]
             assert provider.embed(keys).shape == (len(keys), int(text.split()[3]))
+        # A bad record, and a bad count after a bad record.
+        for text in ['EMB v1 2 2\n"a" 1 2\n"b" 3 x\n', 'EMB v1 3 2\n"a" 1 x\n"b" 3 4\n']:
+            path.write_text(text, encoding="utf-8")
+            reads.clear()
+            with pytest.raises(EmbeddingFormatError):
+                load_precomputed(path)
+            assert reads == [path]
 
     @given(st.lists(st.tuples(VALUE_SEPARATORS, NUMERIC_TOKENS), min_size=1, max_size=4))
     @settings(max_examples=300)
