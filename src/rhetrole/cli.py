@@ -177,8 +177,8 @@ def _run_training(cfg: RunConfig, out_dir: Path):
     train_log.tsv into out_dir; returns what evaluate-on-validation needs."""
     if not cfg.corpus:
         raise ConfigError("no corpus given (flag --corpus or config field 'corpus')")
-    # Refused before training: an out_dir that names, or lies below, a non-directory.
-    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    # Refused before training: an out_dir at or below a non-directory or a dangling symlink.
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink()), None)
     if existing is not None and not existing.is_dir():
         raise InputError(f"output directory {out_dir}: {existing} is not a directory")
     corpus = load_corpus(cfg.corpus)
@@ -218,7 +218,7 @@ def _run_training(cfg: RunConfig, out_dir: Path):
         log_lines.append(line)
         print(line)
 
-    ckpt = train(train_set, val_set, provider, weights, cfg, labels=LABELS, on_epoch=log_epoch)
+    ckpt = train(train_set, val_set, provider, weights, cfg, on_epoch=log_epoch)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out_dir / "checkpoint.txt")

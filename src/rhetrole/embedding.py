@@ -52,7 +52,6 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     EmbeddingFormatError,
-    InputError,
     MissingEmbeddingError,
 )
 from .fileio import decode_lines, format_reals, read_count, read_reals, write_atomic
@@ -143,21 +142,15 @@ def hash_vocabulary(
 
 
 def encode_hashed_bow(
-    tokens: Sequence[str],
-    dim: int,
-    vocab: tuple[dict[str, int], np.ndarray, np.ndarray] | None = None,
+    tokens: Sequence[str], dim: int, vocab: tuple[dict[str, int], np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Signed hashed bag-of-words vector, L2-normalized unless all-zero.
 
     Each token adds +-1 at its ``hash_vocabulary`` bucket; the sign comes
     from the hash's second-lowest bit (+1 when that bit is 0) to dampen
     collision bias. ``vocab``, from ``hash_vocabulary`` over ``dim``, must
-    hold every token; without it the row's own vocabulary is hashed.
+    hold every token.
     """
-    if dim < 1:
-        raise InputError("embedding dimension must be >= 1")
-    if vocab is None:
-        vocab = hash_vocabulary(list(dict.fromkeys(tokens)), dim)
     ids, buckets, signs = vocab
     r = np.fromiter(map(ids.__getitem__, tokens), dtype=np.intp, count=len(tokens))
     # Sums of +-1.0 are exact, so the bucket totals do not depend on order.
@@ -203,11 +196,9 @@ def parse_provider_spec(spec: str) -> tuple[str, int | str, str | None, int | No
 
 class HashedBowProvider:
     """Self-contained deterministic encoder: the hashed BOW of each text's
-    first ``max_len`` tokens."""
+    first ``max_len`` tokens, over a ``dim`` of at least 1 (``parse_provider_spec``)."""
 
     def __init__(self, dim: int, casing: str, max_len: int):
-        if dim < 1:
-            raise ConfigError("embedding dimension must be >= 1")
         if casing not in CASINGS:
             raise ConfigError(f"casing must be one of {CASINGS}, got {casing!r}")
         # bool is an int subclass, and True is no length.

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LABELS, LabeledSentence
-from .errors import InputError
 
 WEIGHT_SCHEMES = ("inverse_frequency", "direct_frequency", "uniform")
 
@@ -25,27 +24,20 @@ def uniform_weights(num_classes: int) -> np.ndarray:
 
 
 def weights_for_scheme(scheme: str, counts: Sequence[int]) -> np.ndarray:
-    """Per-class weights under ``scheme``, aligned to ``counts``.
+    """Per-class weights under ``scheme``, one of ``WEIGHT_SCHEMES``, aligned
+    to ``counts``, which have a positive total and, for ``inverse_frequency``, no zero.
 
     ``inverse_frequency``: w[c] = N / (K * counts[c]). Balanced counts give
     exactly uniform weights, and the total effective mass is preserved:
     sum_c w[c] * counts[c] = N. ``direct_frequency``: w[c] = K * counts[c] / N,
     the elementwise reciprocal. ``uniform``: all ones.
     """
-    if scheme not in WEIGHT_SCHEMES:
-        raise InputError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0:
-        raise InputError("counts must be non-empty")
     if scheme == "uniform":
         return uniform_weights(counts.size)
     n, k = int(counts.sum()), counts.size
     if scheme == "inverse_frequency":
-        if np.any(counts <= 0):
-            raise InputError("inverse-frequency weight undefined for zero-count classes")
         return n / (k * counts.astype(np.float64))
-    if n <= 0:
-        raise InputError("direct-frequency weights need a positive total count")
     return k * counts.astype(np.float64) / n
 
 

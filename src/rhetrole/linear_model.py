@@ -55,7 +55,7 @@ import numpy as np
 
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch, table_rows
-from .errors import CheckpointFormatError, DimensionMismatchError, InputError, RhetroleError
+from .errors import CheckpointFormatError, InputError, RhetroleError
 from .fileio import format_reals, read_count, read_reals, read_text, write_atomic
 from .metrics import evaluate_predictions
 
@@ -102,12 +102,7 @@ def input_dim(params: np.ndarray) -> int:
 
 
 def logits(params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Logits Z = X W^T + b for an (n, dim) matrix of embeddings."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != input_dim(params):
-        raise DimensionMismatchError(
-            f"input has shape {X.shape}, classifier expects (n, {input_dim(params)})"
-        )
+    """Logits Z = X W^T + b for an (n, dim) float64 matrix of embeddings."""
     # The bias is added after the product, not folded into X as a column of
     # ones, so the reduction order (and the checkpoint bytes) stay fixed.
     Z = X @ params[:, :-1].T
@@ -117,7 +112,6 @@ def logits(params: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Max-shifted softmax along the last axis: sums to 1, strictly positive."""
-    z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -171,8 +165,6 @@ def optimizer_step(
     The decay is applied directly to the freshly updated parameters
     (p <- p * (1 - lr * weight_decay)), never through the gradient.
     """
-    if grads.shape != params.shape:
-        raise DimensionMismatchError("gradient shape does not match parameters")
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**state.t
@@ -215,12 +207,15 @@ def train(
     provider,
     class_weights: Sequence[float],
     cfg: RunConfig,
-    labels: Sequence[str] = LABELS,
     on_epoch: Callable[[EpochStats], None] | None = None,
 ) -> LinearCheckpoint:
-    """Mini-batch training with best-on-validation epoch selection. Of the
-    run's ``cfg`` it reads ``batch_size``, ``epochs``, ``seed``,
-    ``selection_metric`` and the optimiser fields of ``optimizer_step``.
+    """Mini-batch training over the labels of ``LABELS`` with
+    best-on-validation epoch selection. Of the run's ``cfg`` it reads
+    ``batch_size``, ``epochs``, ``seed``, ``selection_metric`` and the
+    optimiser fields of ``optimizer_step``. Both sets are non-empty
+    (``split``), their labels are in ``LABELS`` (``parse_corpus``), and
+    ``class_weights`` holds one weight per label; InputError refuses
+    weights below 0 or all 0.
 
     Each epoch shuffles train indices with a generator seeded by
     (cfg.seed, epoch); the last batch may be smaller. The training vectors
@@ -230,26 +225,16 @@ def train(
     parameters win (ties keep the earlier epoch). A non-finite batch loss
     stops training with a RhetroleError naming the epoch and the batch.
     """
-    if not train_set or not val_set:
-        raise InputError("train and validation sets must both be non-empty")
     _check_provider_id(provider.provider_id)
-    labels = tuple(labels)
-    label_to_idx = {name: i for i, name in enumerate(labels)}
     w_vec = np.asarray(class_weights, dtype=np.float64)
-    if w_vec.shape != (len(labels),):
-        raise DimensionMismatchError(
-            f"expected {len(labels)} class weights, got shape {w_vec.shape}"
-        )
     if np.any(w_vec < 0) or not np.any(w_vec > 0):
         raise InputError("class weights must be >= 0 with at least one > 0")
-    try:
-        y_train = np.array([label_to_idx[s.label] for s in train_set], dtype=np.int64)
-        y_val = [label_to_idx[s.label] for s in val_set]
-    except KeyError as exc:
-        raise InputError(f"sentence label {exc.args[0]!r} not in training label set") from None
+    label_to_idx = {name: i for i, name in enumerate(LABELS)}
+    y_train = np.array([label_to_idx[s.label] for s in train_set], dtype=np.int64)
+    y_val = [label_to_idx[s.label] for s in val_set]
     table, rows = table_rows(train_set, provider)
     X_val = embed_batch(val_set, provider)
-    n, k, batch_size = len(train_set), len(labels), cfg.batch_size
+    n, k, batch_size = len(train_set), len(LABELS), cfg.batch_size
     val_w, val_idx = w_vec.take(y_val), np.arange(len(y_val)) * k + y_val
 
     params = initial_params(provider.dimension, k, cfg.seed)
@@ -303,7 +288,7 @@ def train(
 
     return LinearCheckpoint(
         params=best_params,
-        labels=labels,
+        labels=LABELS,
         provider_id=provider.provider_id,
         selection_score=best_score,
     )

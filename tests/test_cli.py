@@ -407,12 +407,19 @@ class TestTrain:
         assert 3 <= resolved["max_len"] <= 8
 
     @pytest.mark.parametrize("command", ["train", "reproduce-run"])
-    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize(
+        "blocker_kind,below",
+        [("file", False), ("file", True), ("dangling_link", False), ("dangling_link", True)],
+        ids=["file", "below_file", "dangling_link", "below_dangling_link"],
+    )
     def test_out_that_cannot_be_a_directory_exit_2_before_training(
-        self, command, below, toy_tsv, tmp_path, capsys
+        self, command, blocker_kind, below, toy_tsv, tmp_path, capsys
     ):
         blocker = tmp_path / "outfile"
-        blocker.write_text("keep\n", encoding="utf-8")
+        if blocker_kind == "file":
+            blocker.write_text("keep\n", encoding="utf-8")
+        else:
+            blocker.symlink_to("nowhere/x")
         out = blocker / "sub" if below else blocker
         argv = ["train"] if command == "train" else ["reproduce-run", "1"]
         rc, stdout, stderr = run_cli(
@@ -422,8 +429,34 @@ class TestTrain:
         assert stderr == f"error: output directory {out}: {blocker} is not a directory\n"
         # Refused before the first epoch: no epoch line, nothing written.
         assert stdout == ""
-        assert blocker.read_text(encoding="utf-8") == "keep\n"
+        if blocker_kind == "file":
+            assert blocker.read_text(encoding="utf-8") == "keep\n"
+        else:
+            assert str(blocker.readlink()) == "nowhere/x"
         assert [p.name for p in tmp_path.iterdir()] == ["outfile"]
+
+    def test_out_through_a_symlink_to_a_directory_trains(self, toy_tsv, tmp_path, capsys):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to("real")
+        out = tmp_path / "link" / "run"
+        rc, _, _ = run_cli(capsys, "train", "--corpus", str(toy_tsv), "--out", str(out),
+                           "--epochs", "1")
+        assert rc == 0
+        assert (tmp_path / "real" / "run" / "checkpoint.txt").is_file()
+
+    def test_all_class_weights_zero_exit_2(self, toy_tsv, tmp_path, capsys):
+        """The one weight rule train checks itself: overrides may set every weight to 0."""
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"weight_overrides": dict.fromkeys(LABELS, 0)}),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        rc, stdout, stderr = run_cli(
+            capsys, "train", "--corpus", str(toy_tsv), "--config", str(cfg), "--out", str(out)
+        )
+        assert rc == 2
+        assert stderr == "error: class weights must be >= 0 with at least one > 0\n"
+        assert stdout == ""
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -485,19 +518,25 @@ class TestEvaluate:
         assert all(block["f1"] == 1.0 for block in doc["per_class"].values())
 
     def test_dimension_mismatch_exit_2(self, toy_tsv, tmp_path, capsys):
-        ckpt_path = tmp_path / "ckpt.txt"
-        save_checkpoint(LinearCheckpoint(
-            params=fused(np.zeros((7, 4)), np.zeros(7)),
-            labels=LABELS, provider_id=f"precomputed:{tmp_path / 'four.emb'}",
-        ), ckpt_path)
+        """_provider_for_inference is the only dimension check: another
+        vectors file for a precomputed checkpoint, and a hashed id, each over
+        the wrong number of weight columns."""
         emb = tmp_path / "wrong.emb"
         save_embeddings([("x", np.zeros(3))], 3, emb)
-        rc, _, stderr = run_cli(
-            capsys, "evaluate", "--checkpoint", str(ckpt_path),
-            "--corpus", str(toy_tsv), "--provider", f"precomputed:{emb}",
-        )
-        assert rc == 2
-        assert "dimension" in stderr
+        cases = [(f"precomputed:{tmp_path / 'four.emb'}", ["--provider", f"precomputed:{emb}"], 3),
+                 ("hashed:8:cased:120", [], 8)]
+        for provider_id, flags, dim in cases:
+            ckpt_path = tmp_path / "ckpt.txt"
+            save_checkpoint(LinearCheckpoint(
+                params=fused(np.zeros((7, 4)), np.zeros(7)), labels=LABELS, provider_id=provider_id,
+            ), ckpt_path)
+            rc, stdout, stderr = run_cli(
+                capsys, "evaluate", "--checkpoint", str(ckpt_path), "--corpus", str(toy_tsv), *flags
+            )
+            assert rc == 2
+            assert stderr == (
+                f"error: provider dimension {dim} does not match checkpoint dimension 4\n")
+            assert stdout == ""
 
     def test_full_provider_id_accepted_as_flag(self, trained, toy_tsv, capsys):
         """A hashed checkpoint's featuriser cannot be replaced, not even by

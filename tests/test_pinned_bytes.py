@@ -1,5 +1,6 @@
 """Byte pins for the outputs that touch no BLAS: the hashed featuriser's
-matrix, the EMB v1 and corpus TSV writers, and the length percentile.
+matrix, the EMB v1 and corpus TSV writers, the length percentile, the class
+weights and the metrics JSON.
 
 Each value is exact integer, correctly rounded or text arithmetic, so it is
 the same on every host; a rewrite of the featuriser or the writers must keep
@@ -11,12 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from bisect import bisect_right
 
 import pytest
 
 from rhetrole.corpus import LABELS, Corpus, LabeledSentence, length_percentile, save_corpus
 from rhetrole.embedding import HashedBowProvider, save_embeddings, tokenize
+from rhetrole.imbalance import weights_for_scheme
+from rhetrole.metrics import evaluate_predictions, report_to_json
 
 from .conftest import TASK_COUNTS
 
@@ -94,6 +98,11 @@ CORPUS_FILE_SHA256 = {
     "zipf": "a3fe00faa27efc9ad263cb869a4993b9a758d01e4203e73fb6d77cac87720b55",
     "zipf-punct": "d5a0c477453fc03b0da49603be6bc33ef7779b9b1a9a154ee54e7068e9ed89c4",
 }
+WEIGHTS_SHA256 = {
+    "inverse_frequency": "d2d0234e4777309278cc5bcc4998df56f8643d56448c4b5612c8c52923f3bf60",
+    "direct_frequency": "cb8fce671d7d48a5ced5ccde505ecdcf596ef6c71deddd336e28ea4630e10e0c",
+}
+METRICS_JSON_SHA256 = "c70a73b147cb572c6e6d62572f0b81869785c9880dd7d38d04b8a78c514f7ba0"
 # Nearest-rank token counts at q = 0.5, 0.98 and 1.0, cased then uncased.
 LENGTH_PERCENTILES = {"toy": (6, 8, 8, 6, 8, 8), "zipf": (25, 48, 48, 25, 48, 48),
                       "zipf-punct": (23, 46, 47, 23, 46, 47)}
@@ -128,3 +137,19 @@ def test_length_percentile(named):
         for casing in ("cased", "uncased") for q in (0.5, 0.98, 1.0)
     )
     assert values == LENGTH_PERCENTILES[name]
+
+
+@pytest.mark.parametrize("scheme", sorted(WEIGHTS_SHA256))
+def test_class_weights(scheme):
+    weights = weights_for_scheme(scheme, [TASK_COUNTS[label] for label in LABELS])
+    assert sha256(weights.tobytes()) == WEIGHTS_SHA256[scheme]
+
+
+def test_metrics_json():
+    """10^4 gold labels drawn with the paper's skew, each predicted right
+    with probability 0.7, else uniformly."""
+    rng = random.Random(2022)
+    gold = rng.choices(range(7), weights=[TASK_COUNTS[label] for label in LABELS], k=10**4)
+    pred = [g if rng.random() < 0.7 else rng.randrange(7) for g in gold]
+    doc = report_to_json(evaluate_predictions(gold, pred, 7), LABELS)
+    assert sha256(doc.encode()) == METRICS_JSON_SHA256
