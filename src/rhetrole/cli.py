@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from . import __version__
 from .config import (
@@ -46,7 +45,7 @@ from .embedding import (
     tokenize,
 )
 from .errors import ConfigError, DimensionMismatchError, InputError, RhetroleError
-from .fileio import read_count, read_real, read_text, write_atomic
+from .fileio import check_output_path, read_count, read_real, read_text, write_atomic
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
     SELECTION_METRICS,
@@ -73,14 +72,8 @@ _BALANCE_FLAG_TO_METHOD = {
 }
 
 
-def _refuse_directory_out(out: str | None) -> None:
-    """Refuse an ``--out`` file that names a directory, before any input is read."""
-    if out and Path(out).is_dir():
-        raise InputError(f"output file {out} is a directory")
-
-
 def cmd_ingest(args) -> int:
-    _refuse_directory_out(args.out)
+    check_output_path(args.out)
     corpus = load_corpus(args.corpus)
     if args.out:
         save_corpus(corpus, args.out)
@@ -172,15 +165,11 @@ def _resolve_from_args(args, preset: str | None = None) -> RunConfig:
     return resolve_config(preset=preset, file_config=file_cfg, overrides=overrides)
 
 
-def _run_training(cfg: RunConfig, out_dir: Path):
+def _run_training(cfg: RunConfig, out_dir):
     """Shared train pipeline. Writes checkpoint.txt, config.json and
     train_log.tsv into out_dir; returns what evaluate-on-validation needs."""
     if not cfg.corpus:
         raise ConfigError("no corpus given (flag --corpus or config field 'corpus')")
-    # Refused before training: an out_dir at or below a non-directory or a dangling symlink.
-    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink()), None)
-    if existing is not None and not existing.is_dir():
-        raise InputError(f"output directory {out_dir}: {existing} is not a directory")
     corpus = load_corpus(cfg.corpus)
     train_set, val_set = split(corpus, cfg)
     provider, cfg = _provider_for_training(cfg, corpus)
@@ -233,8 +222,8 @@ def _run_training(cfg: RunConfig, out_dir: Path):
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_from_args(args)
-    _run_training(cfg, Path(args.out))
+    out_dir = check_output_path(args.out, directory=True)
+    _run_training(_resolve_from_args(args), out_dir)
     return 0
 
 
@@ -271,7 +260,7 @@ def _evaluate_sentences(ckpt, provider, sentences):
 
 
 def cmd_evaluate(args) -> int:
-    _refuse_directory_out(args.out)
+    check_output_path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
     corpus = load_corpus(args.corpus)
@@ -285,7 +274,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _refuse_directory_out(args.out)
+    check_output_path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
     lines = []
@@ -315,9 +304,8 @@ def cmd_reproduce_run(args) -> int:
     run_key = args.run if args.run.startswith("run") else f"run{args.run}"
     if run_key not in PRESETS:
         raise ConfigError(f"unknown run id {args.run!r}; expected 1, 2 or 3")
-    cfg = _resolve_from_args(args, preset=run_key)
-    out_dir = Path(args.out) if args.out else Path(f"{run_key}_out")
-    ckpt, val_set, provider = _run_training(cfg, out_dir)
+    out_dir = check_output_path(f"{run_key}_out" if args.out is None else args.out, directory=True)
+    ckpt, val_set, provider = _run_training(_resolve_from_args(args, preset=run_key), out_dir)
 
     report = _evaluate_sentences(ckpt, provider, val_set)
     write_atomic(out_dir / "metrics.json", [report_to_json(report, ckpt.labels)])

@@ -74,6 +74,24 @@ def format_reals(values) -> str:
     return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
+def check_output_path(path: str | None, directory: bool = False) -> Path | None:
+    """``path`` as a ``Path`` (None stays None), refused with an ``InputError`` if no
+    file, or with ``directory`` no directory made with its parents, can go there."""
+    if path is None:
+        return None
+    if not path:
+        raise InputError("output path is empty")
+    p = Path(path)
+    if directory:  # mkdir(parents=True) needs the first ancestor that exists to be a directory
+        if not (existing := next((a for a in (p, *p.parents) if os.path.lexists(a)), p)).is_dir():
+            raise InputError(f"output directory {p}: {existing} is not a directory")
+    elif p.is_dir():
+        raise InputError(f"output file {path} is a directory")
+    elif not (parent := Path(os.path.realpath(path)).parent).is_dir():  # write_atomic's tmp file
+        raise InputError(f"output file {path}: {parent} is not a directory")
+    return p
+
+
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
     """Write the UTF-8 encoding of ``chunks`` to ``path`` atomically.
 

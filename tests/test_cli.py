@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +436,41 @@ class TestTrain:
         else:
             assert str(blocker.readlink()) == "nowhere/x"
         assert [p.name for p in tmp_path.iterdir()] == ["outfile"]
+
+    @pytest.mark.parametrize("command", ["train", "reproduce-run"])
+    @pytest.mark.parametrize("case", [
+        "file", "below_file", "dangling_link", "below_dangling_link", "empty", "missing_parent",
+    ])
+    def test_out_is_checked_before_the_config_or_corpus_is_read(
+        self, command, case, tmp_path, capsys
+    ):
+        (tmp_path / "afile").write_text("keep\n", encoding="utf-8")
+        (tmp_path / "dang").symlink_to("nowhere/x")
+        out, blocker = {
+            "file": (tmp_path / "afile", tmp_path / "afile"),
+            "below_file": (tmp_path / "afile" / "sub", tmp_path / "afile"),
+            "dangling_link": (tmp_path / "dang", tmp_path / "dang"),
+            "below_dangling_link": (tmp_path / "dang" / "sub", tmp_path / "dang"),
+            "empty": ("", None),
+            # Made with its parents, so only the missing config below stops it.
+            "missing_parent": (tmp_path / "nodir" / "sub", None),
+        }[case]
+        argv = ["train"] if command == "train" else ["reproduce-run", "1"]
+        # The config file and the corpus are missing, so reading either first
+        # would fail with another message.
+        rc, stdout, stderr = run_cli(
+            capsys, *argv, "--corpus", str(tmp_path / "missing.tsv"),
+            "--config", str(tmp_path / "missing.json"), "--out", str(out),
+        )
+        assert (rc, stdout) == (2, "")
+        if case == "empty":
+            assert stderr == "error: output path is empty\n"
+        elif case == "missing_parent":
+            assert "missing.json" in stderr
+        else:
+            assert stderr == f"error: output directory {out}: {blocker} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dang"]
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "keep\n"
 
     def test_out_through_a_symlink_to_a_directory_trains(self, toy_tsv, tmp_path, capsys):
         (tmp_path / "real").mkdir()
@@ -988,8 +1025,9 @@ class TestReproduceRun:
 
 
 class TestOutIsADirectory:
-    """``ingest``, ``evaluate`` and ``predict`` refuse an ``--out`` file that
-    names a directory before they read any input."""
+    """``ingest``, ``evaluate`` and ``predict`` refuse, before they read any
+    input, an ``--out`` file that names a directory, whose directory (after
+    symlinks) does not exist, or that is empty."""
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "--corpus"],
@@ -1006,6 +1044,46 @@ class TestOutIsADirectory:
         assert (rc, stdout) == (2, "")
         assert stderr == f"error: output file {out} is a directory\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--corpus"],
+        ["evaluate", "--checkpoint", "missing", "--corpus"],
+        ["predict", "--checkpoint", "missing", "--sentences"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("case", [
+        "missing_parent", "file_parent", "dangling_link", "below_dangling_link", "empty",
+    ])
+    def test_unwritable_out_exit_2_before_any_input(self, argv, case, tmp_path, capsys):
+        (tmp_path / "afile").write_text("keep\n", encoding="utf-8")
+        (tmp_path / "dang").symlink_to("nowhere/x")
+        real = Path(os.path.realpath(tmp_path))
+        out, parent = {
+            "missing_parent": (tmp_path / "nodir" / "o", real / "nodir"),
+            "file_parent": (tmp_path / "afile" / "o", real / "afile"),
+            "dangling_link": (tmp_path / "dang", real / "nowhere"),
+            "below_dangling_link": (tmp_path / "dang" / "o", real / "nowhere" / "x"),
+            "empty": ("", None),
+        }[case]
+        missing = str(tmp_path / "missing")
+        argv = [missing if arg == "missing" else arg for arg in argv]
+        rc, stdout, stderr = run_cli(capsys, *argv, missing, "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert stderr == ("error: output path is empty\n" if case == "empty" else
+                          f"error: output file {out}: {parent} is not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dang"]
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "keep\n"
+        assert str((tmp_path / "dang").readlink()) == "nowhere/x"
+
+    def test_out_through_a_symlink_to_a_directory_writes(self, trained, toy_tsv, tmp_path,
+                                                          capsys):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to("real")
+        out = tmp_path / "link" / "m.json"
+        rc, stdout, _ = run_cli(capsys, "evaluate", "--checkpoint",
+                                str(trained / "checkpoint.txt"), "--corpus", str(toy_tsv),
+                                "--out", str(out))
+        assert (rc, stdout) == (0, f"metrics written to {out}\n")
+        assert json.loads((tmp_path / "real" / "m.json").read_text())["total"] == 700
 
 
 class TestEmptyCorpusOrSplit:
