@@ -5,16 +5,18 @@ Exit codes are a stable contract: 0 success, 1 runtime error, 2 bad input
 or configuration. Every command is deterministic given its arguments and
 the config seed.
 
-``evaluate``, ``predict`` and ``reproduce-run`` score through ``_score``,
-which embeds ``_SCORE_BLOCK_ROWS`` inputs at a time, so their memory does
-not grow with the number of inputs times the embedding dimension. Output is
-written only once every block is scored.
+``evaluate`` and ``predict`` score through ``_score``, which embeds
+``_SCORE_BLOCK_ROWS`` inputs at a time, so their memory does not grow with
+the number of inputs times the embedding dimension. Output is written only
+once every block is scored. ``reproduce-run`` scores nothing itself: its
+metrics are the validation report of the epoch that ``train`` selected.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import __version__
@@ -72,16 +74,15 @@ _BALANCE_FLAG_TO_METHOD = {
 }
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     check_output_path(args.out)
     corpus = load_corpus(args.corpus)
     if args.out:
         save_corpus(corpus, args.out)
     print(f"{len(corpus.documents)} documents, {len(corpus.sentences)} sentences")
-    return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     corpus = load_corpus(args.corpus)
     counts = class_distribution(corpus.sentences)
     total = len(corpus.sentences)
@@ -101,7 +102,6 @@ def cmd_stats(args) -> int:
         dw = f"{direct[label]:.5f}" if label in direct else "-"
         print(f"{label}\t{c}\t{pct:.2f}%\t{inv}\t{dw}")
     print(f"total\t{total}")
-    return 0
 
 
 def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, RunConfig]:
@@ -167,7 +167,7 @@ def _resolve_from_args(args, preset: str | None = None) -> RunConfig:
 
 def _run_training(cfg: RunConfig, out_dir):
     """Shared train pipeline. Writes checkpoint.txt, config.json and
-    train_log.tsv into out_dir; returns what evaluate-on-validation needs."""
+    train_log.tsv into out_dir; returns the checkpoint, with its selected epoch."""
     if not cfg.corpus:
         raise ConfigError("no corpus given (flag --corpus or config field 'corpus')")
     corpus = load_corpus(cfg.corpus)
@@ -217,19 +217,18 @@ def _run_training(cfg: RunConfig, out_dir):
     )])
     write_atomic(out_dir / "train_log.tsv", (l + "\n" for l in log_lines))
     print(f"checkpoint written to {out_dir / 'checkpoint.txt'} "
-          f"(best {cfg.selection_metric} {ckpt.selection_score:.6f})")
-    return ckpt, val_set, provider
+          f"(best {cfg.selection_metric} {ckpt.selected.val_score:.6f})")
+    return ckpt
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     out_dir = check_output_path(args.out, directory=True)
     _run_training(_resolve_from_args(args), out_dir)
-    return 0
 
 
-# Rows that evaluate, predict and reproduce-run embed and score at a time, so
-# their float matrices are (_SCORE_BLOCK_ROWS, dim) however long the input
-# is: 2 MB at dim 256, 6 MB at dim 768. Keep blocks large. OpenBLAS runs
+# Rows that evaluate and predict embed and score at a time, so their float
+# matrices are (_SCORE_BLOCK_ROWS, dim) however long the input is: 2 MB at
+# dim 256, 6 MB at dim 768. Keep blocks large. OpenBLAS runs
 # small products through another kernel, so against one product over all
 # rows, blocks of 100 rows or fewer changed the last bits of the logits (by
 # up to 3e-14; so did a 1-row tail), while blocks of 512 to 4096 rows gave
@@ -249,31 +248,26 @@ def _score(ckpt, provider, items, with_prob=False):
             yield from best.tolist()
 
 
-def _evaluate_sentences(ckpt, provider, sentences):
+def cmd_evaluate(args) -> None:
+    check_output_path(args.out)
+    ckpt = load_checkpoint(args.checkpoint)
+    provider = _provider_for_inference(args, ckpt)
+    sentences = load_corpus(args.corpus).sentences
     label_to_idx = {name: i for i, name in enumerate(ckpt.labels)}
     try:
         gold = [label_to_idx[s.label] for s in sentences]
     except KeyError as exc:
         raise InputError(f"label {exc.args[0]!r} not in checkpoint label set") from None
     preds = list(_score(ckpt, provider, sentences))
-    return evaluate_predictions(gold, preds, len(ckpt.labels))
-
-
-def cmd_evaluate(args) -> int:
-    check_output_path(args.out)
-    ckpt = load_checkpoint(args.checkpoint)
-    provider = _provider_for_inference(args, ckpt)
-    corpus = load_corpus(args.corpus)
-    doc = report_to_json(_evaluate_sentences(ckpt, provider, corpus.sentences), ckpt.labels)
+    doc = report_to_json(evaluate_predictions(gold, preds, len(ckpt.labels)), ckpt.labels)
     if args.out:
         write_atomic(args.out, [doc])
         print(f"metrics written to {args.out}")
     else:
         print(doc, end="")
-    return 0
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     check_output_path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
@@ -297,17 +291,16 @@ def cmd_predict(args) -> int:
         print(f"{len(rows)} predictions written to {args.out}")
     else:
         sys.stdout.writelines(rows)
-    return 0
 
 
-def cmd_reproduce_run(args) -> int:
+def cmd_reproduce_run(args) -> None:
     run_key = args.run if args.run.startswith("run") else f"run{args.run}"
     if run_key not in PRESETS:
         raise ConfigError(f"unknown run id {args.run!r}; expected 1, 2 or 3")
     out_dir = check_output_path(f"{run_key}_out" if args.out is None else args.out, directory=True)
-    ckpt, val_set, provider = _run_training(_resolve_from_args(args, preset=run_key), out_dir)
+    ckpt = _run_training(_resolve_from_args(args, preset=run_key), out_dir)
 
-    report = _evaluate_sentences(ckpt, provider, val_set)
+    report = ckpt.selected.val_report  # the selected epoch's, as train scored it
     write_atomic(out_dir / "metrics.json", [report_to_json(report, ckpt.labels)])
     print("resolved config:")
     print((out_dir / "config.json").read_text(encoding="utf-8"), end="")
@@ -316,7 +309,6 @@ def cmd_reproduce_run(args) -> int:
     print(f"macro_precision\t{report.macro_precision:.6f}")
     print(f"macro_recall\t{report.macro_recall:.6f}")
     print(f"macro_f1\t{report.macro_f1:.6f}")
-    return 0
 
 
 def _flag_type(read, form: str):
@@ -414,13 +406,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return 0
+    except BrokenPipeError as exc:  # what stdout still holds goes nowhere, not to an error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, error = 1, exc
     except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except RhetroleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

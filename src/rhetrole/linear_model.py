@@ -57,7 +57,7 @@ from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch, table_rows
 from .errors import CheckpointFormatError, InputError, RhetroleError
 from .fileio import format_reals, read_count, read_reals, read_text, write_atomic
-from .metrics import evaluate_predictions
+from .metrics import MetricsReport, evaluate_predictions
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -76,24 +76,27 @@ class OptimizerState:
 
 
 @dataclass
+class EpochStats:
+    """One epoch's mean training loss, selection score and validation report."""
+
+    epoch: int
+    train_loss: float
+    val_score: float
+    val_report: MetricsReport
+
+
+@dataclass
 class LinearCheckpoint:
     """Trained parameters plus the metadata needed to reuse them.
 
-    ``selection_score`` is the validation score of the winning epoch; it is
-    not part of the file format, so checkpoints loaded from disk carry NaN.
+    ``selected`` is the winning epoch of ``train``; it is not part of the
+    file format, so checkpoints loaded from disk carry None.
     """
 
     params: np.ndarray
     labels: tuple[str, ...]
     provider_id: str
-    selection_score: float = float("nan")
-
-
-@dataclass
-class EpochStats:
-    epoch: int
-    train_loss: float
-    val_score: float
+    selected: EpochStats | None = None
 
 
 def input_dim(params: np.ndarray) -> int:
@@ -220,10 +223,10 @@ def train(
     Each epoch shuffles train indices with a generator seeded by
     (cfg.seed, epoch); the last batch may be smaller. The training vectors
     are not copied: ``table_rows`` lends the provider's table, and each batch
-    is gathered from it by row id. After every epoch the
-    selection metric is evaluated on the validation set and the best epoch's
-    parameters win (ties keep the earlier epoch). A non-finite batch loss
-    stops training with a RhetroleError naming the epoch and the batch.
+    is gathered from it by row id. Each epoch scores the validation set once,
+    into its ``EpochStats``; the checkpoint holds the best epoch's parameters
+    and, as ``selected``, its stats (ties keep the earlier epoch). A non-finite
+    batch loss or validation logit stops training with a RhetroleError.
     """
     _check_provider_id(provider.provider_id)
     w_vec = np.asarray(class_weights, dtype=np.float64)
@@ -241,9 +244,8 @@ def train(
     state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     grads = np.empty_like(params)
     views = (params[:, :-1].T, params[:, -1], grads[:, :-1], grads[:, -1])
-    higher_is_better = cfg.selection_metric == "macro_f1"
-    best_score = -math.inf if higher_is_better else math.inf
-    best_params = params.copy()
+    sign = 1.0 if cfg.selection_metric == "macro_f1" else -1.0  # the winner maximises sign * score
+    selected = best_params = None
 
     # Each epoch's rows in shuffled order: their row ids, labels, sample
     # weights, flat label-logit indices and one-hot rows. Every epoch writes
@@ -275,23 +277,20 @@ def train(
             optimizer_step(params, grads, state, cfg)
 
         Z_val = logits(params, X_val)
-        if higher_is_better:
-            score = evaluate_predictions(y_val, Z_val.argmax(1).tolist(), k).macro_f1
+        if not np.isfinite(Z_val).all():
+            raise RhetroleError(f"training diverged: non-finite validation logits in epoch {epoch}")
+        report = evaluate_predictions(y_val, Z_val.argmax(1).tolist(), k)
+        if sign > 0:
+            score = report.macro_f1
         else:  # only the per-row losses, not their gradient
             score = float(_row_losses(Z_val, val_w, val_idx)[0].sum()) / len(y_val)
-        improved = score > best_score if higher_is_better else score < best_score
-        if improved:
-            best_score = score
-            best_params = params.copy()
+        stats = EpochStats(epoch, loss_total / n, score, report)
+        if selected is None or sign * score > sign * selected.val_score:
+            selected, best_params = stats, params.copy()
         if on_epoch is not None:
-            on_epoch(EpochStats(epoch=epoch, train_loss=loss_total / n, val_score=score))
+            on_epoch(stats)
 
-    return LinearCheckpoint(
-        params=best_params,
-        labels=LABELS,
-        provider_id=provider.provider_id,
-        selection_score=best_score,
-    )
+    return LinearCheckpoint(best_params, LABELS, provider.provider_id, selected)
 
 
 def _check_labels(labels: Sequence[str], k: int) -> None:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,18 +13,21 @@ import pytest
 
 from rhetrole import cli
 from rhetrole.cli import main
-from rhetrole.config import PRESETS, RunConfig, config_to_json, resolve_config
-from rhetrole.corpus import LABELS, Corpus, save_corpus
-from rhetrole.embedding import parse_provider_spec, save_embeddings
+from rhetrole.config import PRESETS, RunConfig, config_to_json, load_config_file, resolve_config
+from rhetrole.corpus import LABELS, Corpus, LabeledSentence, load_corpus, save_corpus, split
+from rhetrole.embedding import HashedBowProvider, parse_provider_spec, save_embeddings
 from rhetrole.errors import ConfigError, InputError
 from rhetrole.linear_model import (
+    SELECTION_METRICS,
     LinearCheckpoint,
     input_dim,
     load_checkpoint,
     save_checkpoint,
 )
+from rhetrole.metrics import evaluate_predictions, report_to_json
 
 from .conftest import fused
+from .test_pinned_bytes import zipf_corpus
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +284,23 @@ class TestTrain:
         # batch is the first with a non-finite loss.
         assert "epoch 1, batch 2" in stderr
         assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("metric", SELECTION_METRICS)
+    def test_non_finite_validation_logits_stop_training_exit_1(
+        self, metric, toy_tsv, tmp_path, capsys
+    ):
+        # One batch holds all 560 training rows, so no batch loss sees the
+        # overflowed parameters; only the validation logits do.
+        out = tmp_path / "diverged"
+        with np.errstate(all="ignore"):
+            rc, stdout, stderr = run_cli(
+                capsys, "train", "--corpus", str(toy_tsv), "--out", str(out), "--epochs", "1",
+                "--lr", "1e300", "--batch-size", "700", "--selection-metric", metric,
+            )
+        assert rc == 1
+        assert stderr == "error: training diverged: non-finite validation logits in epoch 1\n"
+        assert stdout == ""
+        assert not out.exists()
 
     def test_zero_length_percentile_names_the_corpus_exit_2(self, tmp_path, capsys):
         # Every sentence is punctuation only, so each has 0 tokens.
@@ -733,10 +756,42 @@ class TestPredict:
         assert not out.exists()
 
 
+class TestClosedOutputPipe:
+    """A reader that closes the output pipe early (``predict | head -1``) is
+    a runtime failure: exit 1 and one error line, with nothing from Python
+    about the buffered rest at exit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--sentences", "{lines}"],
+        ["evaluate", "--corpus", "{corpus}"],
+        ["evaluate", "--corpus", "{corpus}", "--out", "/dev/stdout"],
+    ], ids=["predict", "evaluate", "evaluate-out"])
+    def test_exit_1_with_one_error_line(self, argv, toy, toy_tsv, trained, tmp_path):
+        lines = tmp_path / "lines.txt"
+        lines.write_text("".join(s.text + "\n" for s in toy.sentences), encoding="utf-8")
+        argv = [a.format(lines=lines, corpus=toy_tsv) for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # so every write to stdout fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from rhetrole.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv,
+                 "--checkpoint", str(trained / "checkpoint.txt")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                # Block-buffered, as a pipe is by default: what the buffer
+                # still holds at exit is what Python would report again.
+                env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                     "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
 class TestScoreBlocks:
-    """evaluate, predict and reproduce-run embed and score their inputs
-    cli._SCORE_BLOCK_ROWS rows at a time; the block size must not show in
-    any output."""
+    """evaluate and predict embed and score their inputs cli._SCORE_BLOCK_ROWS
+    rows at a time; the block size must not show in any output, nor in
+    reproduce-run's metrics, which training scores in one product."""
 
     DEFAULT = cli._SCORE_BLOCK_ROWS
     SIZES = sorted({n for b in (1, 3, DEFAULT) for n in (b - 1, b, b + 1, 2 * b + 1)} - {0})
@@ -1022,6 +1077,73 @@ class TestReproduceRun:
         assert (out / "metrics.json").exists()
         assert "macro_f1" in stdout
         assert "validation" in stdout
+
+
+def task_scale_corpus() -> Corpus:
+    """5,125 Zipfian sentences whose labels follow TASK_COUNTS' skew, two in
+    three led by a word naming their label, so training has something to
+    learn. Its default split leaves 1,025 validation sentences."""
+    zipf = zipf_corpus(num_sentences=5125)
+    sentences = [
+        LabeledSentence(f"cue{LABELS.index(s.label)} {s.text}" if i % 3 else s.text,
+                        s.label, s.doc_id)
+        for i, s in enumerate(zipf.sentences)
+    ]
+    return Corpus(sentences=sentences, documents=zipf.documents)
+
+
+class TestReproduceRunMetricsAreTheSelectedEpochs:
+    """reproduce-run reports the validation report that training made for
+    the epoch it selected. Scoring the validation split again with the
+    saved checkpoint, block by block as evaluate scores a corpus, gives the
+    same metrics.json bytes."""
+
+    @pytest.fixture(scope="class")
+    def task(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("task")
+        corpus = task_scale_corpus()
+        save_corpus(corpus, d / "corpus.tsv")
+        texts = list(dict.fromkeys(s.text for s in corpus.sentences))
+        # Another featuriser than the hashed run's, so the precomputed run differs.
+        save_embeddings(zip(texts, HashedBowProvider(96, "cased", 40).embed(texts)), 96,
+                        d / "task.emb")
+        return d
+
+    @pytest.mark.parametrize("provider", ["hashed", "precomputed"])
+    @pytest.mark.parametrize("metric", SELECTION_METRICS)
+    def test_metrics_json_is_the_validation_split_scored_again(
+        self, task, provider, metric, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        extra = ["--provider", f"precomputed:{task / 'task.emb'}"] if provider != "hashed" else []
+        rc, stdout, _ = run_cli(
+            capsys, "reproduce-run", "1", "--corpus", str(task / "corpus.tsv"), "--out", str(out),
+            "--lr", "5e-2", "--selection-metric", metric, *extra,
+        )
+        assert rc == 0
+        # At this lr an earlier epoch wins, so the last epoch's report would differ.
+        log = (out / "train_log.tsv").read_text(encoding="utf-8").splitlines()
+        scores = [float(line.split("\t")[2]) for line in log]
+        assert scores.index((max if metric == "macro_f1" else min)(scores)) < len(scores) - 1
+        # The scoring that reproduce-run ran after training until it took
+        # training's report instead.
+        cfg = resolve_config(file_config=load_config_file(out / "config.json"))
+        _, val_set = split(load_corpus(cfg.corpus), cfg)
+        assert len(val_set) == cli._SCORE_BLOCK_ROWS + 1  # a one-row tail block
+        ckpt = load_checkpoint(out / "checkpoint.txt")
+        inference = cli._provider_for_inference(
+            argparse.Namespace(checkpoint=str(out / "checkpoint.txt"), provider=None), ckpt)
+        gold = [ckpt.labels.index(s.label) for s in val_set]
+        preds = list(cli._score(ckpt, inference, val_set))
+        report = evaluate_predictions(gold, preds, len(ckpt.labels))
+        assert (out / "metrics.json").read_bytes() == report_to_json(
+            report, ckpt.labels).encode("utf-8")
+        assert len(set(preds)) > 2  # the head was trained, not one class everywhere
+        assert stdout.endswith(
+            f"macro_precision\t{report.macro_precision:.6f}\n"
+            f"macro_recall\t{report.macro_recall:.6f}\n"
+            f"macro_f1\t{report.macro_f1:.6f}\n"
+        )
 
 
 class TestOutIsADirectory:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from rhetrole.config import RunConfig
 from rhetrole.corpus import LABELS, LabeledSentence
 from rhetrole.linear_model import (
     SELECTION_METRICS,
+    EpochStats,
     LinearCheckpoint,
     OptimizerState,
     initial_params,
@@ -434,7 +436,8 @@ class TestTrainIsTheReferenceLoop:
         ckpt = train(train_set, val_set, provider, weights, cfg, on_epoch=epochs.append)
         ref_score, ref_params = reference_train(train_set, val_set, provider, weights, cfg)
         assert ckpt.params.tobytes() == ref_params.tobytes()
-        assert ckpt.selection_score == ref_score
+        assert ckpt.selected.val_score == ref_score
+        assert ckpt.selected is epochs[ckpt.selected.epoch - 1]
         assert len({e.val_score for e in epochs}) > 1  # the selection had a choice
 
 
@@ -477,7 +480,7 @@ class TestTrain:
         stats = []
         ckpt = train(sentences[:32], sentences[32:], provider, np.ones(7), cfg, on_epoch=stats.append)
         assert len(stats) == 1
-        assert ckpt.selection_score == stats[0].val_score
+        assert ckpt.selected is stats[0]
 
     def test_deterministic_bit_identical(self):
         sentences, provider, _, _ = two_class_toy(n=60)
@@ -493,7 +496,32 @@ class TestTrain:
         )
         stats = []
         ckpt = train(sentences[:48], sentences[48:], provider, np.ones(7), cfg, on_epoch=stats.append)
-        assert ckpt.selection_score == min(s.val_score for s in stats)
+        # min returns the first of equal scores, as ties keep the earlier epoch.
+        assert ckpt.selected is min(stats, key=lambda s: s.val_score)
+
+    def test_macro_f1_selection_keeps_the_earliest_best_epoch(self):
+        sentences, provider, _, _ = two_class_toy(n=60)
+        cfg = RunConfig(batch_size=8, epochs=6, learning_rate=1e-2, seed=1)
+        stats = []
+        ckpt = train(sentences[:48], sentences[48:], provider, ONES7, cfg, on_epoch=stats.append)
+        best = max(stats, key=lambda s: s.val_score)  # the first of equal scores
+        assert sum(s.val_score == best.val_score for s in stats) > 1  # a tie was broken
+        assert [s.epoch for s in stats] == list(range(1, 7))
+        assert ckpt.selected is best
+        assert best.val_report.macro_f1 == best.val_score
+        assert ckpt.params.tobytes() == train(
+            sentences[:48], sentences[48:], provider, ONES7,
+            dataclasses.replace(cfg, epochs=best.epoch)).params.tobytes()
+
+    def test_val_loss_run_reports_the_selected_epochs_predictions(self):
+        sentences, provider, _, _ = two_class_toy(n=60)
+        val_set = sentences[48:]
+        cfg = RunConfig(batch_size=8, epochs=3, learning_rate=1e-2, seed=1,
+                        selection_metric="val_loss")
+        ckpt = train(sentences[:48], val_set, provider, ONES7, cfg)
+        gold = [LABELS.index(s.label) for s in val_set]
+        preds = logits(ckpt.params, embed_batch(val_set, provider)).argmax(axis=1).tolist()
+        assert ckpt.selected.val_report == evaluate_predictions(gold, preds, len(LABELS))
 
     def test_shuffled_emb_trains_as_its_source_provider(self, toy, tmp_path):
         """Batches are gathered by row id, so an EMB whose records are in
@@ -582,9 +610,10 @@ class TestCheckpointIO:
         params = fused(rng.normal(size=(7, 5)), rng.normal(size=7))
         from rhetrole.corpus import LABELS
 
+        report = evaluate_predictions([0, 1], [0, 0], len(LABELS))
         return LinearCheckpoint(
             params=params, labels=LABELS, provider_id="hashed:5:cased:120",
-            selection_score=0.5,
+            selected=EpochStats(epoch=2, train_loss=1.5, val_score=0.5, val_report=report),
         )
 
     def test_round_trip_value_exact(self):
@@ -593,7 +622,7 @@ class TestCheckpointIO:
         assert np.array_equal(loaded.params, ckpt.params)
         assert loaded.labels == ckpt.labels
         assert loaded.provider_id == ckpt.provider_id
-        assert math.isnan(loaded.selection_score)
+        assert loaded.selected is None  # the winning epoch is not part of the file format
 
     def test_write_read_write_byte_identical(self):
         text = serialize_checkpoint(self.make())
