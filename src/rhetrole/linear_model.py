@@ -254,41 +254,44 @@ def train(
     rows_epoch, y_epoch = np.empty_like(rows), np.empty_like(y_train)
     sample_w, label_idx, onehot = np.empty(n), np.empty(n, np.int64), np.empty((n, k))
     slots = np.arange(n) % batch_size * k
-    for epoch in range(1, cfg.epochs + 1):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
-        rows.take(order, out=rows_epoch, mode="clip")
-        y_train.take(order, out=y_epoch, mode="clip")
-        del order  # so the next epoch's order is not made beside it
-        w_vec.take(y_epoch, out=sample_w, mode="clip")
-        np.add(slots, y_epoch, out=label_idx)
-        np.eye(k).take(y_epoch, axis=0, out=onehot, mode="clip")
-        loss_total = 0.0
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            batch_sum = loss_and_grads(
-                table.take(rows_epoch[start:stop], axis=0), sample_w[start:stop],
-                label_idx[start:stop], onehot[start:stop], views)
-            if not math.isfinite(batch_sum):
-                raise RhetroleError(
-                    f"training diverged: non-finite loss in epoch {epoch}, "
-                    f"batch {start // batch_size + 1}"
-                )
-            loss_total += batch_sum
-            optimizer_step(params, grads, state, cfg)
+    # The finiteness checks below report divergence; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+            rows.take(order, out=rows_epoch, mode="clip")
+            y_train.take(order, out=y_epoch, mode="clip")
+            del order  # so the next epoch's order is not made beside it
+            w_vec.take(y_epoch, out=sample_w, mode="clip")
+            np.add(slots, y_epoch, out=label_idx)
+            np.eye(k).take(y_epoch, axis=0, out=onehot, mode="clip")
+            loss_total = 0.0
+            for start in range(0, n, batch_size):
+                stop = start + batch_size
+                batch_sum = loss_and_grads(
+                    table.take(rows_epoch[start:stop], axis=0), sample_w[start:stop],
+                    label_idx[start:stop], onehot[start:stop], views)
+                if not math.isfinite(batch_sum):
+                    raise RhetroleError(
+                        f"training diverged: non-finite loss in epoch {epoch}, "
+                        f"batch {start // batch_size + 1}"
+                    )
+                loss_total += batch_sum
+                optimizer_step(params, grads, state, cfg)
 
-        Z_val = logits(params, X_val)
-        if not np.isfinite(Z_val).all():
-            raise RhetroleError(f"training diverged: non-finite validation logits in epoch {epoch}")
-        report = evaluate_predictions(y_val, Z_val.argmax(1).tolist(), k)
-        if sign > 0:
-            score = report.macro_f1
-        else:  # only the per-row losses, not their gradient
-            score = float(_row_losses(Z_val, val_w, val_idx)[0].sum()) / len(y_val)
-        stats = EpochStats(epoch, loss_total / n, score, report)
-        if selected is None or sign * score > sign * selected.val_score:
-            selected, best_params = stats, params.copy()
-        if on_epoch is not None:
-            on_epoch(stats)
+            Z_val = logits(params, X_val)
+            if not np.isfinite(Z_val).all():
+                raise RhetroleError(
+                    f"training diverged: non-finite validation logits in epoch {epoch}")
+            report = evaluate_predictions(y_val, Z_val.argmax(1).tolist(), k)
+            if sign > 0:
+                score = report.macro_f1
+            else:  # only the per-row losses, not their gradient
+                score = float(_row_losses(Z_val, val_w, val_idx)[0].sum()) / len(y_val)
+            stats = EpochStats(epoch, loss_total / n, score, report)
+            if selected is None or sign * score > sign * selected.val_score:
+                selected, best_params = stats, params.copy()
+            if on_epoch is not None:
+                on_epoch(stats)
 
     return LinearCheckpoint(best_params, LABELS, provider.provider_id, selected)
 

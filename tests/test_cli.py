@@ -27,7 +27,7 @@ from rhetrole.linear_model import (
 from rhetrole.metrics import evaluate_predictions, report_to_json
 
 from .conftest import fused
-from .test_pinned_bytes import zipf_corpus
+from .test_pinned_bytes import _PUNCT_FORMS, zipf_corpus
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +55,15 @@ class TestIngest:
         assert "2 documents, 6 sentences" in stdout
         assert out.read_text().count("#doc\t") == 2
 
+    @pytest.mark.parametrize("name", ["toy", "zipf", "zipf-punct"])
+    def test_out_has_the_bytes_read(self, name, toy, tmp_path, capsys):
+        corpus = {"toy": toy, "zipf": zipf_corpus(),
+                  "zipf-punct": zipf_corpus(forms=_PUNCT_FORMS)}[name]
+        path, out = tmp_path / "corpus.tsv", tmp_path / "out.tsv"
+        save_corpus(corpus, path)
+        assert run_cli(capsys, "ingest", "--corpus", str(path), "--out", str(out))[0] == 0
+        assert out.read_bytes() == path.read_bytes()
+
     def test_bad_label_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("#doc\tD\nSome text\tVerdict\n", encoding="utf-8")
@@ -74,6 +83,15 @@ class TestIngest:
         assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["ingest", "stats", "train", "evaluate", "predict", "reproduce-run"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rhetrole {command} ")
+
+
 class TestStats:
     def test_balanced_fixture_all_weights_one(self, toy_tsv, capsys):
         rc, stdout, _ = run_cli(capsys, "stats", "--corpus", str(toy_tsv))
@@ -84,6 +102,7 @@ class TestStats:
             fields = line.split("\t")
             assert fields[3] == "1.00000"
             assert fields[4] == "1.00000"
+        assert stdout.splitlines()[-1] == "total\t700"
 
     def test_task_scale_distribution_weights(self, tmp_path, capsys):
         from .conftest import TASK_COUNTS
@@ -272,33 +291,26 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
-    def test_non_finite_batch_loss_stops_training_exit_1(self, toy_tsv, tmp_path, capsys):
-        out = tmp_path / "diverged"
-        with np.errstate(all="ignore"):
-            rc, _, stderr = run_cli(
-                capsys, "train", "--corpus", str(toy_tsv), "--out", str(out),
-                "--lr", "1e308", "--epochs", "2",
-            )
-        assert rc == 1
-        # The first step already overflows the parameters, so the second
-        # batch is the first with a non-finite loss.
-        assert "epoch 1, batch 2" in stderr
-        assert not (out / "checkpoint.txt").exists()
-
-    @pytest.mark.parametrize("metric", SELECTION_METRICS)
-    def test_non_finite_validation_logits_stop_training_exit_1(
-        self, metric, toy_tsv, tmp_path, capsys
-    ):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags,message", [
         # One batch holds all 560 training rows, so no batch loss sees the
         # overflowed parameters; only the validation logits do.
+        (["--batch-size", "700", "--lr", "1e300", "--epochs", "1"],
+         "non-finite validation logits in epoch 1"),
+        (["--batch-size", "700", "--lr", "1e300", "--epochs", "1",
+          "--selection-metric", "val_loss"], "non-finite validation logits in epoch 1"),
+        # The first step already overflows the parameters, so the second
+        # batch is the first with a non-finite loss.
+        (["--lr", "1e308", "--epochs", "2"], "non-finite loss in epoch 1, batch 2"),
+    ], ids=["logits-macro_f1", "logits-val_loss", "batch-loss"])
+    def test_diverged_training_prints_one_error_line_exit_1(
+        self, flags, message, toy_tsv, tmp_path, capsys
+    ):
         out = tmp_path / "diverged"
-        with np.errstate(all="ignore"):
-            rc, stdout, stderr = run_cli(
-                capsys, "train", "--corpus", str(toy_tsv), "--out", str(out), "--epochs", "1",
-                "--lr", "1e300", "--batch-size", "700", "--selection-metric", metric,
-            )
+        rc, stdout, stderr = run_cli(
+            capsys, "train", "--corpus", str(toy_tsv), "--out", str(out), *flags)
         assert rc == 1
-        assert stderr == "error: training diverged: non-finite validation logits in epoch 1\n"
+        assert stderr == f"error: training diverged: {message}\n"
         assert stdout == ""
         assert not out.exists()
 
@@ -790,8 +802,9 @@ class TestClosedOutputPipe:
 
 class TestScoreBlocks:
     """evaluate and predict embed and score their inputs cli._SCORE_BLOCK_ROWS
-    rows at a time; the block size must not show in any output, nor in
-    reproduce-run's metrics, which training scores in one product."""
+    rows at a time; the block size must not show in any output.
+    reproduce-run scores nothing in blocks: its metrics are training's, which
+    TestReproduceRunMetricsAreTheSelectedEpochs holds to blocked scoring."""
 
     DEFAULT = cli._SCORE_BLOCK_ROWS
     SIZES = sorted({n for b in (1, 3, DEFAULT) for n in (b - 1, b, b + 1, 2 * b + 1)} - {0})
@@ -814,25 +827,17 @@ class TestScoreBlocks:
         self, n, toy, trained, tmp_path, capsys, monkeypatch
     ):
         corpus, lines = self.write_inputs(toy, tmp_path, n)
-        # Half this corpus is validation, so reproduce-run scores n rows too.
-        # Splits this small may lack a class, which inverse weights refuse.
-        doubled, _ = self.write_inputs(toy, tmp_path / "doubled", 2 * n)
         ckpt = str(trained / "checkpoint.txt")
         outputs = {}
         for rows in (self.DEFAULT, 1, 3):
             monkeypatch.setattr(cli, "_SCORE_BLOCK_ROWS", rows)
-            out = tmp_path / f"blocks{rows}"
             rc, metrics, _ = run_cli(capsys, "evaluate", "--checkpoint", ckpt,
                                      "--corpus", str(corpus))
             assert rc == 0
             rc, predicted, _ = run_cli(capsys, "predict", "--checkpoint", ckpt,
                                        "--sentences", str(lines))
             assert rc == 0
-            assert run_cli(capsys, "reproduce-run", "1", "--corpus", str(doubled),
-                           "--out", str(out), "--train-fraction", "0.5", "--epochs", "1",
-                           "--balance", "none", "--weights", "uniform")[0] == 0
-            assert json.loads((out / "metrics.json").read_text())["total"] == n
-            outputs[rows] = (metrics, predicted, (out / "metrics.json").read_bytes())
+            outputs[rows] = (metrics, predicted)
         assert json.loads(outputs[self.DEFAULT][0])["total"] == n
         assert outputs[self.DEFAULT][1].count("\n") == n
         assert outputs[1] == outputs[self.DEFAULT]

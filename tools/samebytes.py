@@ -1,0 +1,161 @@
+"""Check that this working tree writes the same bytes as a base commit.
+
+    python3 tools/samebytes.py BASE
+
+Run it before committing, with the parent commit as BASE. It builds its
+inputs once, then runs every row of ``ROWS`` through the CLI of each tree,
+this working tree's ``src`` and ``git archive BASE``'s, each tree in a fresh
+directory that holds a copy of the inputs. It compares every file the two
+directories then hold, with each row's stdout, stderr and exit code, prints
+each path that differs and exits 1 if there is one. Both trees run on the
+same host with one BLAS thread and ``PYTHONHASHSEED=0``, the children's
+settings of ``perfbench/run.py``, so a difference comes from the code;
+checkpoint bytes depend on the BLAS kernel, so only two trees on one host
+compare.
+
+The rows train hashed and precomputed alike, with either split mode. The
+toy corpus's words are alphanumeric, so the hashed runs also train on a
+benchmark task corpus (``perfbench/gen.py task-hashed 7 0.1``), whose tokens
+carry edge punctuation (commas, curly quotes, dashes, section signs) for the
+tokenizer to strip, and on the toy corpus with tokens appended to every
+sentence: edges the strip leaves ($ + ° from its table's blocks, ₹ from
+outside them), a fraction slash inside a token, and punctuation outside
+those blocks (「 」) that only the category loop strips. No benchmark corpus
+has a token over 9 bytes, so one more toy copy appends tokens of 40, 300
+(non-ASCII) and 1,000 bytes, which the hash runs to their last byte.
+Undersampled and oversampled training on the task corpus checks the
+resampling draw order. The three presets through ``reproduce-run``, one
+selecting by val_loss and one split by document, check that the
+metrics.json of the epoch training selected keeps its bytes. ``evaluate``
+and ``predict`` score with a hashed and a precomputed checkpoint, which runs
+the logits, softmax and metrics code, and ``stats`` runs the weight schemes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Row name -> CLI arguments, run in the order given from the tree's directory.
+ROWS = {
+    "hashed": "train --corpus toy.tsv --out hashed --lr 1e-2 --selection-metric val_loss"
+              " --weight-decay 0",
+    "docs": "train --corpus toy.tsv --out docs --lr 1e-2 --split-mode document_level",
+    "emb": "train --corpus toy.tsv --out emb --lr 1e-2 --provider precomputed:toy.emb",
+    "emb-evaluate": "evaluate --checkpoint emb/checkpoint.txt --corpus toy.tsv",
+    "emb-predict": "predict --checkpoint emb/checkpoint.txt --sentences toy_sentences.txt",
+    "sym": "train --corpus toy_sym.tsv --out sym --lr 1e-2",
+    "long": "train --corpus toy_long.tsv --out long --lr 1e-2",
+    "task-cased": "train --corpus task/corpus.tsv --out task-cased --lr 1e-2 --casing cased",
+    "task-uncased": "train --corpus task/corpus.tsv --out task-uncased --lr 1e-2"
+                    " --casing uncased",
+    "task-under": "train --corpus task/corpus.tsv --out task-under --lr 1e-2 --balance under"
+                  " --weights uniform",
+    "task-over": "train --corpus task/corpus.tsv --out task-over --lr 1e-2 --balance over"
+                 " --weights uniform",
+    "run1": "reproduce-run 1 --corpus toy.tsv --out run1",
+    "task-run1-val-loss": "reproduce-run 1 --corpus task/corpus.tsv --out task-run1-val-loss"
+                          " --selection-metric val_loss",
+    "task-run2": "reproduce-run 2 --corpus task/corpus.tsv --out task-run2",
+    "task-run3-docs": "reproduce-run 3 --corpus task/corpus.tsv --out task-run3-docs"
+                      " --split-mode document_level",
+    "task-evaluate": "evaluate --checkpoint task-cased/checkpoint.txt --corpus task/corpus.tsv"
+                     " --out task-metrics.json",
+    "task-predict": "predict --checkpoint task-cased/checkpoint.txt"
+                    " --sentences task_sentences.txt --out task-predict.tsv",
+    "task-stats": "stats --corpus task/corpus.tsv",
+}
+# Appended to every toy sentence for toy_sym.tsv and toy_long.tsv.
+SYMBOLS = " $5 +91 °C x⁄y ₹9 「判決」"
+LONG_TOKENS = " " + "s.302" * 8 + " " + "é" * 150 + " " + "ab" * 500
+
+
+def build_inputs(out: Path) -> None:
+    """Write the corpora, sentence files and EMB file that ``ROWS`` read."""
+    from rhetrole.corpus import Corpus, LabeledSentence, load_corpus, save_corpus
+    from rhetrole.embedding import HashedBowProvider, save_embeddings
+    from rhetrole.toydata import toy_corpus
+
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "task-hashed", "7",
+                    "0.1", str(out / "task")], check=True, stdout=subprocess.DEVNULL)
+    toy = toy_corpus()
+    save_corpus(toy, out / "toy.tsv")
+    for name, suffix in (("toy_sym.tsv", SYMBOLS), ("toy_long.tsv", LONG_TOKENS)):
+        sentences = [LabeledSentence(s.text + suffix, s.label, s.doc_id) for s in toy.sentences]
+        save_corpus(Corpus(sentences, toy.documents), out / name)
+    texts = list(dict.fromkeys(s.text for s in toy.sentences))
+    save_embeddings(zip(texts, HashedBowProvider(32, "cased", 50).embed(texts)), 32,
+                    out / "toy.emb")
+    (out / "toy_sentences.txt").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    task = load_corpus(out / "task" / "corpus.tsv")
+    (out / "task_sentences.txt").write_text(
+        "".join(s.text + "\n" for s in task.sentences), encoding="utf-8")
+
+
+def run_rows(env: dict[str, str], inputs: Path, out: Path) -> None:
+    """Run every row under ``env``, whose PYTHONPATH is the tree's ``src``,
+    in a copy of ``inputs`` at ``out``, leaving each row's stdout, stderr and
+    exit code beside it."""
+    where = subprocess.run([sys.executable, "-c", "import rhetrole; print(rhetrole.__file__)"],
+                           env=env, capture_output=True, text=True, check=True).stdout
+    if not where.startswith(env["PYTHONPATH"] + os.sep):
+        raise SystemExit(f"samebytes: rhetrole imports from {where.strip()},"
+                         f" not from {env['PYTHONPATH']}")
+    shutil.copytree(inputs, out)
+    for name, args in ROWS.items():
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from rhetrole.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *args.split()],
+            cwd=out, env=env, capture_output=True)
+        (out / f"{name}.stdout").write_bytes(done.stdout)
+        (out / f"{name}.stderr").write_bytes(done.stderr)
+        (out / f"{name}.exit").write_text(f"{done.returncode}\n", encoding="utf-8")
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """The paths, relative to the two directories, of the files that only one
+    of them holds or that differ in their bytes."""
+    def files(root: Path) -> set[str]:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    held_a, held_b = files(a), files(b)
+    return sorted(path for path in held_a | held_b
+                  if path not in held_a or path not in held_b
+                  or (a / path).read_bytes() != (b / path).read_bytes())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/samebytes.py BASE", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from run import CHILD_ENV
+
+    with tempfile.TemporaryDirectory(prefix="samebytes-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
+                                 stdout=subprocess.PIPE)
+        if archive.returncode != 0:
+            return 2
+        (tmp / "base").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp / "base")], input=archive.stdout, check=True)
+        build_inputs(tmp / "inputs")
+        for tree, src in (("head", ROOT / "src"), ("base", tmp / "base" / "src")):
+            run_rows({**os.environ, **CHILD_ENV, "PYTHONPATH": str(src)}, tmp / "inputs",
+                     tmp / f"{tree}-run")
+        found = differences(tmp / "head-run", tmp / "base-run")
+    for path in found:
+        print(path)
+    print(f"samebytes: {len(ROWS)} rows against {argv[0]}, {len(found)} differences",
+          file=sys.stderr)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
