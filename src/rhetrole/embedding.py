@@ -13,18 +13,20 @@ holds one record: the sentence key as a JSON-quoted string, a space, then
 notation both accepted). Floats are written with shortest round-trip
 precision, so write -> load -> write is byte-identical.
 
-Loading reads every file once, a pipe included: each record's key is
-checked and its values converted by numpy's C text parser
-(``fileio.read_reals``) into one ``(count, dim)`` matrix with a key -> row
-dict, so a load holds that matrix plus one line. After the first bad record
-the rest is only counted, so a count mismatch is named before it. Saving
-holds one line and replaces the file atomically.
+A parse reads the file once, a pipe included: each record's key is checked,
+and its values are converted by numpy's C text parser
+(``fileio.read_reals``) and checked finite, into one ``(count, dim)`` matrix
+with a key -> row dict, so a parse holds that matrix plus one line. After
+the first bad record the rest is only counted, so a count mismatch is named
+before it. Saving holds one line and replaces the file atomically.
 
-Each parse of a regular EMB file also writes a binary cache of its result
-beside it, and a later load of the same bytes reads that cache instead of
-the text; ``_embcache`` holds its format and trust rules. The cache is
-keyed on a digest of the raw lines taken as the parse reads them, so it
-never stands for bytes other than those that were parsed.
+Every load of a regular EMB file goes through a binary cache beside it,
+whose format and trust rules ``_embcache`` holds. It reads the cache when
+that holds the digest of the file's bytes, and otherwise parses the file,
+hashing each raw line as the parse reads it, and rewrites the cache under
+that digest, so a cache never stands for bytes other than those parsed. A
+pipe is parsed once, with no cache, as is any file on a host without POSIX
+file owners or a Python without ``_blake2``.
 
 The hashed provider embeds its texts in chunks of ``_EMBED_CHUNK_ROWS``.
 Each chunk's texts are tokenised once, and its distinct tokens are hashed
@@ -253,31 +255,31 @@ class PrecomputedProvider:
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
-    """Read an EMB v1 file, or the cache beside it that holds the file's
-    digest; a parse of a regular file rewrites its cache."""
+    """The provider ``precomputed:<path>``: a regular file is read from the
+    cache beside it that holds its digest, or parsed while hashed to rewrite
+    that cache; other input is parsed once (see the module docstring)."""
     path = Path(path)
     with open(path, "rb") as f:
+        digest = None
         # A pipe cannot be read twice, and the cache's trust rules need POSIX
-        # file owners and O_NOFOLLOW: without them the text is parsed.
-        if os.name != "posix" or not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            return _read_emb(f, path)
-        # Imported here, so a command that loads no EMB file never compiles it.
-        from . import _embcache
-
-        digest = _embcache.new_digest()
+        # file owners and O_NOFOLLOW.
+        if os.name == "posix" and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            # Imported here, so a command that loads no EMB file never compiles it.
+            from . import _embcache
+            digest = _embcache.new_digest()
         if digest is None:
-            return _read_emb(f, path)
-        real = Path(os.path.realpath(path))
-        cache = real.with_name(f".{real.name}.cache")
-        cached = _embcache.read(cache, f, digest.copy())
-        if cached is not None:
-            return PrecomputedProvider(*cached, f"precomputed:{path}")
-        f.seek(0)
-        if not os.access(cache.parent, os.W_OK):  # no cache can be written there
-            return _read_emb(f, path)
-        provider = _read_emb(f, path, digest)
-        _embcache.write(cache, digest.hexdigest(), provider._rows, provider._matrix)
-        return provider
+            matrix, rows = _read_emb(f, path)
+        else:
+            real = Path(os.path.realpath(path))
+            cache = real.with_name(f".{real.name}.cache")
+            cached = _embcache.read(cache, f, digest.copy())
+            if cached is None:
+                f.seek(0)
+                matrix, rows = _read_emb(_hashed(f, digest), path)
+                _embcache.write(cache, digest.hexdigest(), rows, matrix)
+            else:
+                matrix, rows = cached
+    return PrecomputedProvider(matrix, rows, f"precomputed:{path}")
 
 
 def _hashed(f: BinaryIO, digest) -> Iterator[bytes]:
@@ -287,11 +289,10 @@ def _hashed(f: BinaryIO, digest) -> Iterator[bytes]:
         yield raw
 
 
-def _read_emb(f: BinaryIO, path: Path, digest=None) -> PrecomputedProvider:
-    """Read EMB v1 from the binary stream of the file ``path``, in one pass
-    (see the module docstring). Every line read is added to ``digest``, if
-    one is given, so a valid file's digest is that of the bytes parsed."""
-    lines = decode_lines(f if digest is None else _hashed(f, digest), path)
+def _read_emb(raw: Iterable[bytes], path: Path) -> tuple[np.ndarray, dict[str, int]]:
+    """The ``(count, dim)`` matrix and key -> row dict of the EMB v1 file
+    ``path``, parsed in one pass over its raw lines (see the module docstring)."""
+    lines = decode_lines(raw, path)
     header_line = next(lines, None)
     if header_line is None:
         raise EmbeddingFormatError("empty embedding file")
@@ -324,19 +325,15 @@ def _read_emb(f: BinaryIO, path: Path, digest=None) -> PrecomputedProvider:
         rows[key] = len(rows)
     if seen != count:
         raise EmbeddingFormatError(f"header declares {count} records but file contains {seen}")
-    # Every row stored comes before the first bad record.
-    finite = np.isfinite(matrix[:len(rows)]).all(axis=1)
-    if not finite.all():
-        raise EmbeddingFormatError(f"line {finite.argmin() + 2}: non-finite value (nan or inf)")
     if error is not None:
         raise error
-    return PrecomputedProvider(matrix, rows, f"precomputed:{path}")
+    return matrix, rows
 
 
 def _read_record(
     record: str, line_no: int, dim: int, keys: Container[str]
 ) -> tuple[str, np.ndarray]:
-    """A record's key, a JSON string not in ``keys``, and its ``(1, dim)`` values."""
+    """A record's key, a JSON string not in ``keys``, and its finite ``(1, dim)`` values."""
     try:
         key, end = _KEY_DECODER.raw_decode(record)
     except json.JSONDecodeError:
@@ -348,10 +345,12 @@ def _read_record(
     body = record[end:]
     try:
         row = read_reals([body])
-        if row.shape == (1, dim):
-            return key, row
     except ValueError:
-        pass
+        row = None
+    if row is not None and row.shape == (1, dim):
+        if not np.isfinite(row).all():
+            raise EmbeddingFormatError(f"line {line_no}: non-finite value (nan or inf)")
+        return key, row
     # Counted only now, for the message: a wrong count is named before a bad value.
     got = len(body.split())
     if got != dim:

@@ -483,6 +483,7 @@ class TestEmbeddingFile:
     @pytest.mark.parametrize("text,message", [
         ('EMB v1 4 2\n"a" 1 2\n"b" 1 nan\n"c" 1 2\n"d" 1 x\n',
          "line 3: non-finite value (nan or inf)"),
+        ('EMB v1 2 2\n"a" 1 x\n"b" 1 nan\n', "line 2: non-numeric value"),
         ('EMB v1 3 2\n"a" 1\n"b" 1 2\n"c" 1 x\n', "line 2: expected 2 values, got 1"),
         ('EMB v1 3 2\n"a" 1 2\n"a" 1 2\n"c" 1 x\n', "line 3: duplicate key 'a'"),
         ('EMB v1 2 2\n"a"\n"b" 1 2\n', "line 2: expected 2 values, got 0"),
@@ -530,7 +531,9 @@ class TestEmbeddingFile:
         # A pipe is read once, as a regular file is, and gets the same messages.
         for text, message in [('EMB v1 1 2\n"a" 1 x\n', "line 2: non-numeric value"),
                               ('EMB v1 3 2\n"a" 1 x\n"b" 3 4\n',
-                               "header declares 3 records but file contains 2")]:
+                               "header declares 3 records but file contains 2"),
+                              ('EMB v1 2 2\n"a" 1 2\n"b" 3 nan\n',
+                               "line 3: non-finite value (nan or inf)")]:
             fifo = tmp_path / "vecs.emb"
             os.mkfifo(fifo)
             writer = threading.Thread(
@@ -797,18 +800,23 @@ class TestEmbCache:
         assert cache_of(path).read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == [".vecs.emb.cache", "vecs.emb"]
 
-    @pytest.mark.parametrize("failing", [(np.lib.format, "write_array"), (os, "replace")],
-                             ids=["write_array", "replace"])
-    def test_failed_cache_write_still_loads(self, tmp_path, monkeypatch, failing):
-        # Monkeypatched, because chmod does not stop root from writing.
+    @pytest.mark.parametrize("failing,error", [
+        ((np.lib.format, "write_array"), OSError(28, "No space left on device")),
+        ((os, "replace"), OSError(28, "No space left on device")),
+        # The temporary file's open, in a directory the user cannot write.
+        # With no cache left to read, it is the only open in _embcache.
+        ((_embcache, "open"), PermissionError(13, "Permission denied")),
+    ], ids=["write_array", "replace", "unwritable_directory"])
+    def test_failed_cache_write_still_loads(self, tmp_path, monkeypatch, failing, error):
+        # Monkeypatched, because neither access(2) nor chmod stops root from writing.
         path = self.write_emb(tmp_path)
         expected = load_precomputed(path)
         cache_of(path).unlink()
 
-        def full_disk(*args, **kwargs):
-            raise OSError(28, "No space left on device")
+        def fail(*args, **kwargs):
+            raise error
 
-        monkeypatch.setattr(*failing, full_disk)
+        monkeypatch.setattr(*failing, fail, raising=False)
         self.assert_same(load_precomputed(path), expected)
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
 
@@ -833,16 +841,6 @@ class TestEmbCache:
         self.assert_same(load_precomputed(path), expected)
         assert sorted(p.name for p in tmp_path.iterdir()) == [other.name, "vecs.emb"]
         assert other.read_bytes() == b"not ours"
-
-    def test_unwritable_directory_parses_without_hashing(self, tmp_path, monkeypatch):
-        # Monkeypatched, because access(2) grants root every write.
-        path = self.write_emb(tmp_path)
-        expected = load_precomputed(path)
-        cache_of(path).unlink()
-        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
-        monkeypatch.setattr(embedding, "_hashed", None)
-        self.assert_same(load_precomputed(path), expected)
-        assert [p.name for p in tmp_path.iterdir()] == ["vecs.emb"]
 
     def test_symlink_at_the_cache_path_is_replaced_not_followed(self, tmp_path, monkeypatch):
         path = self.write_emb(tmp_path)

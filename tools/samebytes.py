@@ -29,6 +29,8 @@ selecting by val_loss and one split by document, check that the
 metrics.json of the epoch training selected keeps its bytes. ``evaluate``
 and ``predict`` score with a hashed and a precomputed checkpoint, which runs
 the logits, softmax and metrics code, and ``stats`` runs the weight schemes.
+One more ``evaluate`` points the precomputed checkpoint at a copy of its EMB
+file with ``--provider``, so it parses that copy cold and writes its cache.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ ROWS = {
     "emb": "train --corpus toy.tsv --out emb --lr 1e-2 --provider precomputed:toy.emb",
     "emb-evaluate": "evaluate --checkpoint emb/checkpoint.txt --corpus toy.tsv",
     "emb-predict": "predict --checkpoint emb/checkpoint.txt --sentences toy_sentences.txt",
+    "emb-evaluate-provider": "evaluate --checkpoint emb/checkpoint.txt --corpus toy.tsv"
+                             " --provider precomputed:toy_copy.emb",
     "sym": "train --corpus toy_sym.tsv --out sym --lr 1e-2",
     "long": "train --corpus toy_long.tsv --out long --lr 1e-2",
     "task-cased": "train --corpus task/corpus.tsv --out task-cased --lr 1e-2 --casing cased",
@@ -77,7 +81,7 @@ LONG_TOKENS = " " + "s.302" * 8 + " " + "é" * 150 + " " + "ab" * 500
 
 
 def build_inputs(out: Path) -> None:
-    """Write the corpora, sentence files and EMB file that ``ROWS`` read."""
+    """Write the corpora, sentence files and EMB files that ``ROWS`` read."""
     from rhetrole.corpus import Corpus, LabeledSentence, load_corpus, save_corpus
     from rhetrole.embedding import HashedBowProvider, save_embeddings
     from rhetrole.toydata import toy_corpus
@@ -92,6 +96,7 @@ def build_inputs(out: Path) -> None:
     texts = list(dict.fromkeys(s.text for s in toy.sentences))
     save_embeddings(zip(texts, HashedBowProvider(32, "cased", 50).embed(texts)), 32,
                     out / "toy.emb")
+    shutil.copyfile(out / "toy.emb", out / "toy_copy.emb")
     (out / "toy_sentences.txt").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
     task = load_corpus(out / "task" / "corpus.tsv")
     (out / "task_sentences.txt").write_text(
