@@ -30,7 +30,7 @@ import stat
 from pathlib import Path
 from typing import BinaryIO
 
-import numpy as np
+from ._lazynp import np
 
 MAGIC = b"EMB-cache-v1"
 # Bytes the digest pass over an EMB file reads at a time; the buffer is part

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-import numpy as np
-
+from ._lazynp import np
 from .errors import CorpusParseError, InputError, UnknownLabelError
 from .fileio import read_text, write_atomic
 

@@ -48,8 +48,7 @@ from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Container, Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._lazynp import np
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -62,7 +61,7 @@ CASINGS = ("cased", "uncased")
 
 # FNV-1a 64-bit constants (public-domain reference parameters).
 _FNV64_OFFSET = 0xCBF29CE484222325
-_FNV64_PRIME = np.uint64(0x100000001B3)
+_FNV64_PRIME = 0x100000001B3
 # Rows HashedBowProvider.embed tokenises and hashes together. Chunks of 128
 # to 1,024 rows ran equally fast on a 5k-sentence corpus; each chunk's
 # token lists and vocabulary add about 1 MB per 1,000 rows to the peak.
@@ -118,11 +117,12 @@ def _fnv1a_64_many(tokens: Sequence[str]) -> np.ndarray:
     pos = (np.cumsum(lengths) - lengths).take(order)
     active = (len(data) - np.cumsum(np.bincount(lengths))).tolist() + [0]
     hashes = np.full(len(data), _FNV64_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV64_PRIME)
     p = 0
     while active[p]:
         h, at = hashes[: active[p]], pos[: active[p]]
         np.bitwise_xor(h, buf.take(at), out=h)
-        np.multiply(h, _FNV64_PRIME, out=h)
+        np.multiply(h, prime, out=h)
         np.add(at, 1, out=at)
         p += 1
     out = np.empty_like(hashes)
@@ -304,7 +304,7 @@ def _read_emb(raw: Iterable[bytes], path: Path) -> tuple[np.ndarray, dict[str, i
     except ValueError:
         raise EmbeddingFormatError(f"non-integer count/dim in header {header_line!r}") from None
     if dim < 1:
-        raise EmbeddingFormatError("count must be >= 0 and dim >= 1")
+        raise EmbeddingFormatError("dim must be >= 1")
     rows: dict[str, int] = {}
     # Doubled in place (no view of it exists yet) up to the declared count,
     # so nothing is allocated from the header and a valid file's is count rows.

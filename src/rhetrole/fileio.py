@@ -17,8 +17,7 @@ import os
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._lazynp import np
 from .errors import InputError
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from ._lazynp import np
 from .corpus import LABELS, LabeledSentence
 
 WEIGHT_SCHEMES = ("inverse_frequency", "direct_frequency", "uniform")

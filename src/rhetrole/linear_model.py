@@ -51,8 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
+from ._lazynp import np
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch, table_rows
 from .errors import CheckpointFormatError, InputError, RhetroleError

@@ -10,8 +10,7 @@ for smoke-testing the CLI end to end.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazynp import np
 from .corpus import LABELS, Corpus, LabeledSentence
 from .embedding import hash_vocabulary
 

@@ -197,7 +197,8 @@ class TestTrain:
         assert field in stderr
         assert not (tmp_path / "o").exists()
 
-    # Each training and split rule: a value it refuses, and the message.
+    # Each rule on one config field: a value it refuses, and the message. A
+    # key's part after "/" names a further refused value of the same field.
     RULES = {
         "batch_size": (0, "batch_size must be >= 1"),
         "epochs": (0, "epochs must be >= 1"),
@@ -212,18 +213,54 @@ class TestTrain:
         "train_fraction": (1.0, "train_fraction must lie strictly between 0 and 1"),
         "split_mode": ("by_page", "split mode must be one of "
                        "('sentence_shuffled', 'document_level'), got 'by_page'"),
+        "casing": ("lower", "casing must be one of ('cased', 'uncased'), got 'lower'"),
+        "weight_scheme": ("x", "weight_scheme must be one of "
+                          "('inverse_frequency', 'direct_frequency', 'uniform'), got 'x'"),
+        "balance": ("x", "balance must be one of "
+                    "('loss_weighting', 'undersample', 'oversample', 'none'), got 'x'"),
+        "length_percentile_q": (0, "length_percentile_q must lie in (0, 1]"),
+        "length_percentile_q/above_1": (1.5, "length_percentile_q must lie in (0, 1]"),
+        "max_len": (0, "max_len must be >= 1 when given"),
+        "weight_overrides": ({"Fact": 1.0}, "weight override for unknown label 'Fact'"),
     }
 
     @pytest.mark.parametrize("field", RULES)
     def test_training_and_split_rule_exit_2(self, field, toy_tsv, tmp_path, capsys):
         value, message = self.RULES[field]
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({field: value}))
+        cfg_path.write_text(json.dumps({field.split("/")[0]: value}))
         rc, _, stderr = run_cli(
             capsys, "train", "--corpus", str(toy_tsv), "--config", str(cfg_path),
             "--out", str(tmp_path / "o"),
         )
         assert (rc, stderr) == (2, f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    # A file train refuses before it trains: the flag that names it, its
+    # text, and the message, in which {path} stands for the file's path.
+    BAD_FILES = {
+        "config_not_json": ("--config", "x", "config file {path} is not valid JSON: "
+                            "Expecting value: line 1 column 1 (char 0)"),
+        "config_json_list": ("--config", "[]", "config file {path} must hold a JSON object"),
+        "emb_empty": ("--provider", "", "empty embedding file"),
+        "emb_dim_0": ("--provider", "EMB v1 3 0\n", "dim must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_FILES)
+    def test_bad_file_exit_2(self, case, toy_tsv, tmp_path, capsys):
+        flag, text, message = self.BAD_FILES[case]
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        value = str(path) if flag == "--config" else f"precomputed:{path}"
+        rc, stdout, stderr = run_cli(capsys, "train", "--corpus", str(toy_tsv), flag, value,
+                                     "--out", str(tmp_path / "o"))
+        assert (rc, stdout, stderr) == (2, "", f"error: {message.format(path=path)}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_no_corpus_from_flag_or_config_exit_2(self, tmp_path, capsys):
+        rc, stdout, stderr = run_cli(capsys, "train", "--out", str(tmp_path / "o"))
+        assert (rc, stdout) == (2, "")
+        assert stderr == "error: no corpus given (flag --corpus or config field 'corpus')\n"
         assert not (tmp_path / "o").exists()
 
     def test_flag_overrides_config_file(self, toy_tsv, tmp_path, capsys):
@@ -983,17 +1020,20 @@ class TestStrictNumbers:
     specs, EMB files and checkpoints alike: what int() or float() would also
     take exits 2."""
 
-    @pytest.mark.parametrize("spec", ["hashed:1_6", "hashed: 16", "hashed:\u0661\u0666"])
+    @pytest.mark.parametrize(
+        "spec", ["hashed:1_6", "hashed: 16", "hashed:\u0661\u0666", "hashed:1:2", "hashed:0"]
+    )
     def test_provider_spec(self, spec, toy_tsv, tmp_path, capsys):
         rc, _, stderr = run_cli(capsys, "train", "--corpus", str(toy_tsv),
                                 "--out", str(tmp_path / "o"), "--provider", spec)
-        assert rc == 2
-        assert f"bad hashed provider spec {spec!r}" in stderr
+        message = ("hashed provider dimension must be >= 1" if spec == "hashed:0"
+                   else f"bad hashed provider spec {spec!r}")
+        assert (rc, stderr) == (2, f"error: {message}\n")
 
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "1_0"), ("--max-len", "\u0661\u0662"), ("--epochs", "1_0"),
         ("--batch-size", "\u0668"), ("--lr", "1_0e-2"), ("--weight-decay", "0_1"),
-        ("--train-fraction", "\u0660.5"),
+        ("--train-fraction", "\u0660.5"), ("--lr", "1 2"),
     ])
     def test_training_flag(self, flag, value, toy_tsv, tmp_path, capsys):
         out = tmp_path / "o"
@@ -1027,8 +1067,11 @@ class TestStrictNumbers:
         ("\n0.5 ", "\n\u0661 ", "non-numeric parameter value"),
         ("\tRuling by Lower Court\t", "\tFacts\t", "labels on line 2 must be non-empty"),
         ("\tArgument\t", "\t\t", "labels on line 2 must be non-empty and distinct"),
+        ("CKPT v1 7 10 ", "CKPT v2 7 10 ", "bad header 'CKPT v2 7 10 hashed:10:cased:8'; "
+         "expected 'CKPT v1 <num_labels> <dim> <provider_id>'"),
+        ("\n0.5 ", "\n", "weight row length does not match dim 10"),
     ], ids=["underscore_dim", "arabic_indic_labels", "underscore_value", "arabic_indic_value",
-            "duplicate_label", "empty_label"])
+            "duplicate_label", "empty_label", "bad_header", "short_row"])
     def test_checkpoint(self, old, new, message, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.txt"
         save_checkpoint(LinearCheckpoint(
@@ -1042,8 +1085,9 @@ class TestStrictNumbers:
         sentences.write_text("The appeal is allowed.\n", encoding="utf-8")
         rc, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(ckpt),
                                 "--sentences", str(sentences))
-        assert rc == 2
-        assert message in stderr
+        # The label messages go on to repeat the labels read.
+        assert (rc, stderr.count("\n")) == (2, 1)
+        assert stderr.startswith(f"error: {message}")
 
 
 class TestCrlfCheckpoint:

@@ -356,8 +356,10 @@ class TestEmbeddingFile:
             load_emb(tmp_path, text)
 
     def test_bad_header(self, tmp_path):
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(EmbeddingFormatError, match="bad header"):
             load_emb(tmp_path, "EMB v2 1 4\n")
+        with pytest.raises(EmbeddingFormatError, match="^dim must be >= 1$"):
+            load_emb(tmp_path, "EMB v1 3 0\n")
 
     def test_wrong_value_count(self, tmp_path):
         with pytest.raises(EmbeddingFormatError):

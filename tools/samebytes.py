@@ -31,6 +31,10 @@ and ``predict`` score with a hashed and a precomputed checkpoint, which runs
 the logits, softmax and metrics code, and ``stats`` runs the weight schemes.
 One more ``evaluate`` points the precomputed checkpoint at a copy of its EMB
 file with ``--provider``, so it parses that copy cold and writes its cache.
+Two rows load no numpy: ``ingest`` writes the task corpus back, and an
+``evaluate`` whose ``--out`` directory is missing exits 2 before it reads
+any input. Both trees run at one path, so that refusal's message, which
+names the directory, compares too.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ ROWS = {
     "task-predict": "predict --checkpoint task-cased/checkpoint.txt"
                     " --sentences task_sentences.txt --out task-predict.tsv",
     "task-stats": "stats --corpus task/corpus.tsv",
+    "task-ingest": "ingest --corpus task/corpus.tsv --out task-ingest.tsv",
+    "evaluate-out-refused": "evaluate --checkpoint task-cased/checkpoint.txt"
+                            " --corpus task/corpus.tsv --out missing/m.json",
 }
 # Appended to every toy sentence for toy_sym.tsv and toy_long.tsv.
 SYMBOLS = " $5 +91 °C x⁄y ₹9 「判決」"
@@ -153,7 +160,8 @@ def main(argv: list[str]) -> int:
         build_inputs(tmp / "inputs")
         for tree, src in (("head", ROOT / "src"), ("base", tmp / "base" / "src")):
             run_rows({**os.environ, **CHILD_ENV, "PYTHONPATH": str(src)}, tmp / "inputs",
-                     tmp / f"{tree}-run")
+                     tmp / "run")
+            (tmp / "run").rename(tmp / f"{tree}-run")
         found = differences(tmp / "head-run", tmp / "base-run")
     for path in found:
         print(path)
