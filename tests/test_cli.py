@@ -197,38 +197,38 @@ class TestTrain:
         assert field in stderr
         assert not (tmp_path / "o").exists()
 
-    # Each rule on one config field: a value it refuses, and the message. A
-    # key's part after "/" names a further refused value of the same field.
-    RULES = {
-        "batch_size": (0, "batch_size must be >= 1"),
-        "epochs": (0, "epochs must be >= 1"),
-        "learning_rate": (0, "learning_rate must be > 0"),
-        "weight_decay": (-0.5, "weight_decay must be >= 0"),
-        "beta1": (1.0, "beta1 and beta2 must lie in (0, 1)"),
-        "beta2": (0.0, "beta1 and beta2 must lie in (0, 1)"),
-        "epsilon": (0.0, "epsilon must be > 0"),
-        "seed": (-1, "seed must be >= 0"),
-        "selection_metric": ("accuracy", "selection_metric must be one of "
-                             "('macro_f1', 'val_loss')"),
-        "train_fraction": (1.0, "train_fraction must lie strictly between 0 and 1"),
-        "split_mode": ("by_page", "split mode must be one of "
-                       "('sentence_shuffled', 'document_level'), got 'by_page'"),
-        "casing": ("lower", "casing must be one of ('cased', 'uncased'), got 'lower'"),
-        "weight_scheme": ("x", "weight_scheme must be one of "
-                          "('inverse_frequency', 'direct_frequency', 'uniform'), got 'x'"),
-        "balance": ("x", "balance must be one of "
-                    "('loss_weighting', 'undersample', 'oversample', 'none'), got 'x'"),
-        "length_percentile_q": (0, "length_percentile_q must lie in (0, 1]"),
-        "length_percentile_q/above_1": (1.5, "length_percentile_q must lie in (0, 1]"),
-        "max_len": (0, "max_len must be >= 1 when given"),
-        "weight_overrides": ({"Fact": 1.0}, "weight override for unknown label 'Fact'"),
-    }
+    # Each rule on a config field: the field, a value it refuses, and the
+    # message.
+    RULES = [
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("epochs", 0, "epochs must be >= 1"),
+        ("learning_rate", 0, "learning_rate must be > 0"),
+        ("weight_decay", -0.5, "weight_decay must be >= 0"),
+        ("beta1", 1.0, "beta1 and beta2 must lie in (0, 1)"),
+        ("beta2", 0.0, "beta1 and beta2 must lie in (0, 1)"),
+        ("epsilon", 0.0, "epsilon must be > 0"),
+        ("seed", -1, "seed must be >= 0"),
+        ("selection_metric", "accuracy", "selection_metric must be one of "
+         "('macro_f1', 'val_loss')"),
+        ("train_fraction", 1.0, "train_fraction must lie strictly between 0 and 1"),
+        ("split_mode", "by_page", "split mode must be one of "
+         "('sentence_shuffled', 'document_level'), got 'by_page'"),
+        ("casing", "lower", "casing must be one of ('cased', 'uncased'), got 'lower'"),
+        ("weight_scheme", "x", "weight_scheme must be one of "
+         "('inverse_frequency', 'direct_frequency', 'uniform'), got 'x'"),
+        ("balance", "x", "balance must be one of "
+         "('loss_weighting', 'undersample', 'oversample', 'none'), got 'x'"),
+        ("length_percentile_q", 0, "length_percentile_q must lie in (0, 1]"),
+        ("length_percentile_q", 1.5, "length_percentile_q must lie in (0, 1]"),
+        ("max_len", 0, "max_len must be >= 1 when given"),
+        ("weight_overrides", {"Fact": 1.0}, "weight override for unknown label 'Fact'"),
+    ]
 
-    @pytest.mark.parametrize("field", RULES)
-    def test_training_and_split_rule_exit_2(self, field, toy_tsv, tmp_path, capsys):
-        value, message = self.RULES[field]
+    @pytest.mark.parametrize("field,value,message", RULES, ids=[f for f, _, _ in RULES])
+    def test_training_and_split_rule_exit_2(self, field, value, message, toy_tsv, tmp_path,
+                                            capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({field.split("/")[0]: value}))
+        cfg_path.write_text(json.dumps({field: value}))
         rc, _, stderr = run_cli(
             capsys, "train", "--corpus", str(toy_tsv), "--config", str(cfg_path),
             "--out", str(tmp_path / "o"),

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from rhetrole import cli
+from rhetrole._lazynp import _lazy_loading_safe
 from rhetrole.cli import main
 
 # Runs main on argv and prints, as its last stdout line, the exit code and
@@ -77,3 +78,14 @@ def test_stats_loads_numpy_and_prints_what_it_prints_in_process(toy_tsv, tmp_pat
 
 def test_a_numpy_imported_first_is_the_np_of_every_module(tmp_path):
     assert json.loads(python(NUMPY_FIRST, cwd=tmp_path)) == [True] * 7
+
+
+@pytest.mark.parametrize("version,safe", [
+    ((3, 12, 3, "final", 0), False),
+    ((3, 13, 0, "alpha", 6), False),
+    ((3, 12, 4, "final", 0), True),
+    ((3, 13, 0, "beta", 1), True),
+    ((3, 10, 14, "final", 0), True),
+], ids=["3.12.3", "3.13.0a6", "3.12.4", "3.13.0b1", "3.10.14"])
+def test_numpy_is_imported_at_once_where_lazy_loading_is_not_reentrant(version, safe):
+    assert _lazy_loading_safe(version) is safe
