@@ -46,8 +46,8 @@ from .embedding import (
     parse_provider_spec,
     tokenize,
 )
-from .errors import ConfigError, DimensionMismatchError, InputError, RhetroleError
-from .fileio import check_output_path, read_count, read_real, read_text, write_atomic
+from .errors import InputError, RhetroleError
+from .fileio import check_output_path, naming, read_count, read_real, read_text, write_atomic
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
     SELECTION_METRICS,
@@ -130,8 +130,8 @@ def _provider_for_inference(args, ckpt):
     try:
         kind, arg, casing, max_len = parse_provider_spec(ckpt.provider_id)
         hashed = HashedBowProvider(arg, casing, max_len) if kind == "hashed" else None
-    except ConfigError as exc:
-        raise ConfigError(
+    except InputError as exc:
+        raise InputError(
             f"checkpoint {args.checkpoint}: provider id {ckpt.provider_id!r} is neither "
             "'hashed:<dim>:<casing>:<max_len>' nor 'precomputed:<path>'"
             + (f": {exc}" if kind == "hashed" else "")
@@ -139,7 +139,7 @@ def _provider_for_inference(args, ckpt):
     if args.provider is not None:
         new_kind, new_arg, _, _ = parse_provider_spec(args.provider)
         if kind != "precomputed" or new_kind != "precomputed":
-            raise ConfigError(
+            raise InputError(
                 f"--provider {args.provider!r} cannot replace the checkpoint's provider "
                 f"{ckpt.provider_id!r}; it may only name another vectors file "
                 "(precomputed:<path>) for a precomputed checkpoint"
@@ -147,9 +147,9 @@ def _provider_for_inference(args, ckpt):
         arg = new_arg
     provider = hashed if hashed is not None else load_precomputed(arg)
     if provider.dimension != input_dim(ckpt.params):
-        raise DimensionMismatchError(
-            f"provider dimension {provider.dimension} does not match "
-            f"checkpoint dimension {input_dim(ckpt.params)}"
+        raise InputError(
+            f"checkpoint {args.checkpoint}: dimension {input_dim(ckpt.params)} does not match "
+            f"dimension {provider.dimension} of provider {provider.provider_id!r}"
         )
     return provider
 
@@ -169,7 +169,7 @@ def _run_training(cfg: RunConfig, out_dir):
     """Shared train pipeline. Writes checkpoint.txt, config.json and
     train_log.tsv into out_dir; returns the checkpoint, with its selected epoch."""
     if not cfg.corpus:
-        raise ConfigError("no corpus given (flag --corpus or config field 'corpus')")
+        raise InputError("no corpus given (flag --corpus or config field 'corpus')")
     corpus = load_corpus(cfg.corpus)
     train_set, val_set = split(corpus, cfg)
     provider, cfg = _provider_for_training(cfg, corpus)
@@ -257,7 +257,8 @@ def cmd_evaluate(args) -> None:
     try:
         gold = [label_to_idx[s.label] for s in sentences]
     except KeyError as exc:
-        raise InputError(f"label {exc.args[0]!r} not in checkpoint label set") from None
+        raise InputError(f"corpus {args.corpus}: label {exc.args[0]!r} not in the label set "
+                         f"of checkpoint {args.checkpoint}") from None
     preds = list(_score(ckpt, provider, sentences))
     doc = report_to_json(evaluate_predictions(gold, preds, len(ckpt.labels)), ckpt.labels)
     if args.out:
@@ -272,14 +273,15 @@ def cmd_predict(args) -> None:
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
     lines = []
-    for line_no, line in enumerate(read_text(args.sentences).split("\n"), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
-            continue
-        if "\t" in line:
-            # The sentence is the first field of a TSV output row.
-            raise InputError(f"{args.sentences}: line {line_no} contains a tab")
-        lines.append(line)
+    with naming(args.sentences):
+        for line_no, line in enumerate(read_text(args.sentences).split("\n"), start=1):
+            line = line.rstrip("\r")
+            if not line.strip():
+                continue
+            if "\t" in line:
+                # The sentence is the first field of a TSV output row.
+                raise InputError(f"line {line_no} contains a tab")
+            lines.append(line)
     # Every row is built before the first is written, so an error in a later
     # block leaves no partial output, on stdout as in --out.
     rows = [
@@ -296,7 +298,7 @@ def cmd_predict(args) -> None:
 def cmd_reproduce_run(args) -> None:
     run_key = args.run if args.run.startswith("run") else f"run{args.run}"
     if run_key not in PRESETS:
-        raise ConfigError(f"unknown run id {args.run!r}; expected 1, 2 or 3")
+        raise InputError(f"unknown run id {args.run!r}; expected 1, 2 or 3")
     out_dir = check_output_path(f"{run_key}_out" if args.out is None else args.out, directory=True)
     ckpt = _run_training(_resolve_from_args(args, preset=run_key), out_dir)
 

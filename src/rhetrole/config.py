@@ -23,8 +23,8 @@ from typing import Any, Mapping
 
 from .corpus import LABELS, SPLIT_MODES
 from .embedding import CASINGS, parse_provider_spec
-from .errors import ConfigError
-from .fileio import read_text
+from .errors import InputError
+from .fileio import naming, read_text
 from .imbalance import WEIGHT_SCHEMES
 from .linear_model import SELECTION_METRICS
 
@@ -63,7 +63,7 @@ _TYPE_RULES = {
 
 
 def check_field_types(instance: object) -> None:
-    """Raise ConfigError naming the first field of a dataclass instance whose
+    """Raise InputError naming the first field of a dataclass instance whose
     value breaks its ``int``, ``float`` or ``str`` annotation, optionally with
     ``| None``. Other annotations are left to the class's own rules. The
     annotations are read as text, which this module's postponed evaluation
@@ -75,7 +75,7 @@ def check_field_types(instance: object) -> None:
             continue
         accepts, expected = _TYPE_RULES[kind]
         if not accepts(value):
-            raise ConfigError(f"{f.name} must be {expected}")
+            raise InputError(f"{f.name} must be {expected}")
 
 
 @dataclass(frozen=True)
@@ -107,50 +107,50 @@ class RunConfig:
     def __post_init__(self):
         check_field_types(self)
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise InputError("batch_size must be >= 1")
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise InputError("epochs must be >= 1")
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+            raise InputError("learning_rate must be > 0")
         if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+            raise InputError("weight_decay must be >= 0")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must lie in (0, 1)")
+            raise InputError("beta1 and beta2 must lie in (0, 1)")
         if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+            raise InputError("epsilon must be > 0")
         if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+            raise InputError("seed must be >= 0")
         if self.selection_metric not in SELECTION_METRICS:
-            raise ConfigError(f"selection_metric must be one of {SELECTION_METRICS}")
+            raise InputError(f"selection_metric must be one of {SELECTION_METRICS}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie strictly between 0 and 1")
+            raise InputError("train_fraction must lie strictly between 0 and 1")
         if self.split_mode not in SPLIT_MODES:
-            raise ConfigError(f"split mode must be one of {SPLIT_MODES}, got {self.split_mode!r}")
+            raise InputError(f"split mode must be one of {SPLIT_MODES}, got {self.split_mode!r}")
         if self.casing not in CASINGS:
-            raise ConfigError(f"casing must be one of {CASINGS}, got {self.casing!r}")
+            raise InputError(f"casing must be one of {CASINGS}, got {self.casing!r}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise ConfigError(
+            raise InputError(
                 f"weight_scheme must be one of {WEIGHT_SCHEMES}, got {self.weight_scheme!r}"
             )
         if self.balance not in BALANCE_METHODS:
-            raise ConfigError(f"balance must be one of {BALANCE_METHODS}, got {self.balance!r}")
+            raise InputError(f"balance must be one of {BALANCE_METHODS}, got {self.balance!r}")
         if not 0.0 < self.length_percentile_q <= 1.0:
-            raise ConfigError("length_percentile_q must lie in (0, 1]")
+            raise InputError("length_percentile_q must lie in (0, 1]")
         if self.max_len is not None and self.max_len < 1:
-            raise ConfigError("max_len must be >= 1 when given")
+            raise InputError("max_len must be >= 1 when given")
         if self.weight_overrides is not None:
             if not isinstance(self.weight_overrides, dict):
-                raise ConfigError("weight_overrides must map label names to weights")
+                raise InputError("weight_overrides must map label names to weights")
             for label, value in self.weight_overrides.items():
                 if label not in LABELS:
-                    raise ConfigError(f"weight override for unknown label {label!r}")
+                    raise InputError(f"weight override for unknown label {label!r}")
                 if not _is_real(value) or value < 0:
-                    raise ConfigError(
+                    raise InputError(
                         f"weight override for {label!r} must be a finite number >= 0"
                     )
         kind, _, id_casing, _ = parse_provider_spec(self.provider)
         if id_casing is not None:
-            raise ConfigError(
+            raise InputError(
                 f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got "
                 f"{self.provider!r}; casing and max_len are fields of their own"
             )
@@ -160,7 +160,7 @@ class RunConfig:
             if self.max_len is not None:
                 ignored.append(f"max_len {self.max_len}")
             if ignored:
-                raise ConfigError(
+                raise InputError(
                     f"{' and '.join(ignored)} given with provider {self.provider!r}: "
                     "casing and max_len apply only to hashed:<dim> providers"
                 )
@@ -169,13 +169,13 @@ class RunConfig:
         # smuggle in a weighting scheme on the side.
         if self.balance == "loss_weighting":
             if self.weight_scheme == "uniform" and not self.weight_overrides:
-                raise ConfigError(
+                raise InputError(
                     "balance=loss_weighting needs a non-uniform weight_scheme "
                     "or explicit weight_overrides"
                 )
         else:
             if self.weight_scheme != "uniform" or self.weight_overrides:
-                raise ConfigError(
+                raise InputError(
                     f"balance={self.balance} must keep weight_scheme=uniform "
                     "and no weight_overrides (exactly one balancing method)"
                 )
@@ -204,7 +204,7 @@ def resolve_config(
     merged: dict[str, Any] = {}
     if preset_name is not None:
         if not isinstance(preset_name, str) or preset_name not in PRESETS:
-            raise ConfigError(f"unknown preset {preset_name!r}; expected one of {sorted(PRESETS)}")
+            raise InputError(f"unknown preset {preset_name!r}; expected one of {sorted(PRESETS)}")
         merged.update(PRESETS[preset_name], run_id=preset_name)
     merged.update(file_config)
     if preset_name is not None:
@@ -214,7 +214,7 @@ def resolve_config(
     # Anything else unknown is a typo and must not be dropped silently.
     unknown = set(merged) - FIELD_NAMES
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise InputError(f"unknown config fields: {sorted(unknown)}")
     return RunConfig(**merged)
 
 
@@ -230,10 +230,12 @@ def config_to_json(
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
+    with naming(path):
+        text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise InputError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise InputError(f"config file {path} must hold a JSON object")
     return doc

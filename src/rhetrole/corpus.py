@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ._lazynp import np
-from .errors import CorpusParseError, InputError, UnknownLabelError
-from .fileio import read_text, write_atomic
+from .errors import InputError
+from .fileio import naming, read_text, write_atomic
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -62,9 +62,10 @@ class Corpus:
 def parse_corpus(text: str) -> Corpus:
     """Parse corpus TSV text into a Corpus.
 
-    Raises CorpusParseError / UnknownLabelError with the offending 1-based
-    line number on malformed lines, unknown labels, empty sentence text,
-    sentences before any ``#doc`` header, or duplicate document ids.
+    Raises InputError, beginning ``line N: `` with the offending 1-based line
+    number, on malformed lines, unknown labels, empty sentence text, sentences
+    before any ``#doc`` header, or duplicate document ids. It names no file:
+    ``load_corpus`` prefixes the path.
     """
     sentences: list[LabeledSentence] = []
     documents: list[str] = []
@@ -78,26 +79,25 @@ def parse_corpus(text: str) -> Corpus:
         if line.startswith("#doc\t"):
             doc_id = line[len("#doc\t"):]
             if not doc_id:
-                raise CorpusParseError("document header with empty doc_id", line_no)
+                raise InputError(f"line {line_no}: document header with empty doc_id")
             if doc_id in seen_docs:
-                raise CorpusParseError(f"duplicate document id {doc_id!r}", line_no)
+                raise InputError(f"line {line_no}: duplicate document id {doc_id!r}")
             seen_docs.add(doc_id)
             documents.append(doc_id)
             current_doc = doc_id
             continue
         fields = line.split("\t")
         if len(fields) != 2:
-            raise CorpusParseError(
-                f"expected 2 tab-separated fields, got {len(fields)}", line_no
-            )
+            raise InputError(
+                f"line {line_no}: expected 2 tab-separated fields, got {len(fields)}")
         sent_text, raw_label = fields
         if not sent_text:
-            raise CorpusParseError("empty sentence text", line_no)
+            raise InputError(f"line {line_no}: empty sentence text")
         label = _CANONICAL_LABELS.get(raw_label)
         if label is None:
-            raise UnknownLabelError(f"unknown label {raw_label!r}", line_no)
+            raise InputError(f"line {line_no}: unknown label {raw_label!r}")
         if current_doc is None:
-            raise CorpusParseError("sentence line before any #doc header", line_no)
+            raise InputError(f"line {line_no}: sentence line before any #doc header")
         sentences.append(LabeledSentence(text=sent_text, label=label, doc_id=current_doc))
 
     return Corpus(sentences=sentences, documents=documents)
@@ -141,7 +141,8 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Parse the corpus file at ``path``, refusing one with no sentence."""
-    corpus = parse_corpus(read_text(path))
+    with naming(path):
+        corpus = parse_corpus(read_text(path))
     if not corpus.sentences:
         raise InputError(f"corpus {path} contains no sentences")
     return corpus

@@ -49,13 +49,8 @@ from pathlib import Path
 from typing import BinaryIO, Container, Iterable, Iterator, Sequence
 
 from ._lazynp import np
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    EmbeddingFormatError,
-    MissingEmbeddingError,
-)
-from .fileio import decode_lines, format_reals, read_count, read_reals, write_atomic
+from .errors import InputError, RhetroleError
+from .fileio import decode_lines, format_reals, naming, read_count, read_reals, write_atomic
 
 CASINGS = ("cased", "uncased")
 
@@ -171,16 +166,14 @@ def parse_provider_spec(spec: str) -> tuple[str, int | str, str | None, int | No
 
     Accepts ``hashed:<dim>``, a full hashed provider id
     ``hashed:<dim>:<casing>:<max_len>``, and ``precomputed:<path>``. Casing
-    and max_len are None unless the spec carries them. Raises ConfigError on
-    anything else.
+    and max_len are None unless the spec carries them. Raises InputError
+    (exit 2) on anything else, quoting the spec.
     """
     kind, _, rest = spec.partition(":")
     if kind == "precomputed" and rest:
         return "precomputed", rest, None, None
     if kind != "hashed":
-        raise ConfigError(
-            f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got {spec!r}"
-        )
+        raise InputError(f"provider must be 'hashed:<dim>' or 'precomputed:<path>', got {spec!r}")
     parts = rest.split(":")
     try:
         if len(parts) == 1:
@@ -190,9 +183,9 @@ def parse_provider_spec(spec: str) -> tuple[str, int | str, str | None, int | No
         else:
             raise ValueError(spec)
     except ValueError:
-        raise ConfigError(f"bad hashed provider spec {spec!r}") from None
+        raise InputError(f"bad hashed provider spec {spec!r}") from None
     if dim < 1:
-        raise ConfigError("hashed provider dimension must be >= 1")
+        raise InputError("hashed provider dimension must be >= 1")
     return "hashed", dim, casing, max_len
 
 
@@ -202,10 +195,10 @@ class HashedBowProvider:
 
     def __init__(self, dim: int, casing: str, max_len: int):
         if casing not in CASINGS:
-            raise ConfigError(f"casing must be one of {CASINGS}, got {casing!r}")
+            raise InputError(f"casing must be one of {CASINGS}, got {casing!r}")
         # bool is an int subclass, and True is no length.
         if type(max_len) is not int or max_len < 1:
-            raise ConfigError(f"max_len must be an integer >= 1, got {max_len!r}")
+            raise InputError(f"max_len must be an integer >= 1, got {max_len!r}")
         self.dimension, self.casing, self.max_len = dim, casing, max_len
         self.provider_id = f"hashed:{dim}:{casing}:{max_len}"
 
@@ -240,17 +233,15 @@ class PrecomputedProvider:
         self._rows = rows
 
     def _row_ids(self, texts: Sequence[str]) -> np.ndarray:
-        """The matrix row of each text, as ``np.intp``; MissingEmbeddingError
+        """The matrix row of each text, as ``np.intp``; a RhetroleError (exit 1)
         names the first absent one."""
         try:
             return np.fromiter(map(self._rows.__getitem__, texts), dtype=np.intp, count=len(texts))
         except KeyError as exc:
-            raise MissingEmbeddingError(
-                f"no precomputed embedding for sentence {exc.args[0]!r}"
-            ) from None
+            raise RhetroleError(f"no precomputed embedding for sentence {exc.args[0]!r}") from None
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """A copy of the rows of ``texts``; MissingEmbeddingError names the first absent one."""
+        """A copy of the rows of ``texts``; a RhetroleError names the first absent one."""
         return self._matrix.take(self._row_ids(texts), axis=0)
 
 
@@ -258,8 +249,7 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
     """The provider ``precomputed:<path>``: a regular file is read from the
     cache beside it that holds its digest, or parsed while hashed to rewrite
     that cache; other input is parsed once (see the module docstring)."""
-    path = Path(path)
-    with open(path, "rb") as f:
+    with naming(path), open(path, "rb") as f:
         digest = None
         # A pipe cannot be read twice, and the cache's trust rules need POSIX
         # file owners and O_NOFOLLOW.
@@ -268,18 +258,18 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
             from . import _embcache
             digest = _embcache.new_digest()
         if digest is None:
-            matrix, rows = _read_emb(f, path)
+            matrix, rows = _read_emb(f)
         else:
             real = Path(os.path.realpath(path))
             cache = real.with_name(f".{real.name}.cache")
             cached = _embcache.read(cache, f, digest.copy())
             if cached is None:
                 f.seek(0)
-                matrix, rows = _read_emb(_hashed(f, digest), path)
+                matrix, rows = _read_emb(_hashed(f, digest))
                 _embcache.write(cache, digest.hexdigest(), rows, matrix)
             else:
                 matrix, rows = cached
-    return PrecomputedProvider(matrix, rows, f"precomputed:{path}")
+    return PrecomputedProvider(matrix, rows, f"precomputed:{Path(path)}")
 
 
 def _hashed(f: BinaryIO, digest) -> Iterator[bytes]:
@@ -289,34 +279,34 @@ def _hashed(f: BinaryIO, digest) -> Iterator[bytes]:
         yield raw
 
 
-def _read_emb(raw: Iterable[bytes], path: Path) -> tuple[np.ndarray, dict[str, int]]:
-    """The ``(count, dim)`` matrix and key -> row dict of the EMB v1 file
-    ``path``, parsed in one pass over its raw lines (see the module docstring)."""
-    lines = decode_lines(raw, path)
+def _read_emb(raw: Iterable[bytes]) -> tuple[np.ndarray, dict[str, int]]:
+    """The ``(count, dim)`` matrix and key -> row dict of an EMB v1 file,
+    parsed in one pass over its raw lines (see the module docstring)."""
+    lines = decode_lines(raw)
     header_line = next(lines, None)
     if header_line is None:
-        raise EmbeddingFormatError("empty embedding file")
+        raise InputError("empty embedding file")
     header = header_line.split(" ")
     if len(header) != 4 or header[0] != "EMB" or header[1] != "v1":
-        raise EmbeddingFormatError(f"bad header {header_line!r}; expected 'EMB v1 <count> <dim>'")
+        raise InputError(f"bad header {header_line!r}; expected 'EMB v1 <count> <dim>'")
     try:
         count, dim = read_count(header[2]), read_count(header[3])
     except ValueError:
-        raise EmbeddingFormatError(f"non-integer count/dim in header {header_line!r}") from None
+        raise InputError(f"non-integer count/dim in header {header_line!r}") from None
     if dim < 1:
-        raise EmbeddingFormatError("dim must be >= 1")
+        raise InputError("dim must be >= 1")
     rows: dict[str, int] = {}
     # Doubled in place (no view of it exists yet) up to the declared count,
     # so nothing is allocated from the header and a valid file's is count rows.
     matrix = np.empty((0, dim))
-    error: EmbeddingFormatError | None = None
+    error: InputError | None = None
     seen = 0
     for seen, record in enumerate(lines, start=1):
         if error is not None or seen > count:
             continue
         try:
             key, row = _read_record(record, seen + 1, dim, rows)
-        except EmbeddingFormatError as exc:
+        except InputError as exc:
             error = exc
             continue
         if len(rows) == len(matrix):
@@ -324,7 +314,7 @@ def _read_emb(raw: Iterable[bytes], path: Path) -> tuple[np.ndarray, dict[str, i
         matrix[len(rows)] = row
         rows[key] = len(rows)
     if seen != count:
-        raise EmbeddingFormatError(f"header declares {count} records but file contains {seen}")
+        raise InputError(f"header declares {count} records but file contains {seen}")
     if error is not None:
         raise error
     return matrix, rows
@@ -339,9 +329,9 @@ def _read_record(
     except json.JSONDecodeError:
         key = None
     if not isinstance(key, str):
-        raise EmbeddingFormatError(f"line {line_no}: key is not a JSON string")
+        raise InputError(f"line {line_no}: key is not a JSON string")
     if key in keys:
-        raise EmbeddingFormatError(f"line {line_no}: duplicate key {key!r}")
+        raise InputError(f"line {line_no}: duplicate key {key!r}")
     body = record[end:]
     try:
         row = read_reals([body])
@@ -349,37 +339,35 @@ def _read_record(
         row = None
     if row is not None and row.shape == (1, dim):
         if not np.isfinite(row).all():
-            raise EmbeddingFormatError(f"line {line_no}: non-finite value (nan or inf)")
+            raise InputError(f"line {line_no}: non-finite value (nan or inf)")
         return key, row
     # Counted only now, for the message: a wrong count is named before a bad value.
     got = len(body.split())
     if got != dim:
-        raise EmbeddingFormatError(f"line {line_no}: expected {dim} values, got {got}")
-    raise EmbeddingFormatError(f"line {line_no}: non-numeric value")
+        raise InputError(f"line {line_no}: expected {dim} values, got {got}")
+    raise InputError(f"line {line_no}: non-numeric value")
 
 
 def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: str | Path) -> None:
     """Write an EMB v1 file of (key, vector) pairs in the given order, one
     record at a time, replacing ``path`` atomically. Before the first line is
     written, every vector's length is checked, and what the reader refuses
-    (dim 0, a key that is no string, a duplicate key, a non-finite value)
-    raises EmbeddingFormatError."""
+    (dim 0, a key that is no string, a duplicate key, a non-finite value) is
+    refused too: each raises an InputError, whose message names no file."""
     if dim < 1:
-        raise EmbeddingFormatError("dim must be >= 1")
+        raise InputError("dim must be >= 1")
     items = list(entries)
     keys: set[str] = set()
     for key, vec in items:
         if len(vec) != dim:
-            raise DimensionMismatchError(
-                f"vector for {key!r} has length {len(vec)}, expected {dim}"
-            )
+            raise InputError(f"vector for {key!r} has length {len(vec)}, expected {dim}")
         if not isinstance(key, str):
-            raise EmbeddingFormatError(f"key {key!r} is not a string")
+            raise InputError(f"key {key!r} is not a string")
         if key in keys:
-            raise EmbeddingFormatError(f"duplicate key {key!r}")
+            raise InputError(f"duplicate key {key!r}")
         keys.add(key)
         if not np.isfinite(np.asarray(vec, dtype=np.float64)).all():
-            raise EmbeddingFormatError(f"non-finite value (nan or inf) for key {key!r}")
+            raise InputError(f"non-finite value (nan or inf) for key {key!r}")
     records = (f"{json.dumps(key)} {format_reals(vec)}\n" for key, vec in items)
     write_atomic(path, chain([f"EMB v1 {len(items)} {dim}\n"], records))
 

@@ -1,8 +1,10 @@
 """Reading and writing the package's text files.
 
 Every file is UTF-8. A file that is not fails as an ``InputError`` (exit 2)
-that names the file and the line of the first bad byte. Lines may end in
-``\\r\\n``. Counts are ASCII digits and reals ASCII decimals, stricter than
+that names the line of the first bad byte. Lines may end in ``\\r\\n``.
+Readers and parsers name no file: each function that opens an input path
+reads it under ``naming``, which begins any ``InputError`` raised there with
+``<path>: ``. Counts are ASCII digits and reals ASCII decimals, stricter than
 ``int()`` and ``float()``, in files and command-line flags alike. Reals are
 written in their shortest round-trip form, so they read back bit for bit.
 Every output is written to a temporary file beside its target, which
@@ -14,6 +16,7 @@ file. Only a device or pipe, which cannot be replaced, is written in place.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -21,8 +24,14 @@ from ._lazynp import np
 from .errors import InputError
 
 
-def _not_utf8(path: str | Path, line_no: int) -> InputError:
-    return InputError(f"{path}: line {line_no} is not valid UTF-8")
+@contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Prefix ``<path>: `` to an ``InputError`` raised inside: the one home of
+    the rule that a refusal of a file's content names that file."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def read_text(path: str | Path) -> str:
@@ -31,17 +40,18 @@ def read_text(path: str | Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, data.count(b"\n", 0, exc.start) + 1) from None
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"line {line_no} is not valid UTF-8") from None
 
 
-def decode_lines(f: Iterable[bytes], path: str | Path) -> Iterator[str]:
+def decode_lines(f: Iterable[bytes]) -> Iterator[str]:
     """The raw lines of a binary stream less their ``\\n`` or ``\\r\\n``, decoded
     one at a time: byte 0x0A never occurs inside a UTF-8 multibyte sequence."""
     for line_no, raw in enumerate(f, start=1):
         try:
             yield raw.rstrip(b"\r\n").decode("utf-8")
         except UnicodeDecodeError:
-            raise _not_utf8(path, line_no) from None
+            raise InputError(f"line {line_no} is not valid UTF-8") from None
 
 
 def read_count(text: str) -> int:

@@ -54,8 +54,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ._lazynp import np
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch, table_rows
-from .errors import CheckpointFormatError, InputError, RhetroleError
-from .fileio import format_reals, read_count, read_reals, read_text, write_atomic
+from .errors import InputError, RhetroleError
+from .fileio import format_reals, naming, read_count, read_reals, read_text, write_atomic
 from .metrics import MetricsReport, evaluate_predictions
 
 if TYPE_CHECKING:  # config imports this module
@@ -300,10 +300,10 @@ def _check_labels(labels: Sequence[str], k: int) -> None:
     one label per weight row, non-empty, distinct, and free of the tab, CR
     and LF that delimit line 2."""
     if len(labels) != k:
-        raise CheckpointFormatError(f"header declares {k} labels, line 2 has {len(labels)}")
+        raise InputError(f"header declares {k} labels, line 2 has {len(labels)}")
     has_delimiter = any(c in label for label in labels for c in "\t\r\n")
     if "" in labels or len(set(labels)) != k or has_delimiter:
-        raise CheckpointFormatError(
+        raise InputError(
             f"labels on line 2 must be non-empty and distinct, without tab, CR or LF: {labels!r}"
         )
 
@@ -311,14 +311,14 @@ def _check_labels(labels: Sequence[str], k: int) -> None:
 def _check_provider_id(provider_id: str) -> None:
     """The CKPT v1 provider-id rule: the writer applies it, and ``train`` before any epoch."""
     if "\n" in provider_id or provider_id.endswith("\r"):
-        raise CheckpointFormatError(
+        raise InputError(
             f"provider id {provider_id!r}: header line 1 cannot hold an LF or a final CR")
 
 
 def _check_finite(params: np.ndarray) -> None:
     """The CKPT v1 value rule, which the writer and the reader both apply."""
     if not np.isfinite(params).all():
-        raise CheckpointFormatError("non-finite parameter value (nan or inf)")
+        raise InputError("non-finite parameter value (nan or inf)")
 
 
 def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
@@ -337,31 +337,31 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
     if lines[-1] == "":
         lines.pop()
     if len(lines) < 3:
-        raise CheckpointFormatError("checkpoint file too short")
+        raise InputError("checkpoint file too short")
     header = lines[0].split(" ", 4)
     if len(header) != 5 or header[0] != "CKPT" or header[1] != "v1":
-        raise CheckpointFormatError(
+        raise InputError(
             f"bad header {lines[0]!r}; expected 'CKPT v1 <num_labels> <dim> <provider_id>'"
         )
     try:
         k, d = read_count(header[2]), read_count(header[3])
     except ValueError:
-        raise CheckpointFormatError("non-integer num_labels/dim in header") from None
+        raise InputError("non-integer num_labels/dim in header") from None
     provider_id = header[4]
     labels = tuple(lines[1].split("\t"))
     _check_labels(labels, k)
     if len(lines) != 2 + k + 1:
-        raise CheckpointFormatError(
+        raise InputError(
             f"expected {2 + k + 1} lines ({k} weight rows plus bias), got {len(lines)}"
         )
     try:
         *rows, bias = [read_reals([line])[0] for line in lines[2:]]
     except ValueError:
-        raise CheckpointFormatError("non-numeric parameter value") from None
+        raise InputError("non-numeric parameter value") from None
     if any(len(row) != d for row in rows):
-        raise CheckpointFormatError(f"weight row length does not match dim {d}")
+        raise InputError(f"weight row length does not match dim {d}")
     if len(bias) != k:
-        raise CheckpointFormatError(f"bias length {len(bias)} does not match {k} labels")
+        raise InputError(f"bias length {len(bias)} does not match {k} labels")
     params = np.column_stack([np.array(rows), bias])
     _check_finite(params)
     return LinearCheckpoint(params=params, labels=labels, provider_id=provider_id)
@@ -372,4 +372,5 @@ def save_checkpoint(ckpt: LinearCheckpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> LinearCheckpoint:
-    return parse_checkpoint(read_text(path))
+    with naming(path):
+        return parse_checkpoint(read_text(path))

@@ -16,7 +16,7 @@ from rhetrole.cli import main
 from rhetrole.config import PRESETS, RunConfig, config_to_json, load_config_file, resolve_config
 from rhetrole.corpus import LABELS, Corpus, LabeledSentence, load_corpus, save_corpus, split
 from rhetrole.embedding import HashedBowProvider, parse_provider_spec, save_embeddings
-from rhetrole.errors import ConfigError, InputError
+from rhetrole.errors import InputError
 from rhetrole.linear_model import (
     SELECTION_METRICS,
     LinearCheckpoint,
@@ -242,8 +242,8 @@ class TestTrain:
         "config_not_json": ("--config", "x", "config file {path} is not valid JSON: "
                             "Expecting value: line 1 column 1 (char 0)"),
         "config_json_list": ("--config", "[]", "config file {path} must hold a JSON object"),
-        "emb_empty": ("--provider", "", "empty embedding file"),
-        "emb_dim_0": ("--provider", "EMB v1 3 0\n", "dim must be >= 1"),
+        "emb_empty": ("--provider", "", "{path}: empty embedding file"),
+        "emb_dim_0": ("--provider", "EMB v1 3 0\n", "{path}: dim must be >= 1"),
     }
 
     @pytest.mark.parametrize("case", BAD_FILES)
@@ -600,7 +600,8 @@ class TestEvaluate:
         rc, stdout, stderr = run_cli(
             capsys, "evaluate", "--checkpoint", str(ckpt), "--corpus", str(tsv))
         assert (rc, stdout) == (2, "")
-        assert stderr == "error: label 'Statute' not in checkpoint label set\n"
+        assert stderr == (f"error: corpus {tsv}: label 'Statute' not in the label set "
+                          f"of checkpoint {ckpt}\n")
 
     def test_perfect_predictions_give_macro_one(self, tmp_path, capsys):
         # one sentence per label, one-hot embeddings, identity head:
@@ -632,9 +633,11 @@ class TestEvaluate:
         the wrong number of weight columns."""
         emb = tmp_path / "wrong.emb"
         save_embeddings([("x", np.zeros(3))], 3, emb)
-        cases = [(f"precomputed:{tmp_path / 'four.emb'}", ["--provider", f"precomputed:{emb}"], 3),
-                 ("hashed:8:cased:120", [], 8)]
-        for provider_id, flags, dim in cases:
+        # The checkpoint's provider id, the flags, and the provider used with its dimension.
+        cases = [(f"precomputed:{tmp_path / 'four.emb'}", ["--provider", f"precomputed:{emb}"],
+                  f"precomputed:{emb}", 3),
+                 ("hashed:8:cased:120", [], "hashed:8:cased:120", 8)]
+        for provider_id, flags, used, dim in cases:
             ckpt_path = tmp_path / "ckpt.txt"
             save_checkpoint(LinearCheckpoint(
                 params=fused(np.zeros((7, 4)), np.zeros(7)), labels=LABELS, provider_id=provider_id,
@@ -643,8 +646,8 @@ class TestEvaluate:
                 capsys, "evaluate", "--checkpoint", str(ckpt_path), "--corpus", str(toy_tsv), *flags
             )
             assert rc == 2
-            assert stderr == (
-                f"error: provider dimension {dim} does not match checkpoint dimension 4\n")
+            assert stderr == (f"error: checkpoint {ckpt_path}: dimension 4 does not match "
+                              f"dimension {dim} of provider {used!r}\n")
             assert stdout == ""
 
     def test_full_provider_id_accepted_as_flag(self, trained, toy_tsv, capsys):
@@ -801,7 +804,7 @@ class TestPredict:
         rc, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(ckpt),
                                 "--sentences", str(sf), "--out", str(out))
         assert rc == 2
-        assert f"{sf}: line 3 contains a tab" in stderr
+        assert stderr == f"error: {sf}: line 3 contains a tab\n"
         assert not out.exists()
 
 
@@ -972,7 +975,7 @@ class TestNonUtf8Input:
     def check(self, capsys, argv, path, line_no):
         rc, _, stderr = run_cli(capsys, *argv)
         assert rc == 2
-        assert f"{path}: line {line_no} is not valid UTF-8" in stderr
+        assert stderr == f"error: {path}: line {line_no} is not valid UTF-8\n"
 
     def test_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.tsv"
@@ -1006,6 +1009,51 @@ class TestNonUtf8Input:
         cfg.write_bytes(b'{\n  "casing": "\xff"\n}\n')
         self.check(capsys, ["train", "--corpus", str(toy_tsv), "--config", str(cfg),
                             "--out", str(tmp_path / "o")], cfg, 2)
+
+
+class TestBadFileIsNamed:
+    """A refusal of a file's content begins with that file's path as given,
+    once, whichever command reads it and whichever other files it reads."""
+
+    BAD_EMB = 'EMB v1 2 2\n"a" 1 x\n"b" 3 4\n'
+    BAD_CORPUS = "#doc\tD\nThe facts.\tFacts\nThe verdict.\tNope\n"
+    # The command, with {bad} for the bad file; the bad file's text; the
+    # message after "error: {bad}: ".
+    CASES = {
+        "emb-train": ("train --corpus {corpus} --out {out} --provider precomputed:{bad}",
+                      BAD_EMB, "line 2: non-numeric value"),
+        "emb-evaluate": ("evaluate --checkpoint {emb_ckpt} --corpus {corpus}"
+                         " --provider precomputed:{bad}", BAD_EMB, "line 2: non-numeric value"),
+        "ckpt-evaluate": ("evaluate --checkpoint {bad} --corpus {corpus}", None,
+                          "checkpoint file too short"),
+        "ckpt-predict": ("predict --checkpoint {bad} --sentences {sentences}", None,
+                         "checkpoint file too short"),
+        "corpus-stats": ("stats --corpus {bad}", BAD_CORPUS, "line 3: unknown label 'Nope'"),
+        "corpus-train": ("train --corpus {bad} --out {out}", BAD_CORPUS,
+                         "line 3: unknown label 'Nope'"),
+        "corpus-evaluate": ("evaluate --checkpoint {ckpt} --corpus {bad}", BAD_CORPUS,
+                            "line 3: unknown label 'Nope'"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_2_naming_the_file(self, case, trained, toy_emb, toy_tsv, tmp_path, capsys):
+        command, text, message = self.CASES[case]
+        ckpt = trained / "checkpoint.txt"
+        if text is None:  # the checkpoint cut after its label line
+            text = "".join(ckpt.read_text(encoding="utf-8").splitlines(keepends=True)[:2])
+        bad = tmp_path / "bad_input"
+        bad.write_text(text, encoding="utf-8")
+        emb_ckpt = tmp_path / "emb_ckpt.txt"
+        save_checkpoint(LinearCheckpoint(params=fused(np.zeros((7, 32)), np.zeros(7)),
+                                         labels=LABELS, provider_id=f"precomputed:{toy_emb}"),
+                        emb_ckpt)
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("The appeal is allowed.\n", encoding="utf-8")
+        argv = command.format(bad=bad, corpus=toy_tsv, out=tmp_path / "o", ckpt=ckpt,
+                              emb_ckpt=emb_ckpt, sentences=sentences).split()
+        rc, stdout, stderr = run_cli(capsys, *argv)
+        assert (rc, stdout, stderr) == (2, "", f"error: {bad}: {message}\n")
+        assert not (tmp_path / "o").exists()
 
 
 ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -1087,7 +1135,7 @@ class TestStrictNumbers:
                                 "--sentences", str(sentences))
         # The label messages go on to repeat the labels read.
         assert (rc, stderr.count("\n")) == (2, 1)
-        assert stderr.startswith(f"error: {message}")
+        assert stderr.startswith(f"error: {ckpt}: {message}")
 
 
 class TestCrlfCheckpoint:
@@ -1334,11 +1382,11 @@ class TestConfigResolution:
         assert cfg.epochs == 2  # flag beats file
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match=r"^unknown config fields: \['learning_rat'\]$"):
             resolve_config(file_config={"learning_rat": 1e-3})
 
     def test_wrong_typed_field_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="^epochs must be an integer$"):
             resolve_config(file_config={"epochs": "four"})
 
     def test_config_json_key_order_and_defaults(self):
@@ -1384,7 +1432,7 @@ class TestConfigResolution:
 """
 
     def test_loss_weighting_requires_non_uniform(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="^balance=loss_weighting needs a non-uniform "):
             RunConfig(weight_scheme="uniform", balance="loss_weighting")
         RunConfig(
             weight_scheme="uniform", balance="loss_weighting",
@@ -1397,9 +1445,10 @@ class TestConfigResolution:
         assert parse_provider_spec("precomputed:/x/y.emb") == (
             "precomputed", "/x/y.emb", None, None
         )
-        with pytest.raises(ConfigError):
+        message = "^provider must be 'hashed:<dim>' or 'precomputed:<path>', got 'magic:1'$"
+        with pytest.raises(InputError, match=message):
             parse_provider_spec("magic:1")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match=message):
             RunConfig(provider="magic:1")
 
     @pytest.mark.parametrize(
@@ -1424,7 +1473,7 @@ class TestConfigResolution:
          "epsilon", "train_fraction", "length_percentile_q", "max_len"),
     )
     def test_boolean_in_numeric_field_rejected(self, name):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(InputError, match=name):
             resolve_config(file_config={name: True})
 
     @pytest.mark.parametrize(
@@ -1435,7 +1484,7 @@ class TestConfigResolution:
          pytest.param("learning_rate", 10**400, id="learning_rate-big_int")],
     )
     def test_non_finite_real_field_rejected(self, name, value):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(InputError, match=name):
             resolve_config(file_config={name: value})
 
     @pytest.mark.parametrize(
@@ -1445,5 +1494,5 @@ class TestConfigResolution:
         ids=["string", "list", "nan", "inf", "bool", "big_int"],
     )
     def test_malformed_weight_overrides_rejected(self, overrides):
-        with pytest.raises(ConfigError, match="weight"):
+        with pytest.raises(InputError, match="weight"):
             resolve_config(file_config={"weight_overrides": overrides})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,7 @@ from rhetrole.embedding import (
     save_embeddings,
     table_rows,
 )
-from rhetrole.errors import (
-    CheckpointFormatError,
-    ConfigError,
-    MissingEmbeddingError,
-)
+from rhetrole.errors import InputError, RhetroleError
 from rhetrole.config import RunConfig
 from rhetrole.corpus import LABELS, LabeledSentence
 from rhetrole.linear_model import (
@@ -552,8 +549,9 @@ class TestTrain:
         sentences, provider, _, _ = two_class_toy(n=20)
         absent = LabeledSentence(text="not in the table", label="Facts", doc_id="t")
         cfg = RunConfig(epochs=1)
-        with pytest.raises(MissingEmbeddingError, match="sentence 'not in the table'$"):
+        with pytest.raises(RhetroleError, match="sentence 'not in the table'$") as exc:
             train(sentences[:10] + [absent], sentences[10:], provider, np.ones(7), cfg)
+        assert type(exc.value) is RhetroleError  # exit 1, not InputError's 2
 
     @pytest.mark.parametrize(
         "name,value",
@@ -561,7 +559,7 @@ class TestTrain:
          ("seed", 1.5), ("batch_size", "8")],
     )
     def test_wrong_typed_field_rejected_at_construction(self, name, value):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(InputError, match=name):
             RunConfig(**{name: value})
 
 
@@ -648,7 +646,8 @@ class TestCheckpointIO:
         path = tmp_path_factory.mktemp("ckpt") / "checkpoint.txt"
         try:
             save_checkpoint(LinearCheckpoint(params, tuple(labels), provider_id), path)
-        except CheckpointFormatError:
+        except InputError as exc:
+            assert str(exc).endswith(": header line 1 cannot hold an LF or a final CR")
             assert "\n" in provider_id or provider_id.endswith("\r")
             assert list(path.parent.iterdir()) == []
             return
@@ -667,7 +666,9 @@ class TestCheckpointIO:
     ], ids=["duplicate", "empty", "tab", "lf", "cr", "count"])
     def test_labels_the_reader_refuses_are_not_written(self, labels, tmp_path):
         path = tmp_path / "checkpoint.txt"
-        with pytest.raises(CheckpointFormatError):
+        message = ("^header declares 2 labels, line 2 has 1$" if len(labels) == 1 else
+                   "^labels on line 2 must be non-empty and distinct, without tab, CR or LF: ")
+        with pytest.raises(InputError, match=message):
             save_checkpoint(LinearCheckpoint(np.zeros((2, 3)), labels, "hashed:2"), path)
         assert list(tmp_path.iterdir()) == []
 
@@ -680,7 +681,7 @@ class TestCheckpointIO:
         before = path.read_bytes()
         ckpt = self.make()
         ckpt.params[row, col] = value
-        with pytest.raises(CheckpointFormatError, match="non-finite parameter value"):
+        with pytest.raises(InputError, match="^non-finite parameter value"):
             save_checkpoint(ckpt, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.txt"]
@@ -692,22 +693,28 @@ class TestCheckpointIO:
         assert loaded.provider_id == ckpt.provider_id
 
     @pytest.mark.parametrize(
-        "text",
+        "text,message",
         [
-            "",
-            "CKPT v2 7 5 x\n",
-            "CKPT v1 2 2 x\nFacts\tArgument\n1 2\n",  # missing rows
-            'CKPT v1 2 2 x\nFacts\n1 2\n3 4\n5 6\n',  # label count mismatch
-            "CKPT v1 2 2 x\nFacts\tArgument\n1 2\n3 4\n5\n",  # short bias
-            "CKPT v1 2 2 x\nFacts\tArgument\n1 oops\n3 4\n5 6\n",
-            "CKPT v1 2 2 x\nFacts\tArgument\n1 nan\n3 4\n5 6\n",
-            "CKPT v1 2 2 x\nFacts\tArgument\n1 2\n3 4\n5 -inf\n",
-            "CKPT v1 2 2 x\nFacts\tArgument\n\n3 4\n5 6\n",  # blank weight row
-            "CKPT v1 1 0 x\nFacts\n\n0\n",  # dim 0
+            ("", "checkpoint file too short"),
+            ("CKPT v2 7 5 x\n", "checkpoint file too short"),
+            ("CKPT v1 2 2 x\nFacts\tArgument\n1 2\n",  # missing rows
+             "expected 5 lines (2 weight rows plus bias), got 3"),
+            ('CKPT v1 2 2 x\nFacts\n1 2\n3 4\n5 6\n',  # label count mismatch
+             "header declares 2 labels, line 2 has 1"),
+            ("CKPT v1 2 2 x\nFacts\tArgument\n1 2\n3 4\n5\n",  # short bias
+             "bias length 1 does not match 2 labels"),
+            ("CKPT v1 2 2 x\nFacts\tArgument\n1 oops\n3 4\n5 6\n", "non-numeric parameter value"),
+            ("CKPT v1 2 2 x\nFacts\tArgument\n1 nan\n3 4\n5 6\n",
+             "non-finite parameter value (nan or inf)"),
+            ("CKPT v1 2 2 x\nFacts\tArgument\n1 2\n3 4\n5 -inf\n",
+             "non-finite parameter value (nan or inf)"),
+            ("CKPT v1 2 2 x\nFacts\tArgument\n\n3 4\n5 6\n",  # blank weight row
+             "non-numeric parameter value"),
+            ("CKPT v1 1 0 x\nFacts\n\n0\n", "non-numeric parameter value"),  # dim 0
         ],
     )
-    def test_malformed_rejected(self, text):
-        with pytest.raises(CheckpointFormatError):
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             parse_checkpoint(text)
 
 

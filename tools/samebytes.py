@@ -33,8 +33,11 @@ One more ``evaluate`` points the precomputed checkpoint at a copy of its EMB
 file with ``--provider``, so it parses that copy cold and writes its cache.
 Two rows load no numpy: ``ingest`` writes the task corpus back, and an
 ``evaluate`` whose ``--out`` directory is missing exits 2 before it reads
-any input. Both trees run at one path, so that refusal's message, which
-names the directory, compares too.
+any input. Three rows exit 2 on a bad input file: ``train`` on an EMB file
+with a non-numeric value, ``evaluate`` with a checkpoint cut after its label
+line, and ``stats`` on a corpus with an unknown label. Both trees run at one
+path, so each refusal's message, which names the file or directory,
+compares too.
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ ROWS = {
     "task-ingest": "ingest --corpus task/corpus.tsv --out task-ingest.tsv",
     "evaluate-out-refused": "evaluate --checkpoint task-cased/checkpoint.txt"
                             " --corpus task/corpus.tsv --out missing/m.json",
+    "emb-refused": "train --corpus toy.tsv --out emb-refused --provider precomputed:bad.emb",
+    "checkpoint-refused": "evaluate --checkpoint bad_checkpoint.txt --corpus toy.tsv",
+    "corpus-refused": "stats --corpus bad.tsv",
 }
 # Appended to every toy sentence for toy_sym.tsv and toy_long.tsv.
 SYMBOLS = " $5 +91 °C x⁄y ₹9 「判決」"
@@ -88,8 +94,8 @@ LONG_TOKENS = " " + "s.302" * 8 + " " + "é" * 150 + " " + "ab" * 500
 
 
 def build_inputs(out: Path) -> None:
-    """Write the corpora, sentence files and EMB files that ``ROWS`` read."""
-    from rhetrole.corpus import Corpus, LabeledSentence, load_corpus, save_corpus
+    """Write the corpora, sentence files, EMB files and bad files that ``ROWS`` read."""
+    from rhetrole.corpus import LABELS, Corpus, LabeledSentence, load_corpus, save_corpus
     from rhetrole.embedding import HashedBowProvider, save_embeddings
     from rhetrole.toydata import toy_corpus
 
@@ -108,6 +114,11 @@ def build_inputs(out: Path) -> None:
     task = load_corpus(out / "task" / "corpus.tsv")
     (out / "task_sentences.txt").write_text(
         "".join(s.text + "\n" for s in task.sentences), encoding="utf-8")
+    (out / "bad.emb").write_text('EMB v1 2 2\n"a" 1 2\n"b" 3 x\n', encoding="utf-8")
+    (out / "bad_checkpoint.txt").write_text(
+        "CKPT v1 7 32 precomputed:toy.emb\n" + "\t".join(LABELS) + "\n", encoding="utf-8")
+    (out / "bad.tsv").write_text("#doc\tD\nThe facts.\tFacts\nThe verdict.\tNope\n",
+                                 encoding="utf-8")
 
 
 def run_rows(env: dict[str, str], inputs: Path, out: Path) -> None:
