@@ -126,7 +126,7 @@ def _provider_for_training(cfg: RunConfig, corpus: Corpus) -> tuple[object, RunC
 def _provider_for_inference(args, ckpt):
     """The featuriser the checkpoint was trained with. ``--provider`` may only
     point a precomputed checkpoint at another vectors file."""
-    kind = None
+    casing = None  # only a full hashed id has one, and then the provider says what is wrong
     try:
         kind, arg, casing, max_len = parse_provider_spec(ckpt.provider_id)
         hashed = HashedBowProvider(arg, casing, max_len) if kind == "hashed" else None
@@ -134,7 +134,7 @@ def _provider_for_inference(args, ckpt):
         raise InputError(
             f"checkpoint {args.checkpoint}: provider id {ckpt.provider_id!r} is neither "
             "'hashed:<dim>:<casing>:<max_len>' nor 'precomputed:<path>'"
-            + (f": {exc}" if kind == "hashed" else "")
+            + (f": {exc}" if casing is not None else "")
         ) from None
     if args.provider is not None:
         new_kind, new_arg, _, _ = parse_provider_spec(args.provider)
@@ -162,7 +162,16 @@ def _resolve_from_args(args, preset: str | None = None) -> RunConfig:
     overrides["balance"] = _BALANCE_FLAG_TO_METHOD.get(args.balance)
     preset = preset or overrides.pop("preset", None)
     file_cfg = load_config_file(args.config) if args.config else None
-    return resolve_config(preset=preset, file_config=file_cfg, overrides=overrides)
+    try:
+        return resolve_config(preset=preset, file_config=file_cfg, overrides=overrides)
+    except InputError as exc:
+        try:  # a refusal that the preset and flags alone meet names no file
+            resolve_config(preset=preset, overrides=overrides)
+        except InputError as bare:
+            if str(bare) == str(exc):
+                raise exc from None
+        with naming(args.config):
+            raise
 
 
 def _run_training(cfg: RunConfig, out_dir):

@@ -6,7 +6,8 @@ Corpus TSV format
 UTF-8 text. A line ``#doc<TAB><doc_id>`` opens a document; every following
 non-blank line is ``<sentence text><TAB><canonical label>``. Blank lines are
 ignored, and file order is the only sentence order. `serialize_corpus` emits
-this shape with ``\\n`` endings: parse/serialize round-trips are byte-identical.
+this shape with ``\\n`` endings, so round-trips are byte-identical, and refuses
+what `parse_corpus` would not read back unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ._lazynp import np
 from .errors import InputError
-from .fileio import naming, read_text, write_atomic
+from .fileio import check_unchanged, naming, read_text, write_atomic
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -43,8 +44,8 @@ SPLIT_MODES = ("sentence_shuffled", "document_level")
 
 @dataclass(frozen=True, slots=True)
 class LabeledSentence:
-    """One sentence of a legal document plus its rhetorical-role label. It checks
-    nothing itself: ``parse_corpus`` and ``serialize_corpus`` refuse what TSV cannot hold."""
+    """A legal-document sentence and its rhetorical-role label. It checks nothing itself:
+    ``parse_corpus`` refuses what TSV cannot hold, ``serialize_corpus`` what would not read back."""
 
     text: str
     label: str
@@ -104,39 +105,22 @@ def parse_corpus(text: str) -> Corpus:
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Emit the canonical TSV form (inverse of parse_corpus) in one ordered pass,
-    refusing what it refuses or would read back changed."""
+    """Emit the canonical TSV form (inverse of parse_corpus) in one ordered pass and
+    read it back: what ``parse_corpus`` refuses raises its InputError, whose line
+    numbers count in this text, and a corpus that reads back changed is refused."""
     sentences = corpus.sentences
-    seen: set[str] = set()
     lines: list[str] = []
     i = 0
     for doc_id in corpus.documents:
-        if not doc_id or "\n" in doc_id or doc_id.endswith("\r"):
-            raise InputError(f"document id {doc_id!r} is not representable in the TSV format")
-        if doc_id in seen:
-            raise InputError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
         lines.append(f"#doc\t{doc_id}")
         while i < len(sentences) and sentences[i].doc_id == doc_id:
-            s = sentences[i]
-            if not s.text:
-                raise InputError("sentence text must be non-empty")
-            if "\t" in s.text or "\n" in s.text:
-                raise InputError("sentence text must not contain tabs or newlines")
-            if s.text == "#doc":
-                raise InputError("sentence text '#doc' is not representable in the TSV format")
-            if s.label not in LABELS:
-                raise InputError(f"unknown label {s.label!r}")
-            lines.append(f"{s.text}\t{s.label}")
+            lines.append(f"{sentences[i].text}\t{sentences[i].label}")
             i += 1
-    if i < len(sentences):
-        doc_id = sentences[i].doc_id
-        raise InputError(
-            f"sentence {i} of document {doc_id!r} is out of order: a document's sentences "
-            "must be contiguous, in corpus.documents order" if doc_id in seen
-            else f"sentence doc_id {doc_id!r} missing from corpus.documents"
-        )
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in lines)
+    back = parse_corpus(text)
+    check_unchanged("document", corpus.documents, back.documents)
+    check_unchanged("sentence", sentences, back.sentences)
+    return text
 
 
 def load_corpus(path: str | Path) -> Corpus:

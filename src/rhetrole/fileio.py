@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -81,6 +82,14 @@ def read_real(text: str) -> float:
 def format_reals(values) -> str:
     """Space-separated float64 values, each in its shortest round-trip form."""
     return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def check_unchanged(what: str, given: Iterable, read: Iterable) -> None:
+    """Refuse, naming it, the first ``what`` of ``given`` that a writer's text
+    reads back as another; ``read`` is what the format's reader returned."""
+    for i, (a, b) in enumerate(zip_longest(given, read)):
+        if a != b:
+            raise InputError(f"{what} {i} would read back as {b!r}, not {a!r}")
 
 
 def check_output_path(path: str | None, directory: bool = False) -> Path | None:

@@ -55,7 +55,8 @@ from ._lazynp import np
 from .corpus import LABELS, LabeledSentence
 from .embedding import embed_batch, table_rows
 from .errors import InputError, RhetroleError
-from .fileio import format_reals, naming, read_count, read_reals, read_text, write_atomic
+from .fileio import check_unchanged, format_reals, naming, read_count, read_reals, read_text
+from .fileio import write_atomic
 from .metrics import MetricsReport, evaluate_predictions
 
 if TYPE_CHECKING:  # config imports this module
@@ -295,41 +296,26 @@ def train(
     return LinearCheckpoint(best_params, LABELS, provider.provider_id, selected)
 
 
-def _check_labels(labels: Sequence[str], k: int) -> None:
-    """The CKPT v1 label rule, which the writer and the reader both apply:
-    one label per weight row, non-empty, distinct, and free of the tab, CR
-    and LF that delimit line 2."""
-    if len(labels) != k:
-        raise InputError(f"header declares {k} labels, line 2 has {len(labels)}")
-    has_delimiter = any(c in label for label in labels for c in "\t\r\n")
-    if "" in labels or len(set(labels)) != k or has_delimiter:
-        raise InputError(
-            f"labels on line 2 must be non-empty and distinct, without tab, CR or LF: {labels!r}"
-        )
-
-
 def _check_provider_id(provider_id: str) -> None:
-    """The CKPT v1 provider-id rule: the writer applies it, and ``train`` before any epoch."""
+    """The CKPT v1 provider-id rule: ``train`` applies it before any epoch, the writer first."""
     if "\n" in provider_id or provider_id.endswith("\r"):
         raise InputError(
             f"provider id {provider_id!r}: header line 1 cannot hold an LF or a final CR")
 
 
-def _check_finite(params: np.ndarray) -> None:
-    """The CKPT v1 value rule, which the writer and the reader both apply."""
-    if not np.isfinite(params).all():
-        raise InputError("non-finite parameter value (nan or inf)")
-
-
 def serialize_checkpoint(ckpt: LinearCheckpoint) -> str:
+    """CKPT v1 text, read back: what ``parse_checkpoint`` refuses raises its
+    InputError, and a checkpoint that reads back changed is refused."""
     k, d = len(ckpt.params), input_dim(ckpt.params)
-    _check_labels(ckpt.labels, k)
-    _check_finite(ckpt.params)
     _check_provider_id(ckpt.provider_id)
     lines = [f"CKPT v1 {k} {d} {ckpt.provider_id}", "\t".join(ckpt.labels)]
     # The weight rows, then the bias as one row.
     lines += map(format_reals, [*ckpt.params[:, :-1], ckpt.params[:, -1]])
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in lines)
+    back = parse_checkpoint(text)  # line 1 holds the checked provider id as it is
+    check_unchanged("label", ckpt.labels, back.labels)
+    check_unchanged("parameter row", ckpt.params.tolist(), back.params.tolist())
+    return text
 
 
 def parse_checkpoint(text: str) -> LinearCheckpoint:
@@ -349,7 +335,13 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
         raise InputError("non-integer num_labels/dim in header") from None
     provider_id = header[4]
     labels = tuple(lines[1].split("\t"))
-    _check_labels(labels, k)
+    if len(labels) != k:
+        raise InputError(f"header declares {k} labels, line 2 has {len(labels)}")
+    # Split from one line at its tabs, a label holds no tab or LF.
+    if "" in labels or len(set(labels)) != k or "\r" in lines[1]:
+        raise InputError(
+            f"labels on line 2 must be non-empty and distinct, without tab, CR or LF: {labels!r}"
+        )
     if len(lines) != 2 + k + 1:
         raise InputError(
             f"expected {2 + k + 1} lines ({k} weight rows plus bias), got {len(lines)}"
@@ -363,7 +355,8 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
     if len(bias) != k:
         raise InputError(f"bias length {len(bias)} does not match {k} labels")
     params = np.column_stack([np.array(rows), bias])
-    _check_finite(params)
+    if not np.isfinite(params).all():
+        raise InputError("non-finite parameter value (nan or inf)")
     return LinearCheckpoint(params=params, labels=labels, provider_id=provider_id)
 
 

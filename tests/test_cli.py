@@ -233,7 +233,42 @@ class TestTrain:
             capsys, "train", "--corpus", str(toy_tsv), "--config", str(cfg_path),
             "--out", str(tmp_path / "o"),
         )
-        assert (rc, stderr) == (2, f"error: {message}\n")
+        assert (rc, stderr) == (2, f"error: {cfg_path}: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    # Where a refusal comes from, as config file text (None: no file) and
+    # flags, and whether it names the file: only when the flags alone meet
+    # no such refusal. The rules above cover a file alone.
+    SOURCES = {
+        "flag": (None, ["--batch-size", "0"], "batch_size must be >= 1", False),
+        "flag_over_file": ({"batch_size": 0}, ["--batch-size", "0"],
+                           "batch_size must be >= 1", False),
+        "flag_beside_file": ({"epochs": 2}, ["--batch-size", "0"],
+                             "batch_size must be >= 1", False),
+        "file_before_flag": ({"batch_size": 0}, ["--epochs", "0"],
+                             "batch_size must be >= 1", True),
+        "file_and_flag": ({"balance": "undersample"}, [],
+                          "balance=undersample must keep weight_scheme=uniform and no "
+                          "weight_overrides (exactly one balancing method)", True),
+        "unknown_field": ({"learning_rat": 1}, [], "unknown config fields: ['learning_rat']",
+                          True),
+        "unknown_preset": ({"preset": "run9"}, [],
+                           "unknown preset 'run9'; expected one of ['run1', 'run2', 'run3']",
+                           True),
+    }
+
+    @pytest.mark.parametrize("case", SOURCES)
+    def test_a_config_file_refusal_names_the_file(self, case, toy_tsv, tmp_path, capsys):
+        doc, flags, message, named = self.SOURCES[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_flag = []
+        if doc is not None:
+            cfg_path.write_text(json.dumps(doc))
+            cfg_flag = ["--config", str(cfg_path)]
+        rc, stdout, stderr = run_cli(capsys, "train", "--corpus", str(toy_tsv), *cfg_flag,
+                                     *flags, "--out", str(tmp_path / "o"))
+        prefix = f"{cfg_path}: " if named else ""
+        assert (rc, stdout, stderr) == (2, "", f"error: {prefix}{message}\n")
         assert not (tmp_path / "o").exists()
 
     # A file train refuses before it trains: the flag that names it, its
@@ -711,9 +746,10 @@ class TestEvaluate:
         assert rc == 2
         assert named in stderr
 
-    # What the provider says of a hashed id's casing or max_len follows the message.
+    # What the provider says of a full hashed id's casing or max_len follows the
+    # message; a hashed id without them is no provider id.
     PROVIDER_SAYS = {
-        "hashed:256": ": casing must be one of ('cased', 'uncased'), got None",
+        "hashed:256": "",
         "magic": "",
         "hashed:256:cased:0": ": max_len must be an integer >= 1, got 0",
         "hashed:256:lower:8": ": casing must be one of ('cased', 'uncased'), got 'lower'",

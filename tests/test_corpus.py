@@ -107,11 +107,11 @@ class TestSerialize:
     @pytest.mark.parametrize(
         "text, label, message",
         [
-            ("", "Facts", "sentence text must be non-empty"),
-            ("a\tb", "Facts", "sentence text must not contain tabs or newlines"),
-            ("a\nb", "Facts", "sentence text must not contain tabs or newlines"),
-            ("#doc", "Facts", "sentence text '#doc' is not representable in the TSV format"),
-            ("text", "Verdict", "unknown label 'Verdict'"),
+            ("", "Facts", "line 2: empty sentence text"),
+            ("a\tb", "Facts", "line 2: expected 2 tab-separated fields, got 3"),
+            ("a\nb", "Facts", "line 2: expected 2 tab-separated fields, got 1"),
+            ("#doc", "Facts", "document 1 would read back as 'Facts', not None"),
+            ("text", "Verdict", "line 2: unknown label 'Verdict'"),
         ],
     )
     def test_what_the_parser_refuses_is_not_written(self, tmp_path, text, label, message):
@@ -132,10 +132,10 @@ class TestSerialize:
     @pytest.mark.parametrize(
         "documents, message",
         [
-            ([""], "document id '' is not representable in the TSV format"),
-            (["a\nb"], "document id 'a\\nb' is not representable in the TSV format"),
-            (["a\r"], "document id 'a\\r' is not representable in the TSV format"),
-            (["a", "a"], "duplicate document id 'a'"),
+            ([""], "line 1: document header with empty doc_id"),
+            (["a\nb"], "line 2: expected 2 tab-separated fields, got 1"),
+            (["a\r"], "document 0 would read back as 'a', not 'a\\r'"),
+            (["a", "a"], "line 3: duplicate document id 'a'"),
         ],
         ids=["empty", "newline", "final_cr", "repeated"],
     )
@@ -160,13 +160,14 @@ class TestSerialize:
         "sentences, message",
         [
             ([("x", "a"), ("y", "b"), ("z", "a")],
-             "sentence 2 of document 'a' is out of order: a document's sentences must be "
-             "contiguous, in corpus.documents order"),
+             "sentence 2 would read back as None, not "
+             "LabeledSentence(text='z', label='Facts', doc_id='a')"),
             ([("x", "b"), ("y", "a")],
-             "sentence 1 of document 'a' is out of order: a document's sentences must be "
-             "contiguous, in corpus.documents order"),
+             "sentence 1 would read back as None, not "
+             "LabeledSentence(text='y', label='Facts', doc_id='a')"),
             ([("x", "a"), ("y", "ghost")],
-             "sentence doc_id 'ghost' missing from corpus.documents"),
+             "sentence 1 would read back as None, not "
+             "LabeledSentence(text='y', label='Facts', doc_id='ghost')"),
         ],
         ids=["interleaved", "documents_reversed", "unknown_document"],
     )
@@ -187,26 +188,28 @@ class TestSerialize:
         assert list(tmp_path.iterdir()) == []
 
 
+# Values the TSV can hold, and values it may not: texts and document ids
+# built from a tab, a CR, an LF, a "#doc" that could start a header, or
+# nothing, and unknown labels.
+PLAIN = st.text(alphabet="abcdefgh XYZ.,;'()0-9§302¶", min_size=1, max_size=20)
+EDGY = st.lists(st.sampled_from(["a", " ", "\t", "\r", "\n", "#doc", "#doc\t"]),
+                max_size=3).map("".join)
+UNKNOWN_LABELS = st.sampled_from(["", "Verdict", "facts", "Facts\r", "Facts\t"])
+
+
 @st.composite
 def corpora(draw):
-    """Corpora in file order; some draws then interleave the documents'
+    """Corpora whose texts, labels and document ids are each, one draw in
+    ten, edgy or unknown; some draws then interleave the documents'
     sentences, or move one sentence to a document not in ``documents``."""
-    num_docs = draw(st.integers(1, 4))
-    sentences = []
-    documents = []
-    for j in range(num_docs):
-        doc = f"doc{j}"
-        documents.append(doc)
-        for _ in range(draw(st.integers(1, 6))):
-            text = draw(
-                st.text(
-                    alphabet="abcdefgh XYZ.,;'()0-9§302¶",
-                    min_size=1,
-                    max_size=20,
-                ).filter(lambda t: t.strip() and t != "#doc")
-            )
-            label = draw(st.sampled_from(LABELS))
-            sentences.append(LabeledSentence(text=text, label=label, doc_id=doc))
+    def value(plain, edgy=EDGY):
+        return draw(edgy if draw(st.integers(0, 9)) == 0 else plain)
+
+    documents = [value(st.just(f"doc{j}")) for j in range(draw(st.integers(1, 4)))]
+    sentences = [
+        LabeledSentence(value(PLAIN), value(st.sampled_from(LABELS), UNKNOWN_LABELS), doc)
+        for doc in documents for _ in range(draw(st.integers(1, 6)))
+    ]
     if draw(st.booleans()):
         sentences = draw(st.permutations(sentences))
     if draw(st.booleans()):
@@ -215,27 +218,41 @@ def corpora(draw):
     return Corpus(sentences=sentences, documents=documents)
 
 
-def in_file_order(corpus):
-    """Every sentence names a known document, and each document's sentences
-    are contiguous and in ``documents`` order."""
-    ranks = [corpus.documents.index(s.doc_id) if s.doc_id in corpus.documents else -1
-             for s in corpus.sentences]
-    return -1 not in ranks and ranks == sorted(ranks)
+def naive_tsv(corpus):
+    """The corpus written as it stands, each document's sentences after its header."""
+    return "".join(
+        f"#doc\t{d}\n" + "".join(f"{s.text}\t{s.label}\n" for s in corpus.sentences
+                                if s.doc_id == d)
+        for d in corpus.documents
+    )
 
 
 @given(corpora())
 @example(Corpus([LabeledSentence("x", "Facts", "doc0"), LabeledSentence("y", "Facts", "doc1"),
                  LabeledSentence("z", "Facts", "doc0")], ["doc0", "doc1"]))
 @example(Corpus([LabeledSentence("x", "Facts", "ghost")], ["doc0"]))
-@settings(max_examples=100)
-def test_serialize_parse_round_trip(corpus):
-    """A corpus reads back equal, or serialize_corpus refuses it: exactly
-    when the TSV cannot hold its order or its documents."""
-    if in_file_order(corpus):
-        assert parse_corpus(serialize_corpus(corpus)) == corpus
+@example(Corpus([LabeledSentence("\nx", "Facts", "doc0")], ["doc0"]))
+@example(Corpus([LabeledSentence("x", "Facts\r", "doc0")], ["doc0"]))
+@example(Corpus([LabeledSentence(" ", "Facts", "#doc")], ["#doc"]))
+@example(Corpus([LabeledSentence("x", "Facts", "d\t")], ["d\t"]))
+@settings(max_examples=200)
+def test_serialize_parse_round_trip(tmp_path_factory, corpus):
+    """A corpus is saved and reads back equal, or the save refuses it and
+    leaves no file: exactly when its naive TSV would not read back as it."""
+    try:
+        reads_back = parse_corpus(naive_tsv(corpus)) == corpus
+    except InputError:
+        reads_back = False
+    path = tmp_path_factory.mktemp("corpus") / "corpus.tsv"
+    if reads_back:
+        save_corpus(corpus, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == naive_tsv(corpus)
+        assert parse_corpus(text) == corpus
     else:
         with pytest.raises(InputError):
-            serialize_corpus(corpus)
+            save_corpus(corpus, path)
+        assert list(path.parent.iterdir()) == []
 
 
 class TestDistribution:

@@ -630,16 +630,17 @@ class TestCheckpointIO:
         labels=st.lists(
             st.text(alphabet=st.characters(exclude_categories=("Cs",),
                                            exclude_characters="\t\n\r"), min_size=1, max_size=8),
-            min_size=1, max_size=5, unique=True),
-        dim=st.integers(1, 4),
+            max_size=5, unique=True),
+        dim=st.integers(0, 4),
         provider_id=st.text(alphabet=st.characters(exclude_categories=("Cs",))
                             | st.sampled_from("\n\r"), max_size=12),
         data=st.data(),
     )
     @settings(max_examples=100)
     def test_round_trip_property(self, tmp_path_factory, labels, dim, provider_id, data):
-        # The provider id reads back as written, or the save refuses it, for
-        # the LF or final CR that header line 1 cannot hold, and writes nothing.
+        # The checkpoint reads back as written, or the save refuses it and
+        # writes nothing: for the LF or final CR that header line 1 cannot
+        # hold, or for no label or no dimension, which no file can hold.
         values = data.draw(st.lists(FINITE_DOUBLES, min_size=len(labels) * (dim + 1),
                                     max_size=len(labels) * (dim + 1)))
         params = np.array(values, dtype=np.float64).reshape(len(labels), dim + 1)
@@ -647,10 +648,15 @@ class TestCheckpointIO:
         try:
             save_checkpoint(LinearCheckpoint(params, tuple(labels), provider_id), path)
         except InputError as exc:
-            assert str(exc).endswith(": header line 1 cannot hold an LF or a final CR")
-            assert "\n" in provider_id or provider_id.endswith("\r")
+            if "\n" in provider_id or provider_id.endswith("\r"):
+                assert str(exc).endswith(": header line 1 cannot hold an LF or a final CR")
+            elif not labels:
+                assert str(exc) == "header declares 0 labels, line 2 has 1"
+            else:
+                assert (dim, str(exc)) == (0, "non-numeric parameter value")
             assert list(path.parent.iterdir()) == []
             return
+        assert labels and dim
         written = path.read_bytes()
         crlf = parse_checkpoint(written.decode("utf-8").replace("\n", "\r\n"))
         for loaded in (load_checkpoint(path), crlf):
@@ -660,16 +666,38 @@ class TestCheckpointIO:
         save_checkpoint(load_checkpoint(path), path)
         assert path.read_bytes() == written
 
-    @pytest.mark.parametrize("labels", [
-        ("Facts", "Facts"), ("", "Argument"), ("Fa\tcts", "Argument"), ("Fa\ncts", "Argument"),
-        ("Fa\rcts", "Argument"), ("Facts",),
-    ], ids=["duplicate", "empty", "tab", "lf", "cr", "count"])
-    def test_labels_the_reader_refuses_are_not_written(self, labels, tmp_path):
+    LABEL_RULE = "labels on line 2 must be non-empty and distinct, without tab, CR or LF: "
+
+    @pytest.mark.parametrize("labels,message", [
+        (("Facts", "Facts"), LABEL_RULE + "('Facts', 'Facts')"),
+        (("", "Argument"), LABEL_RULE + "('', 'Argument')"),
+        (("Fa\tcts", "Argument"), "header declares 2 labels, line 2 has 3"),
+        (("Fa\ncts", "Argument"), "header declares 2 labels, line 2 has 1"),
+        (("Fa\rcts", "Argument"), LABEL_RULE + "('Fa\\rcts', 'Argument')"),
+        (("Facts", "Argument\r"), "label 1 would read back as 'Argument', not 'Argument\\r'"),
+        (("Facts",), "header declares 2 labels, line 2 has 1"),
+    ], ids=["duplicate", "empty", "tab", "lf", "cr", "final_cr", "count"])
+    def test_labels_the_reader_refuses_are_not_written(self, labels, message, tmp_path):
         path = tmp_path / "checkpoint.txt"
-        message = ("^header declares 2 labels, line 2 has 1$" if len(labels) == 1 else
-                   "^labels on line 2 must be non-empty and distinct, without tab, CR or LF: ")
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError) as exc:
             save_checkpoint(LinearCheckpoint(np.zeros((2, 3)), labels, "hashed:2"), path)
+        assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("params,labels,message", [
+        (np.zeros((0, 4)), (), "header declares 0 labels, line 2 has 1"),
+        (np.zeros((2, 1)), ("Facts", "Argument"), "non-numeric parameter value"),
+        (np.array([[2**53 + 1, 0]]), ("Facts",),
+         "parameter row 0 would read back as [9007199254740992.0, 0.0], "
+         "not [9007199254740993, 0]"),
+    ], ids=["no_label", "dim_0", "int_beyond_float"])
+    def test_parameters_the_reader_cannot_hold_are_not_written(
+        self, params, labels, message, tmp_path
+    ):
+        path = tmp_path / "checkpoint.txt"
+        with pytest.raises(InputError) as exc:
+            save_checkpoint(LinearCheckpoint(params, labels, "hashed:2"), path)
+        assert str(exc.value) == message
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row,col,value", [
@@ -681,8 +709,9 @@ class TestCheckpointIO:
         before = path.read_bytes()
         ckpt = self.make()
         ckpt.params[row, col] = value
-        with pytest.raises(InputError, match="^non-finite parameter value"):
+        with pytest.raises(InputError) as exc:
             save_checkpoint(ckpt, path)
+        assert str(exc.value) == "non-finite parameter value (nan or inf)"
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.txt"]
 

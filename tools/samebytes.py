@@ -33,11 +33,12 @@ One more ``evaluate`` points the precomputed checkpoint at a copy of its EMB
 file with ``--provider``, so it parses that copy cold and writes its cache.
 Two rows load no numpy: ``ingest`` writes the task corpus back, and an
 ``evaluate`` whose ``--out`` directory is missing exits 2 before it reads
-any input. Three rows exit 2 on a bad input file: ``train`` on an EMB file
-with a non-numeric value, ``evaluate`` with a checkpoint cut after its label
-line, and ``stats`` on a corpus with an unknown label. Both trees run at one
-path, so each refusal's message, which names the file or directory,
-compares too.
+any input. Five rows exit 2 on a bad input file: ``train`` on an EMB file
+with a non-numeric value and with a config file whose ``batch_size`` is 0,
+``evaluate`` with a checkpoint cut after its label line and with one whose
+provider id ``hashed:32`` carries no casing or max_len, and ``stats`` on a
+corpus with an unknown label. Both trees run at one path, so each refusal's
+message, which names the file or directory, compares too.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,6 +89,8 @@ ROWS = {
                             " --corpus task/corpus.tsv --out missing/m.json",
     "emb-refused": "train --corpus toy.tsv --out emb-refused --provider precomputed:bad.emb",
     "checkpoint-refused": "evaluate --checkpoint bad_checkpoint.txt --corpus toy.tsv",
+    "config-refused": "train --corpus toy.tsv --config bad_config.json --out config-refused",
+    "ckpt-id-refused": "evaluate --checkpoint hashed_id_checkpoint.txt --corpus toy.tsv",
     "corpus-refused": "stats --corpus bad.tsv",
 }
 # Appended to every toy sentence for toy_sym.tsv and toy_long.tsv.
@@ -97,6 +102,7 @@ def build_inputs(out: Path) -> None:
     """Write the corpora, sentence files, EMB files and bad files that ``ROWS`` read."""
     from rhetrole.corpus import LABELS, Corpus, LabeledSentence, load_corpus, save_corpus
     from rhetrole.embedding import HashedBowProvider, save_embeddings
+    from rhetrole.linear_model import LinearCheckpoint, save_checkpoint
     from rhetrole.toydata import toy_corpus
 
     subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "task-hashed", "7",
@@ -117,6 +123,9 @@ def build_inputs(out: Path) -> None:
     (out / "bad.emb").write_text('EMB v1 2 2\n"a" 1 2\n"b" 3 x\n', encoding="utf-8")
     (out / "bad_checkpoint.txt").write_text(
         "CKPT v1 7 32 precomputed:toy.emb\n" + "\t".join(LABELS) + "\n", encoding="utf-8")
+    (out / "bad_config.json").write_text('{"batch_size": 0}\n', encoding="utf-8")
+    save_checkpoint(LinearCheckpoint(np.zeros((len(LABELS), 33)), LABELS, "hashed:32"),
+                    out / "hashed_id_checkpoint.txt")
     (out / "bad.tsv").write_text("#doc\tD\nThe facts.\tFacts\nThe verdict.\tNope\n",
                                  encoding="utf-8")
 
