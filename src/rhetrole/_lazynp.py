@@ -2,8 +2,11 @@
 
 A command that computes nothing (``--version``, ``--help``, a usage error,
 ``ingest``, a refusal made before any input is read) then never loads numpy,
-whose import is most of the start-up cost of the CLI. A numpy already
-imported is used as it is, and a missing one raises ``ImportError`` here.
+whose import is most of the start-up cost of the CLI. A real flag
+(``--lr``, ``--weight-decay``, ``--train-fraction``) is read by numpy's
+parser, so a command given one loads numpy while parsing its arguments. A
+numpy already imported is used as it is, and a missing one raises
+``ImportError`` here.
 Where lazy loading cannot load numpy (see ``_lazy_loading_safe``), numpy is
 imported here at once.
 """

@@ -3,7 +3,8 @@ reproduce-run.
 
 Exit codes are a stable contract: 0 success, 1 runtime error, 2 bad input
 or configuration. Every command is deterministic given its arguments and
-the config seed.
+the config seed. ``--help`` is the flag reference: a flag that sets a
+``RunConfig`` field gives that field's default, read from the class.
 
 ``evaluate`` and ``predict`` score through ``_score``, which embeds
 ``_SCORE_BLOCK_ROWS`` inputs at a time, so their memory does not grow with
@@ -337,27 +338,52 @@ _COUNT = _flag_type(read_count, "a count in ASCII digits")
 _REAL = _flag_type(read_real, "a decimal real")
 
 
+# Each flag that sets a RunConfig field says that field's default, read from here.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+
+def _flag_default(flag_to_value: dict[str, str], field: str) -> str:
+    """A mapped flag's default: its flag value, then the field's value in config.json."""
+    flag = next(k for k, v in flag_to_value.items() if v == _DEFAULTS[field])
+    return f"(default {flag}: {_DEFAULTS[field]} in config.json)"
+
+
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_COUNT, default=None, help="RNG seed (default 42)")
+    d = _DEFAULTS
+    p.add_argument("--seed", type=_COUNT, default=None,
+                   help=f"seed of the initial weights, the split and the shuffles "
+                        f"(default {d['seed']})")
     p.add_argument("--provider", default=None,
-                   help="embedding provider: hashed:<dim> or precomputed:<path>")
-    p.add_argument("--casing", choices=CASINGS, default=None)
+                   help=f"embedding provider: hashed:<dim> or precomputed:<path> "
+                        f"(default {d['provider']})")
+    p.add_argument("--casing", choices=CASINGS, default=None,
+                   help=f"casing of a hashed provider's tokens (default {d['casing']})")
     p.add_argument("--max-len", dest="max_len", type=_COUNT, default=None,
-                   help="token truncation bound (default: 0.98 length percentile)")
-    p.add_argument("--config", default=None, help="run-config JSON file")
+                   help="tokens a hashed provider keeps per sentence (default: the "
+                        f"{d['length_percentile_q']} percentile of the corpus's sentence lengths)")
+    p.add_argument("--config", default=None,
+                   help="run-config JSON file; flags override it, and it overrides the preset")
     p.add_argument("--weights", choices=sorted(_WEIGHT_FLAG_TO_SCHEME), default=None,
-                   help="class-weight scheme for the loss")
+                   help="class-weight scheme of the loss "
+                        + _flag_default(_WEIGHT_FLAG_TO_SCHEME, "weight_scheme"))
     p.add_argument("--balance", choices=sorted(_BALANCE_FLAG_TO_METHOD), default=None,
-                   help="imbalance strategy")
-    p.add_argument("--epochs", type=_COUNT, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=_COUNT, default=None)
+                   help="imbalance strategy " + _flag_default(_BALANCE_FLAG_TO_METHOD, "balance"))
+    p.add_argument("--epochs", type=_COUNT, default=None,
+                   help=f"passes over the training split (default {d['epochs']})")
+    p.add_argument("--batch-size", dest="batch_size", type=_COUNT, default=None,
+                   help=f"sentences per optimiser step (default {d['batch_size']})")
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=_REAL, default=None,
-                   help="learning rate")
-    p.add_argument("--weight-decay", dest="weight_decay", type=_REAL, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=_REAL, default=None)
-    p.add_argument("--split-mode", dest="split_mode", choices=SPLIT_MODES, default=None)
+                   help=f"learning rate (default {d['learning_rate']})")
+    p.add_argument("--weight-decay", dest="weight_decay", type=_REAL, default=None,
+                   help=f"decoupled weight decay (default {d['weight_decay']})")
+    p.add_argument("--train-fraction", dest="train_fraction", type=_REAL, default=None,
+                   help=f"share of the corpus in the training split "
+                        f"(default {d['train_fraction']})")
+    p.add_argument("--split-mode", dest="split_mode", choices=SPLIT_MODES, default=None,
+                   help=f"split sentences or whole documents (default {d['split_mode']})")
     p.add_argument("--selection-metric", dest="selection_metric", choices=SELECTION_METRICS,
-                   default=None)
+                   default=None, help="validation score that picks the saved epoch "
+                                      f"(default {d['selection_metric']})")
 
 
 def _add_inference_flags(p: argparse.ArgumentParser) -> None:
@@ -374,30 +400,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate a corpus TSV and print counts")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, help="corpus TSV file")
     p.add_argument("--out", default=None, help="write the normalized corpus here")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("stats", help="label distribution and weight-scheme table")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, help="corpus TSV file")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train a classifier head")
-    p.add_argument("--corpus", default=None)
+    p.add_argument("--corpus", default=None, help="corpus TSV file (or the config file's)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    p.add_argument("--preset", choices=sorted(PRESETS), default=None,
+                   help="submitted run whose casing and class weights to start from")
     _add_training_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a labeled corpus")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--checkpoint", required=True, help="CKPT v1 file that train wrote")
+    p.add_argument("--corpus", required=True, help="labeled corpus TSV file")
     p.add_argument("--out", default=None, help="metrics JSON path (default: stdout)")
     _add_inference_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="label raw sentences (one per line)")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="CKPT v1 file that train wrote")
     p.add_argument("--sentences", required=True, help="plain-text file, one sentence per line")
     p.add_argument("--out", default=None, help="TSV output path (default: stdout)")
     _add_inference_flags(p)
@@ -405,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-run", help="run one of the three preset configurations")
     p.add_argument("run", help="run id: 1, 2 or 3")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, help="corpus TSV file")
     p.add_argument("--out", default=None, help="output directory (default: run<k>_out)")
     _add_training_flags(p)
     p.set_defaults(func=cmd_reproduce_run)

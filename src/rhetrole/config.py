@@ -231,11 +231,10 @@ def config_to_json(
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
     with naming(path):
-        text = read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError(f"config file {path} must hold a JSON object")
+        try:
+            doc = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InputError("must hold a JSON object")
     return doc

@@ -127,8 +127,8 @@ def load_corpus(path: str | Path) -> Corpus:
     """Parse the corpus file at ``path``, refusing one with no sentence."""
     with naming(path):
         corpus = parse_corpus(read_text(path))
-    if not corpus.sentences:
-        raise InputError(f"corpus {path} contains no sentences")
+        if not corpus.sentences:
+            raise InputError("contains no sentences")
     return corpus
 
 

@@ -37,11 +37,11 @@ summation order.
 Checkpoint file format (CKPT v1)
 --------------------------------
 Line 1: ``CKPT v1 <num_labels> <dim> <provider_id>``, counts in ASCII digits,
-the id with no LF and no final CR. Line 2: the distinct, non-empty labels in
-order, tab-separated. Then one line per weight-matrix row (space-separated
-decimals, read like EMB v1 values), final line the bias vector. Lines may end
-in ``\\r\\n``. Floats use shortest round-trip precision, so values survive
-write -> load -> write byte-identically.
+dim at least 1, the id with no LF and no final CR. Line 2: the distinct,
+non-empty labels in order, tab-separated. Then one line per weight-matrix
+row (space-separated decimals, read like EMB v1 values), final line the bias
+vector. Lines may end in ``\\r\\n``. Floats use shortest round-trip
+precision, so values survive write -> load -> write byte-identically.
 """
 
 from __future__ import annotations
@@ -333,6 +333,8 @@ def parse_checkpoint(text: str) -> LinearCheckpoint:
         k, d = read_count(header[2]), read_count(header[3])
     except ValueError:
         raise InputError("non-integer num_labels/dim in header") from None
+    if d < 1:
+        raise InputError("dim must be >= 1")
     provider_id = header[4]
     labels = tuple(lines[1].split("\t"))
     if len(labels) != k:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -90,6 +91,27 @@ def test_help_exits_0(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: rhetrole {command} ")
+
+
+def test_every_option_has_help_and_a_run_config_field_says_its_default():
+    # --help is the flag reference; a default written out by hand would drift.
+    # Only train and reproduce-run resolve a RunConfig from their flags.
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    resolving = ("rhetrole train", "rhetrole reproduce-run")
+
+    def options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from options(sub)
+            else:
+                yield parser.prog, action
+
+    missing = [(prog, action.dest) for prog, action in options(cli.build_parser())
+               if not action.help
+               or prog in resolving and defaults.get(action.dest) is not None
+               and str(defaults[action.dest]) not in action.help]
+    assert missing == []
 
 
 class TestStats:
@@ -274,9 +296,9 @@ class TestTrain:
     # A file train refuses before it trains: the flag that names it, its
     # text, and the message, in which {path} stands for the file's path.
     BAD_FILES = {
-        "config_not_json": ("--config", "x", "config file {path} is not valid JSON: "
+        "config_not_json": ("--config", "x", "{path}: not valid JSON: "
                             "Expecting value: line 1 column 1 (char 0)"),
-        "config_json_list": ("--config", "[]", "config file {path} must hold a JSON object"),
+        "config_json_list": ("--config", "[]", "{path}: must hold a JSON object"),
         "emb_empty": ("--provider", "", "{path}: empty embedding file"),
         "emb_dim_0": ("--provider", "EMB v1 3 0\n", "{path}: dim must be >= 1"),
     }
@@ -1358,7 +1380,7 @@ class TestEmptyCorpusOrSplit:
             argv = [*argv, "--checkpoint", str(trained / "checkpoint.txt")]
         rc, stdout, stderr = run_cli(capsys, *argv, "--corpus", str(tsv))
         assert (rc, stdout) == (2, "")
-        assert stderr == f"error: corpus {tsv} contains no sentences\n"
+        assert stderr == f"error: {tsv}: contains no sentences\n"
         assert not (tmp_path / "out").exists()
 
     def test_one_sentence_corpus_exit_2_with_the_split_message(self, tmp_path, capsys):

@@ -58,10 +58,11 @@ def run_main(tmp_path: Path, *argv: str) -> tuple[int, list[str], list[str]]:
 @pytest.mark.parametrize("argv,rc", [
     (["--version"], 0),
     (["--help"], 0),
+    (["train", "--help"], 0),
     (["train", "--epochs", "x"], 2),
     (["ingest", "--corpus", "{corpus}", "--out", "o.tsv"], 0),
     (["evaluate", "--checkpoint", "c.txt", "--corpus", "{corpus}", "--out", "missing/m.json"], 2),
-], ids=["version", "help", "usage_error", "ingest", "out_refused"])
+], ids=["version", "help", "train_help", "usage_error", "ingest", "out_refused"])
 def test_commands_that_compute_nothing_leave_numpy_unloaded(argv, rc, toy_tsv, tmp_path):
     argv = [arg.format(corpus=toy_tsv) for arg in argv]
     assert run_main(tmp_path, *argv)[:2] == (rc, [])

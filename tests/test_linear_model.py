@@ -650,10 +650,10 @@ class TestCheckpointIO:
         except InputError as exc:
             if "\n" in provider_id or provider_id.endswith("\r"):
                 assert str(exc).endswith(": header line 1 cannot hold an LF or a final CR")
-            elif not labels:
-                assert str(exc) == "header declares 0 labels, line 2 has 1"
+            elif dim == 0:
+                assert str(exc) == "dim must be >= 1"
             else:
-                assert (dim, str(exc)) == (0, "non-numeric parameter value")
+                assert (labels, str(exc)) == ([], "header declares 0 labels, line 2 has 1")
             assert list(path.parent.iterdir()) == []
             return
         assert labels and dim
@@ -686,7 +686,7 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("params,labels,message", [
         (np.zeros((0, 4)), (), "header declares 0 labels, line 2 has 1"),
-        (np.zeros((2, 1)), ("Facts", "Argument"), "non-numeric parameter value"),
+        (np.zeros((2, 1)), ("Facts", "Argument"), "dim must be >= 1"),
         (np.array([[2**53 + 1, 0]]), ("Facts",),
          "parameter row 0 would read back as [9007199254740992.0, 0.0], "
          "not [9007199254740993, 0]"),
@@ -739,7 +739,7 @@ class TestCheckpointIO:
              "non-finite parameter value (nan or inf)"),
             ("CKPT v1 2 2 x\nFacts\tArgument\n\n3 4\n5 6\n",  # blank weight row
              "non-numeric parameter value"),
-            ("CKPT v1 1 0 x\nFacts\n\n0\n", "non-numeric parameter value"),  # dim 0
+            ("CKPT v1 1 0 x\nFacts\n\n0\n", "dim must be >= 1"),
         ],
     )
     def test_malformed_rejected(self, text, message):

@@ -4,8 +4,8 @@ weights and the metrics JSON.
 
 Each value is exact integer, correctly rounded or text arithmetic, so it is
 the same on every host; a rewrite of the featuriser or the writers must keep
-these digests. Pins are taken on the bundled toy corpus and on a small
-Zipfian corpus built here from integer arithmetic alone.
+these digests. Pins are taken on the bundled toy corpus and on two small
+Zipfian corpora built here from integer arithmetic alone.
 """
 
 from __future__ import annotations

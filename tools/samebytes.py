@@ -33,12 +33,14 @@ One more ``evaluate`` points the precomputed checkpoint at a copy of its EMB
 file with ``--provider``, so it parses that copy cold and writes its cache.
 Two rows load no numpy: ``ingest`` writes the task corpus back, and an
 ``evaluate`` whose ``--out`` directory is missing exits 2 before it reads
-any input. Five rows exit 2 on a bad input file: ``train`` on an EMB file
-with a non-numeric value and with a config file whose ``batch_size`` is 0,
-``evaluate`` with a checkpoint cut after its label line and with one whose
-provider id ``hashed:32`` carries no casing or max_len, and ``stats`` on a
-corpus with an unknown label. Both trees run at one path, so each refusal's
-message, which names the file or directory, compares too.
+any input. Eight rows exit 2 on a bad input file: ``train`` on an EMB file
+with a non-numeric value, with a config file whose ``batch_size`` is 0 and
+with one that is not JSON, ``evaluate`` with a checkpoint cut after its
+label line, with one whose provider id ``hashed:32`` carries no casing or
+max_len and with one of dimension 0, and ``stats`` on a corpus with an
+unknown label and on one that holds only a ``#doc`` line. Both trees run
+at one path, so each refusal's message, which names the file or directory,
+compares too.
 """
 
 from __future__ import annotations
@@ -92,6 +94,10 @@ ROWS = {
     "config-refused": "train --corpus toy.tsv --config bad_config.json --out config-refused",
     "ckpt-id-refused": "evaluate --checkpoint hashed_id_checkpoint.txt --corpus toy.tsv",
     "corpus-refused": "stats --corpus bad.tsv",
+    "config-json-refused": "train --corpus toy.tsv --config not_json_config.json"
+                           " --out config-json-refused",
+    "corpus-empty-refused": "stats --corpus empty.tsv",
+    "ckpt-dim0-refused": "evaluate --checkpoint dim0_checkpoint.txt --corpus toy.tsv",
 }
 # Appended to every toy sentence for toy_sym.tsv and toy_long.tsv.
 SYMBOLS = " $5 +91 °C x⁄y ₹9 「判決」"
@@ -128,6 +134,10 @@ def build_inputs(out: Path) -> None:
                     out / "hashed_id_checkpoint.txt")
     (out / "bad.tsv").write_text("#doc\tD\nThe facts.\tFacts\nThe verdict.\tNope\n",
                                  encoding="utf-8")
+    (out / "not_json_config.json").write_text('{"batch_size": 0\n', encoding="utf-8")
+    (out / "empty.tsv").write_text("#doc\tD\n", encoding="utf-8")
+    (out / "dim0_checkpoint.txt").write_text("CKPT v1 1 0 hashed:0\nFacts\n\n0\n",
+                                             encoding="utf-8")
 
 
 def run_rows(env: dict[str, str], inputs: Path, out: Path) -> None:
