@@ -82,10 +82,13 @@ def read(cache: Path, f: BinaryIO, digest) -> tuple[np.ndarray, dict[str, int]] 
     if type(keys) is not list or not all(type(key) is str for key in keys):
         return None
     rows = dict(zip(keys, range(len(keys))))
+    # min and max both propagate nan and +-inf, and need no n x dim temporary,
+    # as np.isfinite(matrix) would; an empty matrix has neither.
     valid = (
         not trailing and len(rows) == len(keys) and matrix.dtype == np.float64
         and matrix.ndim == 2 and matrix.shape[0] == len(keys) and matrix.shape[1] >= 1
-        and matrix.flags.c_contiguous and np.isfinite(matrix).all())
+        and matrix.flags.c_contiguous
+        and (not keys or np.isfinite(matrix.min()) and np.isfinite(matrix.max())))
     return (matrix, rows) if valid else None
 
 

@@ -35,6 +35,12 @@ between chunks. Each row is then one ``bincount`` over its tokens' buckets
 and signs, with the same bytes as hashing token by token. ``tokenize``
 strips edge punctuation with ``str.strip`` over the constant table
 ``_PUNCTUATION``, then looks up the category of an edge left non-alphanumeric.
+
+Training reads its vectors through ``table_rows``. A hashed row of dim 256
+has about 30 nonzero cells, so its training rows are kept as the cells whose
+bytes are not all zero, in a private CSR row store. Its ``take`` writes
+dense rows into the caller's buffer, as ``ndarray.take`` does: each kept
+cell bit for bit and +0.0 elsewhere, so a row has the dense matrix's bytes.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ _FNV64_PRIME = 0x100000001B3
 # to 1,024 rows ran equally fast on a 5k-sentence corpus; each chunk's
 # token lists and vocabulary add about 1 MB per 1,000 rows to the peak.
 _EMBED_CHUNK_ROWS = 256
+# Dense bytes of the training rows table_rows embeds at a time before it keeps
+# their nonzeros: 256 rows at dim 256, one chunk of embed.
+_TABLE_BLOCK_BYTES = 1 << 19
 
 _KEY_DECODER = json.JSONDecoder()
 # Every P* character of U+0000-U+00FF and U+2000-U+206F; a test checks it against unicodedata.
@@ -378,15 +387,73 @@ def embed_batch(sentences: Sequence, provider) -> np.ndarray:
     return provider.embed([getattr(s, "text", s) for s in sentences])
 
 
-def table_rows(sentences: Sequence, provider) -> tuple[np.ndarray, np.ndarray]:
+class _RowStore:
+    """The cells of an ``(n, dim)`` float64 table whose bytes are not all
+    zero, in CSR form: ``offsets[i]:offsets[i + 1]`` index row i's int32
+    ``cols`` and float64 ``values``."""
+
+    def __init__(self, offsets: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int):
+        self.offsets, self.cols, self.values, self.dim = offsets, cols, values, dim
+        self._lengths, self._ends = np.diff(offsets), offsets[1:]
+        # The flat buffer the last take zeroed whole or in part: all of it
+        # +0.0 but the cells of _written, which that take wrote.
+        self._clean = self._written = None
+
+    def take(self, rows: np.ndarray, axis: int = 0, *, out: np.ndarray,
+             mode: str = "raise") -> np.ndarray:
+        """``ndarray.take``'s answer for the table: the dense ``rows`` written
+        into ``out``, a C-contiguous ``(len(rows), dim)`` float64 buffer. An
+        ``out`` that starts at the last call's first cell and is no larger,
+        unwritten since, has only the cells that call wrote zeroed again; any
+        other is zeroed whole. ``axis`` is 0, and ``mode`` is ignored: every
+        row id is in range."""
+        # Few numpy calls and no address lookup: these arrays are small, each
+        # call costs as much as its work, and out.ctypes.data took about a
+        # quarter of a toy block's gather inside the training loop.
+        flat_out, last = out.reshape(-1), self._clean
+        if last is not None and out.size <= last.size and np.shares_memory(flat_out[:1], last[:1]):
+            last[self._written] = 0.0
+        else:
+            flat_out.fill(0.0)
+            self._clean = flat_out
+        # Each gathered nonzero's position in cols and values: a row's run
+        # ends where the row ends in the store. Then its cell in flat_out.
+        counts = self._lengths.take(rows)
+        src = (self._ends.take(rows) - counts.cumsum()).repeat(counts)
+        src += np.arange(len(src))
+        flat = np.arange(0, out.size, self.dim).repeat(counts)
+        flat += self.cols.take(src)
+        flat_out[flat] = self.values.take(src)
+        self._written = flat
+        return out
+
+
+def table_rows(sentences: Sequence, provider) -> tuple[np.ndarray | _RowStore, np.ndarray]:
     """``(table, rows)`` with ``table[rows[i]]`` the vector of ``sentences[i]``
-    and ``rows`` in ``np.intp``.
+    and ``rows`` in ``np.intp``; ``table.take(ids, axis=0, out=buf,
+    mode="clip")`` writes the vectors of row ids ``ids`` into ``buf``.
 
     A precomputed provider lends its matrix through a read-only view, so a
     reader holds no copy of the vectors and cannot write into the provider,
-    and gives each sentence's row id (a repeated sentence repeats it); any
-    other provider gives ``embed_batch``'s rows and ``0 .. n-1``.
-    Missing-embedding errors propagate."""
+    and gives each sentence's row id (a repeated sentence repeats it). Any
+    other provider gives ``0 .. n-1`` and a ``_RowStore`` of ``embed_batch``'s
+    rows, embedded ``_TABLE_BLOCK_BYTES`` of rows at a time, so the dense
+    matrix is never built. Missing-embedding errors propagate."""
     if isinstance(provider, PrecomputedProvider):
         return provider._matrix, provider._row_ids([getattr(s, "text", s) for s in sentences])
-    return embed_batch(sentences, provider), np.arange(len(sentences), dtype=np.intp)
+    n, dim = len(sentences), provider.dimension
+    block = max(1, _TABLE_BLOCK_BYTES // (8 * dim))
+    counts, cols, values = [np.zeros(1, np.intp)], [np.empty(0, np.int32)], [np.empty(0)]
+    for start in range(0, n, block):
+        chunk = sentences[start:start + block]
+        X = embed_batch(chunk, provider).reshape(-1)
+        # A cell is left out only when all its bytes are zero, so a -0.0 is
+        # kept. A flat bool scan is several times faster than a 2-D one.
+        (flat,) = (X.view(np.int64) != 0).nonzero()
+        row, col = np.divmod(flat, dim)
+        counts.append(np.bincount(row, minlength=len(chunk)))
+        cols.append(col.astype(np.int32))
+        values.append(X.take(flat))
+    store = _RowStore(np.cumsum(np.concatenate(counts)), np.concatenate(cols),
+                      np.concatenate(values), dim)
+    return store, np.arange(n, dtype=np.intp)

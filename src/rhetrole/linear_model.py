@@ -26,8 +26,11 @@ the same. The tests keep those expressions as a reference and compare bytes.
 ``train`` builds what a step does not change once: per call the views of
 W^T and b and of one gradient array (params only ever change in place); per
 epoch each row's sample weight, one-hot row and flat label-logit index, in
-shuffled order, written into the same buffers every epoch. Each step slices
-them.
+shuffled order, written into the same buffers every epoch; per block of
+whole batches their vectors, taken from the training table into one buffer.
+Each step slices them. A batch's slice holds the C-contiguous rows, and
+values, that a ``take`` of that batch alone gives, so no byte depends on
+the block size.
 
 All math runs in float64. Training is deterministic given (data, config,
 seed): parameter init draws from the config seed, each epoch's shuffle from
@@ -63,6 +66,9 @@ if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
 
 SELECTION_METRICS = ("macro_f1", "val_loss")
+# Bytes of training vectors train gathers at a time, rounded to whole batches
+# (at least one): 128 rows at dim 256.
+_GATHER_BYTES = 1 << 18
 
 
 @dataclass
@@ -222,11 +228,13 @@ def train(
 
     Each epoch shuffles train indices with a generator seeded by
     (cfg.seed, epoch); the last batch may be smaller. The training vectors
-    are not copied: ``table_rows`` lends the provider's table, and each batch
-    is gathered from it by row id. Each epoch scores the validation set once,
-    into its ``EpochStats``; the checkpoint holds the best epoch's parameters
-    and, as ``selected``, its stats (ties keep the earlier epoch). A non-finite
-    batch loss or validation logit stops training with a RhetroleError.
+    are not copied: ``table_rows`` lends a precomputed provider's matrix or
+    keeps a hashed provider's nonzero cells, and each block of batches is
+    gathered from that table by row id into one reused buffer. Each epoch
+    scores the validation set once, into its ``EpochStats``; the checkpoint
+    holds the best epoch's parameters and, as ``selected``, its stats (ties
+    keep the earlier epoch). A non-finite batch loss or validation logit
+    stops training with a RhetroleError.
     """
     _check_provider_id(provider.provider_id)
     w_vec = np.asarray(class_weights, dtype=np.float64)
@@ -254,6 +262,8 @@ def train(
     rows_epoch, y_epoch = np.empty_like(rows), np.empty_like(y_train)
     sample_w, label_idx, onehot = np.empty(n), np.empty(n, np.int64), np.empty((n, k))
     slots = np.arange(n) % batch_size * k
+    block = max(1, _GATHER_BYTES // (8 * provider.dimension) // batch_size) * batch_size
+    gathered = np.empty((min(block, n), provider.dimension))
     # The finiteness checks below report divergence; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
@@ -266,9 +276,13 @@ def train(
             np.eye(k).take(y_epoch, axis=0, out=onehot, mode="clip")
             loss_total = 0.0
             for start in range(0, n, batch_size):
+                at = start % block  # the batch's first row in the gathered block
+                if at == 0:
+                    ids = rows_epoch[start:start + block]
+                    X = table.take(ids, axis=0, out=gathered[:len(ids)], mode="clip")
                 stop = start + batch_size
                 batch_sum = loss_and_grads(
-                    table.take(rows_epoch[start:stop], axis=0), sample_w[start:stop],
+                    X[at:at + batch_size], sample_w[start:stop],
                     label_idx[start:stop], onehot[start:stop], views)
                 if not math.isfinite(batch_sum):
                     raise RhetroleError(

@@ -792,10 +792,11 @@ class TestEmbCache:
             rb" \d+\n", b" 99999999999999999999\n", cache.read_bytes(), count=1)),
         lambda cache: TestEmbCache.forge(cache, keys=lambda k: b"[" * 10**5 + b"]" * 10**5),
         lambda cache: TestEmbCache.forge(cache, matrix=lambda m: npy_header((10**6, 10**6))),
+        lambda cache: TestEmbCache.forge(cache, matrix=lambda m: np.where(m == m[1, 0], -np.inf, m)),
     ], ids=["truncated", "header_only", "trailing_byte", "garbage", "empty", "random",
             "valid", "nan", "inf", "fewer_rows", "fewer_keys", "duplicate_key", "int_key",
             "object_keys", "float32", "big_endian", "one_dim", "fortran", "zero_dim",
-            "huge_key_length", "deep_keys", "huge_shape"])
+            "huge_key_length", "deep_keys", "huge_shape", "minus_inf"])
     def test_bad_cache_is_ignored_and_rewritten(self, tmp_path, monkeypatch, damage):
         path = self.write_emb(tmp_path)
         cold = load_precomputed(path)
@@ -957,3 +958,87 @@ class TestEmbedBatch:
             X = embed_batch([], provider)
             assert X.shape == (0, 8)
             assert X.dtype == np.float64
+
+
+class _RowsProvider:
+    """A provider whose rows are given: text ``str(i)`` embeds as ``dense[i]``."""
+
+    provider_id = "rows"
+
+    def __init__(self, dense):
+        self.dimension, self.dense, self.calls = dense.shape[1], dense, []
+
+    def embed(self, texts):
+        self.calls.append(len(texts))
+        return self.dense.take([int(t) for t in texts], axis=0)
+
+
+class TestRowStore:
+    """``table_rows`` keeps the rows of a provider other than a precomputed one
+    as their nonzero cells; a ``take`` from that store writes the bytes of a
+    ``take`` from the dense rows."""
+
+    def sparse_rows(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.normal(size=(n, dim)) * (rng.random((n, dim)) < 0.2)
+        dense[::5] = 0.0  # all-zero rows
+        dense[1, 2] = -0.0  # bytes not all zero: kept
+        dense[2, 0] = np.inf
+        return dense
+
+    def test_gathers_write_the_dense_rows(self, monkeypatch):
+        dense = self.sparse_rows(50, 13, seed=4)
+        monkeypatch.setattr(embedding, "_TABLE_BLOCK_BYTES", 3 * 13 * 8)
+        provider = _RowsProvider(dense)
+        store, rows = embedding.table_rows([str(i) for i in range(50)], provider)
+        # Embedded three rows at a time, the last block short.
+        assert provider.calls == [3] * 16 + [2]
+        assert rows.tolist() == list(range(50))
+        assert len(store.values) == np.count_nonzero(dense.view(np.int64))
+        # Repeated ids, as oversampling makes, and a short last block.
+        ids = np.random.default_rng(5).integers(0, 50, size=37)
+        ids[:4] = [0, 7, 7, 2]
+        buf = np.full((8, 13), np.nan)
+        for start in range(0, len(ids), 8):
+            block = ids[start:start + 8]
+            out = store.take(block, axis=0, out=buf[:len(block)], mode="clip")
+            assert out.base is buf
+            # No cell the previous gather wrote is left behind.
+            assert out.tobytes() == dense.take(block, axis=0).tobytes()
+        # Another buffer is zeroed whole before it is written, and so is a
+        # part of the last one that starts elsewhere or reaches further.
+        other = np.full((3, 13), 9.0)
+        store.take(ids[:3], out=other)
+        assert other.tobytes() == dense.take(ids[:3], axis=0).tobytes()
+        buf.fill(np.nan)
+        for part, block in [(buf[:2], ids[3:5]), (buf[1:3], ids[5:7]), (buf[1:7], ids[8:14])]:
+            assert store.take(block, out=part).tobytes() == dense.take(block, axis=0).tobytes()
+
+    @given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_any_gather_sequence_writes_the_dense_rows(self, n, dim, seed):
+        dense = self.sparse_rows(n, dim, seed) if n > 2 and dim > 2 else np.zeros((n, dim))
+        store, _ = embedding.table_rows([str(i) for i in range(n)], _RowsProvider(dense))
+        rng = np.random.default_rng(seed)
+        buf = np.empty((6, dim))
+        for _ in range(5):
+            ids = rng.integers(0, n, size=rng.integers(1, 7))
+            out = store.take(ids, axis=0, out=buf[:len(ids)], mode="clip")
+            assert out.tobytes() == dense.take(ids, axis=0).tobytes()
+
+    def test_hashed_rows_are_embedded_in_blocks_and_kept_exactly(self, toy):
+        provider = HashedBowProvider(4096, "cased", 50)
+        texts = [s.text for s in toy.sentences[:40]]
+        calls = []
+        real_embed = provider.embed
+        provider.embed = lambda t: calls.append(len(t)) or real_embed(t)
+        store, rows = embedding.table_rows(toy.sentences[:40], provider)
+        assert calls == [16, 16, 8]  # 0.5 MiB of dense rows at a time
+        assert store.take(rows, out=np.empty((40, 4096))).tobytes() == real_embed(
+            texts).tobytes()
+        assert store.values.nbytes + store.cols.nbytes < 40 * 4096 * 8 / 100
+
+    def test_empty_training_set(self):
+        store, rows = embedding.table_rows([], HashedBowProvider(8, "cased", 5))
+        assert rows.shape == (0,)
+        assert store.offsets.tolist() == [0]

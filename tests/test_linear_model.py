@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhetrole.cli import main
 from rhetrole.embedding import (
     HashedBowProvider,
     PrecomputedProvider,
@@ -534,6 +536,50 @@ class TestTrain:
         from_emb = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
         from_hashed = train(train_set, val_set, hashed, np.ones(7), cfg)
         assert from_emb.params.tobytes() == from_hashed.params.tobytes()
+
+    @pytest.mark.parametrize("dim,batch_size,n_train", [
+        (32, 8, 560),  # the whole training set is less than one block
+        (256, 1, 557),  # blocks of 128 rows, the last one short
+        (256, 7, 557),  # blocks of 126 rows; batches do not divide 557
+        (256, 8, 557),
+        (8192, 8, 60),  # one batch fills a block
+    ])
+    def test_block_gathers_train_as_one_take_per_batch(
+        self, toy, dim, batch_size, n_train, monkeypatch
+    ):
+        """As in the test above, the hashed provider's row store and a
+        precomputed matrix of the same rows in another order train to the same
+        bytes, and so does a gather of one batch at a time."""
+        from rhetrole import linear_model
+
+        hashed = HashedBowProvider(dim, "cased", 50)
+        train_set, val_set = toy.sentences[:n_train], toy.sentences[n_train:n_train + 40]
+        texts = list(dict.fromkeys(s.text for s in [*train_set, *val_set]))
+        shuffled = [texts[i] for i in np.random.default_rng(5).permutation(len(texts))]
+        emb = PrecomputedProvider(hashed.embed(shuffled), dict(zip(shuffled, range(len(texts)))),
+                                  "precomputed:shuffled")
+        cfg = RunConfig(batch_size=batch_size, epochs=2, learning_rate=1e-2, seed=3)
+        run = lambda provider: train(train_set, val_set, provider, np.ones(7), cfg).params
+        params = run(hashed)
+        assert run(emb).tobytes() == params.tobytes()
+        monkeypatch.setattr(linear_model, "_GATHER_BYTES", 1)  # one batch a block
+        assert run(hashed).tobytes() == params.tobytes()
+        assert run(emb).tobytes() == params.tobytes()
+
+    def test_hashed_training_holds_no_dense_table(self, toy_tsv, tmp_path, capsys):
+        # The dense training table of the toy corpus at dim 4096 is 18.4 MB;
+        # the validation matrix, 4.6 MB of it, is still dense.
+        tracemalloc.start()
+        try:
+            rc = main(["train", "--corpus", str(toy_tsv), "--out", str(tmp_path / "run"),
+                       "--provider", "hashed:4096", "--epochs", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        whole_table = 560 * 4096 * 8
+        assert peak < whole_table / 2, (peak, whole_table)
 
     def test_lent_table_is_the_providers_read_only_matrix(self):
         sentences, provider, X, _ = two_class_toy(n=20)

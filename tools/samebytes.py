@@ -24,7 +24,11 @@ those blocks (「 」) that only the category loop strips. No benchmark corpus
 has a token over 9 bytes, so one more toy copy appends tokens of 40, 300
 (non-ASCII) and 1,000 bytes, which the hash runs to their last byte.
 Undersampled and oversampled training on the task corpus checks the
-resampling draw order. The three presets through ``reproduce-run``, one
+resampling draw order. Three rows train across the boundaries of the
+blocks of batches that ``train`` gathers at a time: the toy corpus with
+batches of 7, which do not divide a block, and at ``hashed:33``, whose rows
+are no multiple of 64 bytes, and the task corpus at ``hashed:4096``, where
+one batch fills a block. The three presets through ``reproduce-run``, one
 selecting by val_loss and one split by document, check that the
 metrics.json of the epoch training selected keeps its bytes. ``evaluate``
 and ``predict`` score with a hashed and a precomputed checkpoint, which runs
@@ -75,6 +79,10 @@ ROWS = {
                   " --weights uniform",
     "task-over": "train --corpus task/corpus.tsv --out task-over --lr 1e-2 --balance over"
                  " --weights uniform",
+    "hashed-b7": "train --corpus toy.tsv --out hashed-b7 --lr 1e-2 --batch-size 7",
+    "hashed-33": "train --corpus toy.tsv --out hashed-33 --lr 1e-2 --provider hashed:33",
+    "task-4096": "train --corpus task/corpus.tsv --out task-4096 --lr 1e-2"
+                 " --provider hashed:4096",
     "run1": "reproduce-run 1 --corpus toy.tsv --out run1",
     "task-run1-val-loss": "reproduce-run 1 --corpus task/corpus.tsv --out task-run1-val-loss"
                           " --selection-metric val_loss",
