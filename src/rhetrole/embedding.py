@@ -389,42 +389,29 @@ def embed_batch(sentences: Sequence, provider) -> np.ndarray:
 
 class _RowStore:
     """The cells of an ``(n, dim)`` float64 table whose bytes are not all
-    zero, in CSR form: ``offsets[i]:offsets[i + 1]`` index row i's int32
-    ``cols`` and float64 ``values``."""
+    zero, in CSR form: row i has ``lengths[i]`` cells, which end at
+    ``ends[i]`` in the int32 ``cols`` and float64 ``values``."""
 
-    def __init__(self, offsets: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int):
-        self.offsets, self.cols, self.values, self.dim = offsets, cols, values, dim
-        self._lengths, self._ends = np.diff(offsets), offsets[1:]
-        # The flat buffer the last take zeroed whole or in part: all of it
-        # +0.0 but the cells of _written, which that take wrote.
-        self._clean = self._written = None
+    def __init__(self, lengths: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int):
+        self.lengths, self.ends = lengths, lengths.cumsum()
+        self.cols, self.values, self.dim = cols, values, dim
 
     def take(self, rows: np.ndarray, axis: int = 0, *, out: np.ndarray,
              mode: str = "raise") -> np.ndarray:
         """``ndarray.take``'s answer for the table: the dense ``rows`` written
-        into ``out``, a C-contiguous ``(len(rows), dim)`` float64 buffer. An
-        ``out`` that starts at the last call's first cell and is no larger,
-        unwritten since, has only the cells that call wrote zeroed again; any
-        other is zeroed whole. ``axis`` is 0, and ``mode`` is ignored: every
+        into ``out``, a C-contiguous ``(len(rows), dim)`` float64 buffer that
+        is zeroed whole first. ``axis`` is 0, and ``mode`` is ignored: every
         row id is in range."""
-        # Few numpy calls and no address lookup: these arrays are small, each
-        # call costs as much as its work, and out.ctypes.data took about a
-        # quarter of a toy block's gather inside the training loop.
-        flat_out, last = out.reshape(-1), self._clean
-        if last is not None and out.size <= last.size and np.shares_memory(flat_out[:1], last[:1]):
-            last[self._written] = 0.0
-        else:
-            flat_out.fill(0.0)
-            self._clean = flat_out
+        flat_out = out.reshape(-1)
+        flat_out.fill(0.0)
         # Each gathered nonzero's position in cols and values: a row's run
         # ends where the row ends in the store. Then its cell in flat_out.
-        counts = self._lengths.take(rows)
-        src = (self._ends.take(rows) - counts.cumsum()).repeat(counts)
+        counts = self.lengths.take(rows)
+        src = (self.ends.take(rows) - counts.cumsum()).repeat(counts)
         src += np.arange(len(src))
         flat = np.arange(0, out.size, self.dim).repeat(counts)
         flat += self.cols.take(src)
         flat_out[flat] = self.values.take(src)
-        self._written = flat
         return out
 
 
@@ -443,7 +430,7 @@ def table_rows(sentences: Sequence, provider) -> tuple[np.ndarray | _RowStore, n
         return provider._matrix, provider._row_ids([getattr(s, "text", s) for s in sentences])
     n, dim = len(sentences), provider.dimension
     block = max(1, _TABLE_BLOCK_BYTES // (8 * dim))
-    counts, cols, values = [np.zeros(1, np.intp)], [np.empty(0, np.int32)], [np.empty(0)]
+    counts, cols, values = [np.empty(0, np.intp)], [np.empty(0, np.int32)], [np.empty(0)]
     for start in range(0, n, block):
         chunk = sentences[start:start + block]
         X = embed_batch(chunk, provider).reshape(-1)
@@ -454,6 +441,5 @@ def table_rows(sentences: Sequence, provider) -> tuple[np.ndarray | _RowStore, n
         counts.append(np.bincount(row, minlength=len(chunk)))
         cols.append(col.astype(np.int32))
         values.append(X.take(flat))
-    store = _RowStore(np.cumsum(np.concatenate(counts)), np.concatenate(cols),
-                      np.concatenate(values), dim)
+    store = _RowStore(np.concatenate(counts), np.concatenate(cols), np.concatenate(values), dim)
     return store, np.arange(n, dtype=np.intp)

@@ -1005,14 +1005,20 @@ class TestRowStore:
             assert out.base is buf
             # No cell the previous gather wrote is left behind.
             assert out.tobytes() == dense.take(block, axis=0).tobytes()
-        # Another buffer is zeroed whole before it is written, and so is a
-        # part of the last one that starts elsewhere or reaches further.
+        # Every out is zeroed whole before it is written.
         other = np.full((3, 13), 9.0)
         store.take(ids[:3], out=other)
         assert other.tobytes() == dense.take(ids[:3], axis=0).tobytes()
         buf.fill(np.nan)
         for part, block in [(buf[:2], ids[3:5]), (buf[1:3], ids[5:7]), (buf[1:7], ids[8:14])]:
             assert store.take(block, out=part).tobytes() == dense.take(block, axis=0).tobytes()
+        # A cell the caller writes between two gathers, +0.0 after both, is
+        # not left behind.
+        expected = dense.take(ids[8:16], axis=0)
+        store.take(ids[:8], out=buf)
+        (zero,) = ((buf.view(np.int64) == 0) & (expected.view(np.int64) == 0)).reshape(-1).nonzero()
+        buf.reshape(-1)[zero[0]] = 5.0
+        assert store.take(ids[8:16], out=buf).tobytes() == expected.tobytes()
 
     @given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -1041,4 +1047,5 @@ class TestRowStore:
     def test_empty_training_set(self):
         store, rows = embedding.table_rows([], HashedBowProvider(8, "cased", 5))
         assert rows.shape == (0,)
-        assert store.offsets.tolist() == [0]
+        assert store.values.shape == store.cols.shape == (0,)
+        assert store.take(rows, out=np.empty((0, 8))).shape == (0, 8)
