@@ -33,7 +33,7 @@ from .corpus import (
     LABELS,
     SPLIT_MODES,
     Corpus,
-    class_distribution,
+    label_counts,
     length_percentile,
     load_corpus,
     save_corpus,
@@ -80,27 +80,26 @@ def cmd_ingest(args) -> None:
     corpus = load_corpus(args.corpus)
     if args.out:
         save_corpus(corpus, args.out)
-    print(f"{len(corpus.documents)} documents, {len(corpus.sentences)} sentences")
+    print(f"{len(corpus.documents)} documents, {len(corpus.texts)} sentences")
 
 
 def cmd_stats(args) -> None:
     corpus = load_corpus(args.corpus)
-    counts = class_distribution(corpus.sentences)
-    total = len(corpus.sentences)
+    counts = label_counts(corpus.labels)
+    total = len(corpus.labels)
 
     # Weight columns are computed over the labels actually present, so the
     # table stays meaningful on partial fixtures; absent labels show "-".
-    present = [label for label in LABELS if counts[label] > 0]
-    present_counts = [counts[label] for label in present]
+    present = [y for y, c in enumerate(counts) if c > 0]
+    present_counts = [counts[y] for y in present]
     inverse = dict(zip(present, weights_for_scheme("inverse_frequency", present_counts)))
     direct = dict(zip(present, weights_for_scheme("direct_frequency", present_counts)))
 
     print("label\tcount\tpercent\tinverse_weight\tdirect_weight")
-    for label in LABELS:
-        c = counts[label]
+    for y, (label, c) in enumerate(zip(LABELS, counts)):
         pct = 100.0 * c / total
-        inv = f"{inverse[label]:.5f}" if label in inverse else "-"
-        dw = f"{direct[label]:.5f}" if label in direct else "-"
+        inv = f"{inverse[y]:.5f}" if y in inverse else "-"
+        dw = f"{direct[y]:.5f}" if y in direct else "-"
         print(f"{label}\t{c}\t{pct:.2f}%\t{inv}\t{dw}")
     print(f"total\t{total}")
 
@@ -181,33 +180,34 @@ def _run_training(cfg: RunConfig, out_dir):
     if not cfg.corpus:
         raise InputError("no corpus given (flag --corpus or config field 'corpus')")
     corpus = load_corpus(cfg.corpus)
-    train_set, val_set = split(corpus, cfg)
+    train_idx, val_idx = split(corpus, cfg)
     provider, cfg = _provider_for_training(cfg, corpus)
 
+    train_labels = [corpus.labels[i] for i in train_idx]
     if cfg.balance == "loss_weighting":
-        counts = class_distribution(train_set)
+        counts = label_counts(train_labels)
         # weight_overrides apply after the scheme's weights are computed, so
         # they cannot rescue a class the inverse scheme has no count for.
-        missing = [label for label in LABELS if counts[label] == 0]
+        missing = [y for y, c in enumerate(counts) if c == 0]
         if cfg.weight_scheme == "inverse_frequency" and missing:
-            corpus_counts = class_distribution(corpus.sentences)
+            corpus_counts = label_counts(corpus.labels)
             raise InputError(
                 "inverse-frequency weights are undefined: the training split has no "
                 "sentence labelled "
-                + ", ".join(f"{label!r} ({corpus_counts[label]} in the whole corpus)"
-                            for label in missing)
+                + ", ".join(f"{LABELS[y]!r} ({corpus_counts[y]} in the whole corpus)"
+                            for y in missing)
                 + "; use another --seed, --weights direct, or --balance under, over "
                 "or none with --weights uniform"
             )
-        weights = weights_for_scheme(cfg.weight_scheme, [counts[label] for label in LABELS])
+        weights = weights_for_scheme(cfg.weight_scheme, counts)
         if cfg.weight_overrides:
             for label, value in cfg.weight_overrides.items():
                 weights[LABELS.index(label)] = value
     else:
         if cfg.balance == "undersample":
-            train_set = undersample(train_set, cfg.seed)
+            train_idx = [train_idx[p] for p in undersample(train_labels, cfg.seed)]
         elif cfg.balance == "oversample":
-            train_set = oversample(train_set, cfg.seed)
+            train_idx = [train_idx[p] for p in oversample(train_labels, cfg.seed)]
         weights = uniform_weights(len(LABELS))
 
     log_lines: list[str] = []
@@ -217,7 +217,7 @@ def _run_training(cfg: RunConfig, out_dir):
         log_lines.append(line)
         print(line)
 
-    ckpt = train(train_set, val_set, provider, weights, cfg, on_epoch=log_epoch)
+    ckpt = train(corpus, train_idx, val_idx, provider, weights, cfg, on_epoch=log_epoch)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out_dir / "checkpoint.txt")
@@ -239,18 +239,19 @@ def cmd_train(args) -> None:
 # Rows that evaluate and predict embed and score at a time, so their float
 # matrices are (_SCORE_BLOCK_ROWS, dim) however long the input is: 2 MB at
 # dim 256, 6 MB at dim 768. Keep blocks large. OpenBLAS runs
-# small products through another kernel, so against one product over all
-# rows, blocks of 100 rows or fewer changed the last bits of the logits (by
-# up to 3e-14; so did a 1-row tail), while blocks of 512 to 4096 rows gave
-# the same bytes.
+# small products through another kernel: against one product over all rows,
+# every block below 172 rows changed the last bits of the logits at dims 32
+# to 768, and every block below 140 rows at dim 1024 (by up to 3e-14), while
+# blocks of 172 to 1599 rows, and of 512 to 4096 rows, gave the same bytes.
+# The last block holds 1 to 1024 rows, so a short tail can take that kernel.
 _SCORE_BLOCK_ROWS = 1024
 
 
-def _score(ckpt, provider, items, with_prob=False):
-    """Each item's best label index, or ``(index, softmax probability)`` with
-    ``with_prob``, embedding and scoring ``_SCORE_BLOCK_ROWS`` items at a time."""
-    for start in range(0, len(items), _SCORE_BLOCK_ROWS):
-        Z = logits(ckpt.params, embed_batch(items[start:start + _SCORE_BLOCK_ROWS], provider))
+def _score(ckpt, provider, texts, with_prob=False):
+    """Each text's best label index, or ``(index, softmax probability)`` with
+    ``with_prob``, embedding and scoring ``_SCORE_BLOCK_ROWS`` texts at a time."""
+    for start in range(0, len(texts), _SCORE_BLOCK_ROWS):
+        Z = logits(ckpt.params, embed_batch(texts[start:start + _SCORE_BLOCK_ROWS], provider))
         best = Z.argmax(axis=1)
         if with_prob:
             yield from zip(best.tolist(), softmax(Z)[range(len(Z)), best].tolist())
@@ -262,14 +263,15 @@ def cmd_evaluate(args) -> None:
     check_output_path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     provider = _provider_for_inference(args, ckpt)
-    sentences = load_corpus(args.corpus).sentences
-    label_to_idx = {name: i for i, name in enumerate(ckpt.labels)}
-    try:
-        gold = [label_to_idx[s.label] for s in sentences]
-    except KeyError as exc:
-        raise InputError(f"corpus {args.corpus}: label {exc.args[0]!r} not in the label set "
-                         f"of checkpoint {args.checkpoint}") from None
-    preds = list(_score(ckpt, provider, sentences))
+    corpus = load_corpus(args.corpus)
+    # Each LABELS index's row in the checkpoint, None where it has no such label.
+    to_ckpt = [ckpt.labels.index(name) if name in ckpt.labels else None for name in LABELS]
+    gold = [to_ckpt[y] for y in corpus.labels]
+    if None in gold:
+        missing = LABELS[corpus.labels[gold.index(None)]]
+        raise InputError(f"corpus {args.corpus}: label {missing!r} not in the label set "
+                         f"of checkpoint {args.checkpoint}")
+    preds = list(_score(ckpt, provider, corpus.texts))
     doc = report_to_json(evaluate_predictions(gold, preds, len(ckpt.labels)), ckpt.labels)
     if args.out:
         write_atomic(args.out, [doc])

@@ -1,4 +1,4 @@
-"""Labeled legal-judgment sentences: TSV ingestion, class statistics,
+"""Labeled legal-judgment sentences as columns: TSV ingestion, class counts,
 deterministic train/validation splits, and token-length percentiles.
 
 Corpus TSV format
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from ._lazynp import np
 from .errors import InputError
@@ -35,29 +35,22 @@ LABELS: tuple[str, ...] = (
     "Ratio of the decision",
     "Ruling by Present Court",
 )
-# Each label maps to its LABELS string, so parsed sentences share seven label
-# objects instead of each holding its own copy.
-_CANONICAL_LABELS = {label: label for label in LABELS}
+# Each canonical label's index in LABELS: the one place a label string becomes an index.
+_LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 SPLIT_MODES = ("sentence_shuffled", "document_level")
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledSentence:
-    """A legal-document sentence and its rhetorical-role label. It checks nothing itself:
-    ``parse_corpus`` refuses what TSV cannot hold, ``serialize_corpus`` what would not read back."""
-
-    text: str
-    label: str
-    doc_id: str
-
-
 @dataclass
 class Corpus:
-    """Documents in ``documents`` order, each one's sentences contiguous, in file order."""
+    """Sentences as columns, in file order: ``texts[i]`` and ``labels[i]``, the
+    index of its label in ``LABELS``. Document ``documents[d]`` holds sentences
+    ``starts[d]:starts[d + 1]``; ``starts`` ends with the sentence count."""
 
-    sentences: list[LabeledSentence]
+    texts: list[str]
+    labels: list[int]
     documents: list[str]
+    starts: list[int]
 
 
 def parse_corpus(text: str) -> Corpus:
@@ -68,10 +61,11 @@ def parse_corpus(text: str) -> Corpus:
     before any ``#doc`` header, or duplicate document ids. It names no file:
     ``load_corpus`` prefixes the path.
     """
-    sentences: list[LabeledSentence] = []
+    texts: list[str] = []
+    labels: list[int] = []
     documents: list[str] = []
+    starts: list[int] = []
     seen_docs: set[str] = set()
-    current_doc: str | None = None
 
     for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
@@ -85,7 +79,7 @@ def parse_corpus(text: str) -> Corpus:
                 raise InputError(f"line {line_no}: duplicate document id {doc_id!r}")
             seen_docs.add(doc_id)
             documents.append(doc_id)
-            current_doc = doc_id
+            starts.append(len(texts))
             continue
         fields = line.split("\t")
         if len(fields) != 2:
@@ -94,32 +88,33 @@ def parse_corpus(text: str) -> Corpus:
         sent_text, raw_label = fields
         if not sent_text:
             raise InputError(f"line {line_no}: empty sentence text")
-        label = _CANONICAL_LABELS.get(raw_label)
+        label = _LABEL_INDEX.get(raw_label)
         if label is None:
             raise InputError(f"line {line_no}: unknown label {raw_label!r}")
-        if current_doc is None:
+        if not documents:
             raise InputError(f"line {line_no}: sentence line before any #doc header")
-        sentences.append(LabeledSentence(text=sent_text, label=label, doc_id=current_doc))
+        texts.append(sent_text)
+        labels.append(label)
 
-    return Corpus(sentences=sentences, documents=documents)
+    starts.append(len(texts))
+    return Corpus(texts, labels, documents, starts)
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Emit the canonical TSV form (inverse of parse_corpus) in one ordered pass and
-    read it back: what ``parse_corpus`` refuses raises its InputError, whose line
-    numbers count in this text, and a corpus that reads back changed is refused."""
-    sentences = corpus.sentences
+    """Emit the canonical TSV form (inverse of parse_corpus), each document's
+    range after its header, and read it back: what ``parse_corpus`` refuses
+    raises its InputError, whose line numbers count in this text, and a corpus
+    that reads back changed is refused."""
+    texts, labels, starts = corpus.texts, corpus.labels, corpus.starts
     lines: list[str] = []
-    i = 0
-    for doc_id in corpus.documents:
+    for d, doc_id in enumerate(corpus.documents):
         lines.append(f"#doc\t{doc_id}")
-        while i < len(sentences) and sentences[i].doc_id == doc_id:
-            lines.append(f"{sentences[i].text}\t{sentences[i].label}")
-            i += 1
+        lines += (f"{texts[i]}\t{LABELS[labels[i]]}" for i in range(starts[d], starts[d + 1]))
     text = "".join(line + "\n" for line in lines)
     back = parse_corpus(text)
     check_unchanged("document", corpus.documents, back.documents)
-    check_unchanged("sentence", sentences, back.sentences)
+    check_unchanged("sentence", zip(texts, labels), zip(back.texts, back.labels))
+    check_unchanged("document start", starts, back.starts)
     return text
 
 
@@ -127,7 +122,7 @@ def load_corpus(path: str | Path) -> Corpus:
     """Parse the corpus file at ``path``, refusing one with no sentence."""
     with naming(path):
         corpus = parse_corpus(read_text(path))
-        if not corpus.sentences:
+        if not corpus.texts:
             raise InputError("contains no sentences")
     return corpus
 
@@ -136,17 +131,14 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_atomic(path, [serialize_corpus(corpus)])
 
 
-def class_distribution(sentences: Iterable[LabeledSentence]) -> dict[str, int]:
-    """Per-label sentence counts. Every canonical label is present, possibly 0."""
-    counts = dict.fromkeys(LABELS, 0)
-    for s in sentences:
-        counts[s.label] += 1
-    return counts
+def label_counts(labels: list[int]) -> list[int]:
+    """Sentences per label, in ``LABELS`` order, possibly 0, of a label column."""
+    return [labels.count(i) for i in range(len(LABELS))]
 
 
-def split(corpus: Corpus, cfg: RunConfig) -> tuple[list[LabeledSentence], list[LabeledSentence]]:
+def split(corpus: Corpus, cfg: RunConfig) -> tuple[list[int], list[int]]:
     """Deterministic train/validation partition by ``cfg.split_mode``, drawn
-    from ``cfg.seed``.
+    from ``cfg.seed``, as two lists of sentence indices.
 
     ``sentence_shuffled`` permutes sentences and takes the first
     floor(cfg.train_fraction * N) for train. ``document_level`` permutes
@@ -154,21 +146,18 @@ def split(corpus: Corpus, cfg: RunConfig) -> tuple[list[LabeledSentence], list[L
     or exceeded; the remaining documents go to validation, so one document
     never straddles the split. Raises InputError when either side is empty.
     """
-    n = len(corpus.sentences)
+    n = len(corpus.texts)
     quota = math.floor(cfg.train_fraction * n)
     rng = np.random.default_rng(cfg.seed)
 
     if cfg.split_mode == "sentence_shuffled":
-        perm = rng.permutation(n)
-        train = [corpus.sentences[i] for i in perm[:quota]]
-        val = [corpus.sentences[i] for i in perm[quota:]]
+        perm = rng.permutation(n).tolist()
+        train, val = perm[:quota], perm[quota:]
     else:
-        by_doc: dict[str, list[LabeledSentence]] = {d: [] for d in corpus.documents}
-        for s in corpus.sentences:
-            by_doc[s.doc_id].append(s)
+        starts = corpus.starts
         train, val = [], []
-        for di in rng.permutation(len(corpus.documents)):
-            (train if len(train) < quota else val).extend(by_doc[corpus.documents[di]])
+        for d in rng.permutation(len(corpus.documents)).tolist():
+            (train if len(train) < quota else val).extend(range(starts[d], starts[d + 1]))
     if not train or not val:
         side = "validation" if train else "training"
         raise InputError(
@@ -188,7 +177,7 @@ def length_percentile(
     q's binary ratio, so q values like 0.98 never overshoot from float
     rounding.
     """
-    counts = sorted(len(tokenizer(s.text)) for s in corpus.sentences)
+    counts = sorted(len(tokenizer(text)) for text in corpus.texts)
     num, den = q.as_integer_ratio()
     rank = -(-num * len(counts) // den)  # >= 1, because q > 0
     return counts[rank - 1]

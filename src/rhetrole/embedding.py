@@ -381,10 +381,10 @@ def save_embeddings(entries: Iterable[tuple[str, np.ndarray]], dim: int, path: s
     write_atomic(path, chain([f"EMB v1 {len(items)} {dim}\n"], records))
 
 
-def embed_batch(sentences: Sequence, provider) -> np.ndarray:
-    """The provider's (n, dim) float64 embeddings of LabeledSentence objects
-    or raw strings, in input order. Missing-embedding errors propagate."""
-    return provider.embed([getattr(s, "text", s) for s in sentences])
+def embed_batch(texts: Sequence[str], provider) -> np.ndarray:
+    """The provider's (n, dim) float64 embeddings of ``texts``, in input order.
+    Missing-embedding errors propagate."""
+    return provider.embed(texts)
 
 
 class _RowStore:
@@ -415,24 +415,24 @@ class _RowStore:
         return out
 
 
-def table_rows(sentences: Sequence, provider) -> tuple[np.ndarray | _RowStore, np.ndarray]:
-    """``(table, rows)`` with ``table[rows[i]]`` the vector of ``sentences[i]``
+def table_rows(texts: Sequence[str], provider) -> tuple[np.ndarray | _RowStore, np.ndarray]:
+    """``(table, rows)`` with ``table[rows[i]]`` the vector of ``texts[i]``
     and ``rows`` in ``np.intp``; ``table.take(ids, axis=0, out=buf,
     mode="clip")`` writes the vectors of row ids ``ids`` into ``buf``.
 
     A precomputed provider lends its matrix through a read-only view, so a
     reader holds no copy of the vectors and cannot write into the provider,
-    and gives each sentence's row id (a repeated sentence repeats it). Any
+    and gives each text's row id (a repeated text repeats it). Any
     other provider gives ``0 .. n-1`` and a ``_RowStore`` of ``embed_batch``'s
     rows, embedded ``_TABLE_BLOCK_BYTES`` of rows at a time, so the dense
     matrix is never built. Missing-embedding errors propagate."""
     if isinstance(provider, PrecomputedProvider):
-        return provider._matrix, provider._row_ids([getattr(s, "text", s) for s in sentences])
-    n, dim = len(sentences), provider.dimension
+        return provider._matrix, provider._row_ids(texts)
+    n, dim = len(texts), provider.dimension
     block = max(1, _TABLE_BLOCK_BYTES // (8 * dim))
     counts, cols, values = [np.empty(0, np.intp)], [np.empty(0, np.int32)], [np.empty(0)]
     for start in range(0, n, block):
-        chunk = sentences[start:start + block]
+        chunk = texts[start:start + block]
         X = embed_batch(chunk, provider).reshape(-1)
         # A cell is left out only when all its bytes are zero, so a -0.0 is
         # kept. A flat bool scan is several times faster than a 2-D one.

@@ -5,7 +5,7 @@ float64 array aligned to its counts (the CLI passes them in the canonical
 label order from `rhetrole.corpus`). The inverse-frequency scheme gives rare
 classes more loss mass; the direct-frequency scheme is its elementwise
 reciprocal (frequent classes weigh more). Undersampling and duplication
-oversampling materialize a balanced dataset before batching.
+oversampling choose the positions of a balanced training set before batching.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._lazynp import np
-from .corpus import LABELS, LabeledSentence
+from .corpus import LABELS
 
 WEIGHT_SCHEMES = ("inverse_frequency", "direct_frequency", "uniform")
 
@@ -40,21 +40,19 @@ def weights_for_scheme(scheme: str, counts: Sequence[int]) -> np.ndarray:
     return k * counts.astype(np.float64) / n
 
 
-def _present_label_indices(dataset: Sequence[LabeledSentence]) -> list[list[int]]:
-    """Each present label's dataset indices, labels in canonical order."""
-    by_label: dict[str, list[int]] = {}
-    for i, s in enumerate(dataset):
-        by_label.setdefault(s.label, []).append(i)
-    return [by_label[label] for label in LABELS if label in by_label]
+def _present_label_indices(labels: Sequence[int]) -> list[list[int]]:
+    """Each present label's positions in ``labels``, labels in canonical order."""
+    groups: list[list[int]] = [[] for _ in LABELS]
+    for i, y in enumerate(labels):
+        groups[y].append(i)
+    return [idxs for idxs in groups if idxs]
 
 
-def undersample(dataset: Sequence[LabeledSentence], seed: int) -> list[LabeledSentence]:
-    """Keep exactly min-class-count samples per present label of a non-empty dataset.
-
-    Retained items are chosen uniformly without replacement (seeded) and
-    returned in their original relative order.
-    """
-    groups = _present_label_indices(dataset)
+def undersample(labels: Sequence[int], seed: int) -> list[int]:
+    """Positions in a non-empty label column that keep exactly min-class-count
+    samples per present label, chosen uniformly without replacement (seeded),
+    in ascending order."""
+    groups = _present_label_indices(labels)
     m = min(len(idxs) for idxs in groups)
     rng = np.random.default_rng(seed)
     keep: list[int] = []
@@ -62,23 +60,20 @@ def undersample(dataset: Sequence[LabeledSentence], seed: int) -> list[LabeledSe
         chosen = rng.choice(len(idxs), size=m, replace=False)
         keep.extend(idxs[c] for c in chosen)
     keep.sort()
-    return [dataset[i] for i in keep]
+    return keep
 
 
-def oversample(dataset: Sequence[LabeledSentence], seed: int) -> list[LabeledSentence]:
-    """Grow every present label of a non-empty dataset to max-class-count samples.
-
-    Output starts with all originals in order, then appends duplicates
-    drawn uniformly with replacement (seeded), class by class in canonical
-    label order.
-    """
-    groups = _present_label_indices(dataset)
+def oversample(labels: Sequence[int], seed: int) -> list[int]:
+    """Positions in a non-empty label column that grow every present label to
+    max-class-count samples: every position in order, then duplicates drawn
+    uniformly with replacement (seeded), class by class in canonical label order."""
+    groups = _present_label_indices(labels)
     target = max(len(idxs) for idxs in groups)
     rng = np.random.default_rng(seed)
-    out = list(dataset)
+    out = list(range(len(labels)))
     for idxs in groups:
         need = target - len(idxs)
         if need > 0:
             draws = rng.integers(0, len(idxs), size=need)
-            out.extend(dataset[idxs[d]] for d in draws)
+            out.extend(idxs[d] for d in draws)
     return out

@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._lazynp import np
-from .corpus import LABELS, LabeledSentence
+from .corpus import LABELS, Corpus
 from .embedding import embed_batch, table_rows
 from .errors import InputError, RhetroleError
 from .fileio import check_unchanged, format_reals, naming, read_count, read_reals, read_text
@@ -211,20 +211,21 @@ def initial_params(dim: int, num_labels: int, seed: int) -> np.ndarray:
 
 
 def train(
-    train_set: Sequence[LabeledSentence],
-    val_set: Sequence[LabeledSentence],
+    corpus: Corpus,
+    train_idx: Sequence[int],
+    val_idx: Sequence[int],
     provider,
     class_weights: Sequence[float],
     cfg: RunConfig,
     on_epoch: Callable[[EpochStats], None] | None = None,
 ) -> LinearCheckpoint:
-    """Mini-batch training over the labels of ``LABELS`` with
-    best-on-validation epoch selection. Of the run's ``cfg`` it reads
+    """Mini-batch training over the labels of ``LABELS`` on the ``corpus``
+    sentences at ``train_idx``, with best-on-validation epoch selection over
+    those at ``val_idx``. Of the run's ``cfg`` it reads
     ``batch_size``, ``epochs``, ``seed``, ``selection_metric`` and the
-    optimiser fields of ``optimizer_step``. Both sets are non-empty
-    (``split``), their labels are in ``LABELS`` (``parse_corpus``), and
-    ``class_weights`` holds one weight per label; InputError refuses
-    weights below 0 or all 0.
+    optimiser fields of ``optimizer_step``. Both index lists are non-empty
+    (``split``), and ``class_weights`` holds one weight per label;
+    InputError refuses weights below 0 or all 0.
 
     Each epoch shuffles train indices with a generator seeded by
     (cfg.seed, epoch); the last batch may be smaller. The training vectors
@@ -240,13 +241,13 @@ def train(
     w_vec = np.asarray(class_weights, dtype=np.float64)
     if np.any(w_vec < 0) or not np.any(w_vec > 0):
         raise InputError("class weights must be >= 0 with at least one > 0")
-    label_to_idx = {name: i for i, name in enumerate(LABELS)}
-    y_train = np.array([label_to_idx[s.label] for s in train_set], dtype=np.int64)
-    y_val = [label_to_idx[s.label] for s in val_set]
-    table, rows = table_rows(train_set, provider)
-    X_val = embed_batch(val_set, provider)
-    n, k, batch_size = len(train_set), len(LABELS), cfg.batch_size
-    val_w, val_idx = w_vec.take(y_val), np.arange(len(y_val)) * k + y_val
+    texts, labels = corpus.texts, corpus.labels
+    y_train = np.array([labels[i] for i in train_idx], dtype=np.int64)
+    y_val = [labels[i] for i in val_idx]
+    table, rows = table_rows([texts[i] for i in train_idx], provider)
+    X_val = embed_batch([texts[i] for i in val_idx], provider)
+    n, k, batch_size = len(y_train), len(LABELS), cfg.batch_size
+    val_w, val_flat = w_vec.take(y_val), np.arange(len(y_val)) * k + y_val
 
     params = initial_params(provider.dimension, k, cfg.seed)
     state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
@@ -300,7 +301,7 @@ def train(
             if sign > 0:
                 score = report.macro_f1
             else:  # only the per-row losses, not their gradient
-                score = float(_row_losses(Z_val, val_w, val_idx)[0].sum()) / len(y_val)
+                score = float(_row_losses(Z_val, val_w, val_flat)[0].sum()) / len(y_val)
             stats = EpochStats(epoch, loss_total / n, score, report)
             if selected is None or sign * score > sign * selected.val_score:
                 selected, best_params = stats, params.copy()

@@ -11,7 +11,7 @@ for smoke-testing the CLI end to end.
 from __future__ import annotations
 
 from ._lazynp import np
-from .corpus import LABELS, Corpus, LabeledSentence
+from .corpus import LABELS, Corpus
 from .embedding import hash_vocabulary
 
 _CLASS_STEMS = ("fact", "lower", "argue", "statute", "preced", "ratio", "present")
@@ -49,13 +49,14 @@ def toy_corpus() -> Corpus:
     vocab = _collision_free_vocab()
     rng = np.random.default_rng(7)
     documents = [f"toy{j:02d}" for j in range(10)]
-    sentences: list[LabeledSentence] = []
-    for i in range(100 * len(LABELS)):
-        label = LABELS[i % len(LABELS)]
-        words = vocab[label]
+    texts: list[str] = []
+    labels = [i % len(LABELS) for i in range(100 * len(LABELS))]
+    for label in labels:
+        words = vocab[LABELS[label]]
         k = int(rng.integers(3, 8 + 1))
-        text = " ".join(words[w] for w in rng.integers(0, len(words), size=k))
-        doc_id = documents[i % len(documents)]
-        sentences.append(LabeledSentence(text=text, label=label, doc_id=doc_id))
-    sentences.sort(key=lambda s: documents.index(s.doc_id))  # stable: keeps dealing order
-    return Corpus(sentences=sentences, documents=documents)
+        texts.append(" ".join(words[w] for w in rng.integers(0, len(words), size=k)))
+    # Sentence i went to document i % 10; each document keeps its dealing order.
+    d = len(documents)
+    return Corpus([t for j in range(d) for t in texts[j::d]],
+                  [y for j in range(d) for y in labels[j::d]],
+                  documents, list(range(0, len(texts) + 1, len(texts) // d)))

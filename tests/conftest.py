@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rhetrole.corpus import save_corpus
+from rhetrole.corpus import Corpus, save_corpus
 from rhetrole.linear_model import _logit_grads, _row_losses, loss_and_grads
 from rhetrole.toydata import toy_corpus
 
@@ -56,6 +58,12 @@ def two_doc_tsv(tmp_path):
     path = tmp_path / "two_doc.tsv"
     path.write_text(TWO_DOC_TSV, encoding="utf-8")
     return path
+
+
+def select(corpus: Corpus, keep: list[int]) -> Corpus:
+    """The corpus's sentences at the ascending indices ``keep``, every document kept."""
+    return Corpus([corpus.texts[i] for i in keep], [corpus.labels[i] for i in keep],
+                  corpus.documents, [bisect_left(keep, start) for start in corpus.starts])
 
 
 def multiclass_perceptron_separates(X: np.ndarray, y: np.ndarray, max_passes: int = 200) -> bool:

@@ -20,13 +20,13 @@ from rhetrole.imbalance import oversample, undersample
 from rhetrole.linear_model import parse_checkpoint, serialize_checkpoint
 from rhetrole.metrics import evaluate_predictions
 
-from .conftest import TASK_COUNTS, batch_loss_and_grads, fused, row_losses_and_grads
+from .conftest import TASK_COUNTS, batch_loss_and_grads, fused, row_losses_and_grads, select
 from .test_corpus import make_corpus
 from .test_imbalance import (
     dataset_with_counts,
     direct_frequency_weights,
     inverse_frequency_weights,
-    label_counts,
+    picked_counts,
 )
 from .test_metrics import brute_force_macro
 
@@ -162,15 +162,14 @@ def test_criterion_4_resampling_laws():
         mn, mx = min(counts.values()), max(counts.values())
 
         under = undersample(data, seed)
-        assert set(label_counts(under).values()) == {mn}
-        under_keys = [id(s) for s in under]
-        assert len(set(under_keys)) == len(under_keys)
-        assert set(under_keys) <= {id(s) for s in data}
+        assert set(picked_counts(data, under).values()) == {mn}
+        assert len(set(under)) == len(under)
+        assert set(under) <= set(range(len(data)))
         assert undersample(data, seed) == under
 
         over = oversample(data, seed)
-        assert set(label_counts(over).values()) == {mx}
-        assert {id(s) for s in over} == {id(s) for s in data}
+        assert set(picked_counts(data, over).values()) == {mx}
+        assert set(over) == set(range(len(data)))
         assert oversample(data, seed) == over
     _report("4 (undersample/oversample laws, 200 random datasets)")
 
@@ -237,13 +236,13 @@ def test_criterion_6_end_to_end_learning(toy_tsv, tmp_path):
 
 
 def _imbalanced_toy(toy) -> Corpus:
-    keep_per_label = dict(zip(LABELS, (90, 30, 60, 45, 75, 100, 20)))
-    kept, seen = [], dict.fromkeys(LABELS, 0)
-    for s in toy.sentences:
-        if seen[s.label] < keep_per_label[s.label]:
-            kept.append(s)
-            seen[s.label] += 1
-    return Corpus(sentences=kept, documents=toy.documents)
+    keep_per_label = [90, 30, 60, 45, 75, 100, 20]
+    kept, seen = [], [0] * len(LABELS)
+    for i, y in enumerate(toy.labels):
+        if seen[y] < keep_per_label[y]:
+            kept.append(i)
+            seen[y] += 1
+    return select(toy, kept)
 
 
 def test_criterion_7_run_reproduction_shape(toy, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from rhetrole import cli
 from rhetrole.cli import main
 from rhetrole.config import PRESETS, RunConfig, config_to_json, load_config_file, resolve_config
-from rhetrole.corpus import LABELS, Corpus, LabeledSentence, load_corpus, save_corpus, split
+from rhetrole.corpus import LABELS, Corpus, load_corpus, save_corpus, split
 from rhetrole.embedding import HashedBowProvider, parse_provider_spec, save_embeddings
 from rhetrole.errors import InputError
 from rhetrole.linear_model import (
@@ -27,7 +27,7 @@ from rhetrole.linear_model import (
 )
 from rhetrole.metrics import evaluate_predictions, report_to_json
 
-from .conftest import fused
+from .conftest import fused, select
 from .test_pinned_bytes import _PUNCT_FORMS, zipf_corpus
 
 
@@ -44,7 +44,7 @@ def toy_emb(toy, tmp_path_factory):
 
     enc = HashedBowProvider(32, "cased", 50)
     path = tmp_path_factory.mktemp("emb") / "toy.emb"
-    save_embeddings({s.text: enc.embed([s.text])[0] for s in toy.sentences}.items(), 32, path)
+    save_embeddings({text: enc.embed([text])[0] for text in toy.texts}.items(), 32, path)
     return path
 
 
@@ -459,10 +459,11 @@ class TestTrain:
     ):
         # Only the first "Ruling by Lower Court" sentence is kept; the default
         # seed's split puts it into validation.
-        first = next(s for s in toy.sentences if s.label == "Ruling by Lower Court")
-        kept = [s for s in toy.sentences if s.label != first.label or s is first]
+        rlc = LABELS.index("Ruling by Lower Court")
+        first = toy.labels.index(rlc)
+        kept = [i for i, y in enumerate(toy.labels) if y != rlc or i == first]
         corpus_path = tmp_path / "one_rlc.tsv"
-        save_corpus(Corpus(sentences=kept, documents=toy.documents), corpus_path)
+        save_corpus(select(toy, kept), corpus_path)
         args = ["--corpus", str(corpus_path), "--epochs", "1"]
         rc, _, stderr = run_cli(capsys, "train", *args, "--out", str(tmp_path / "a"))
         assert rc == 2
@@ -878,7 +879,7 @@ class TestClosedOutputPipe:
     ], ids=["predict", "evaluate", "evaluate-out"])
     def test_exit_1_with_one_error_line(self, argv, toy, toy_tsv, trained, tmp_path):
         lines = tmp_path / "lines.txt"
-        lines.write_text("".join(s.text + "\n" for s in toy.sentences), encoding="utf-8")
+        lines.write_text("".join(text + "\n" for text in toy.texts), encoding="utf-8")
         argv = [a.format(lines=lines, corpus=toy_tsv) for a in argv]
         read_end, write_end = os.pipe()
         os.close(read_end)  # so every write to stdout fails
@@ -912,12 +913,12 @@ class TestScoreBlocks:
         """A corpus of n toy sentences (repeated as needed) and the same n
         sentences as predict input, in directory d."""
         d.mkdir(exist_ok=True)
-        sentences = [toy.sentences[i % len(toy.sentences)] for i in range(n)]
+        picked = [i % len(toy.texts) for i in range(n)]
         corpus = d / "corpus.tsv"
-        corpus.write_text("#doc\tD\n" + "".join(f"{s.text}\t{s.label}\n" for s in sentences),
-                          encoding="utf-8")
+        corpus.write_text("#doc\tD\n" + "".join(f"{toy.texts[i]}\t{LABELS[toy.labels[i]]}\n"
+                                                for i in picked), encoding="utf-8")
         lines = d / "lines.txt"
-        lines.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
+        lines.write_text("".join(toy.texts[i] + "\n" for i in picked), encoding="utf-8")
         return corpus, lines
 
     @pytest.mark.parametrize("n", SIZES)
@@ -998,7 +999,7 @@ class TestEmbCacheCommands:
         from rhetrole import embedding
         from rhetrole.embedding import HashedBowProvider
 
-        texts = list(dict.fromkeys(s.text for s in toy.sentences))
+        texts = list(dict.fromkeys(toy.texts))
         emb = tmp_path / "toy.emb"
         save_embeddings(zip(texts, HashedBowProvider(32, "cased", 50).embed(texts)), 32, emb)
         sf = tmp_path / "s.txt"
@@ -1203,7 +1204,7 @@ class TestCrlfCheckpoint:
         crlf = tmp_path / "crlf.txt"
         crlf.write_bytes(ckpt.read_bytes().replace(b"\n", b"\r\n"))
         sentences = tmp_path / "s.txt"
-        sentences.write_text("".join(s.text + "\n" for s in toy.sentences), encoding="utf-8")
+        sentences.write_text("".join(text + "\n" for text in toy.texts), encoding="utf-8")
         inputs = {"evaluate": ["--corpus", str(toy_tsv)],
                   "predict": ["--sentences", str(sentences)]}
         outputs = []
@@ -1239,12 +1240,9 @@ def task_scale_corpus() -> Corpus:
     three led by a word naming their label, so training has something to
     learn. Its default split leaves 1,025 validation sentences."""
     zipf = zipf_corpus(num_sentences=5125)
-    sentences = [
-        LabeledSentence(f"cue{LABELS.index(s.label)} {s.text}" if i % 3 else s.text,
-                        s.label, s.doc_id)
-        for i, s in enumerate(zipf.sentences)
-    ]
-    return Corpus(sentences=sentences, documents=zipf.documents)
+    texts = [f"cue{y} {text}" if i % 3 else text
+             for i, (text, y) in enumerate(zip(zipf.texts, zipf.labels))]
+    return Corpus(texts, zipf.labels, zipf.documents, zipf.starts)
 
 
 class TestReproduceRunMetricsAreTheSelectedEpochs:
@@ -1258,7 +1256,7 @@ class TestReproduceRunMetricsAreTheSelectedEpochs:
         d = tmp_path_factory.mktemp("task")
         corpus = task_scale_corpus()
         save_corpus(corpus, d / "corpus.tsv")
-        texts = list(dict.fromkeys(s.text for s in corpus.sentences))
+        texts = list(dict.fromkeys(corpus.texts))
         # Another featuriser than the hashed run's, so the precomputed run differs.
         save_embeddings(zip(texts, HashedBowProvider(96, "cased", 40).embed(texts)), 96,
                         d / "task.emb")
@@ -1283,13 +1281,14 @@ class TestReproduceRunMetricsAreTheSelectedEpochs:
         # The scoring that reproduce-run ran after training until it took
         # training's report instead.
         cfg = resolve_config(file_config=load_config_file(out / "config.json"))
-        _, val_set = split(load_corpus(cfg.corpus), cfg)
-        assert len(val_set) == cli._SCORE_BLOCK_ROWS + 1  # a one-row tail block
+        corpus = load_corpus(cfg.corpus)
+        _, val_idx = split(corpus, cfg)
+        assert len(val_idx) == cli._SCORE_BLOCK_ROWS + 1  # a one-row tail block
         ckpt = load_checkpoint(out / "checkpoint.txt")
         inference = cli._provider_for_inference(
             argparse.Namespace(checkpoint=str(out / "checkpoint.txt"), provider=None), ckpt)
-        gold = [ckpt.labels.index(s.label) for s in val_set]
-        preds = list(cli._score(ckpt, inference, val_set))
+        gold = [ckpt.labels.index(LABELS[corpus.labels[i]]) for i in val_idx]
+        preds = list(cli._score(ckpt, inference, [corpus.texts[i] for i in val_idx]))
         report = evaluate_predictions(gold, preds, len(ckpt.labels))
         assert (out / "metrics.json").read_bytes() == report_to_json(
             report, ckpt.labels).encode("utf-8")

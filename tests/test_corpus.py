@@ -13,10 +13,9 @@ from rhetrole.config import RunConfig
 from rhetrole.corpus import (
     LABELS,
     Corpus,
-    LabeledSentence,
-    load_corpus,
-    class_distribution,
+    label_counts,
     length_percentile,
+    load_corpus,
     parse_corpus,
     save_corpus,
     serialize_corpus,
@@ -27,40 +26,44 @@ from rhetrole.errors import InputError
 from .conftest import TWO_DOC_TSV
 
 
-def make_corpus(n, labels=None, docs=1):
-    sentences = []
-    doc_ids = [f"d{j}" for j in range(docs)]
-    for i in range(n):
-        sentences.append(
-            LabeledSentence(
-                text=f"sentence number {i}",
-                label=labels[i % len(labels)] if labels else LABELS[i % len(LABELS)],
-                doc_id=doc_ids[i % docs],
-            )
-        )
-    # Stable: each document's sentences stay in the order they were made.
-    sentences.sort(key=lambda s: doc_ids.index(s.doc_id))
-    return Corpus(sentences=sentences, documents=doc_ids)
+def make_corpus(n, labels=LABELS, docs=1):
+    """Sentences 0 .. n-1 dealt round-robin into ``docs`` documents, labelled
+    round-robin from ``labels``; each document keeps the order they were made."""
+    dealt = [range(j, n, docs) for j in range(docs)]
+    made = [i for doc in dealt for i in doc]
+    starts = [0]
+    for doc in dealt:
+        starts.append(starts[-1] + len(doc))
+    return Corpus([f"sentence number {i}" for i in made],
+                  [LABELS.index(labels[i % len(labels)]) for i in made],
+                  [f"d{j}" for j in range(docs)], starts)
+
+
+def document_of(corpus):
+    """Each sentence's document id."""
+    return [doc_id for d, doc_id in enumerate(corpus.documents)
+            for _ in range(corpus.starts[d], corpus.starts[d + 1])]
 
 
 class TestParse:
     def test_two_docs_three_lines_each(self):
         corpus = parse_corpus(TWO_DOC_TSV)
-        assert len(corpus.sentences) == 6
+        assert len(corpus.texts) == len(corpus.labels) == 6
         assert corpus.documents == ["case-001", "case-002"]
+        assert corpus.starts == [0, 3, 6]
 
     def test_label_indices_follow_canonical_order(self):
         corpus = parse_corpus("#doc\tD\nThe appeal is allowed.\tRuling by Present Court\n")
-        assert LABELS.index(corpus.sentences[0].label) == 6
+        assert corpus.labels == [6]
         assert LABELS.index("Facts") == 0
 
     def test_labels_are_shared_and_the_loaded_corpus_stays_small(self, toy, tmp_path):
-        # 6,144 toy sentences (383 KB): with a label string per sentence the
-        # corpus retained 1.85 MB; sharing the LABELS strings leaves 1.22 MB.
-        sentences = [toy.sentences[i % len(toy.sentences)] for i in range(6144)]
+        # 6,144 toy sentences (383 KB): columns of texts and LABELS indices
+        # retain 0.70 MB, where one object per sentence retained 0.99 MB.
+        picked = [i % len(toy.texts) for i in range(6144)]
         path = tmp_path / "corpus.tsv"
-        path.write_text("#doc\tD\n" + "".join(f"{s.text}\t{s.label}\n" for s in sentences),
-                        encoding="utf-8")
+        path.write_text("#doc\tD\n" + "".join(f"{toy.texts[i]}\t{LABELS[toy.labels[i]]}\n"
+                                               for i in picked), encoding="utf-8")
         gc.collect()
         tracemalloc.start()
         try:
@@ -68,9 +71,10 @@ class TestParse:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(corpus.sentences) == 6144
-        assert all(any(s.label is label for label in LABELS) for s in corpus.sentences)
-        assert retained < 1.5e6, retained
+        assert len(corpus.texts) == 6144
+        assert corpus.labels == [toy.labels[i] for i in picked]
+        assert all(type(y) is int and 0 <= y < len(LABELS) for y in corpus.labels)
+        assert retained < 0.85e6, retained
 
     def test_unknown_label_names_line(self):
         with pytest.raises(InputError, match=r"^line 2: unknown label 'Verdict'$"):
@@ -94,7 +98,7 @@ class TestParse:
 
     def test_blank_lines_ignored_and_positions_sequential(self):
         corpus = parse_corpus("#doc\tD\n\nx\tFacts\n\n\ny\tArgument\n")
-        assert [s.text for s in corpus.sentences] == ["x", "y"]
+        assert (corpus.texts, corpus.labels) == (["x", "y"], [0, 2])
 
     def test_round_trip_is_identity(self):
         corpus = parse_corpus(TWO_DOC_TSV)
@@ -115,12 +119,15 @@ class TestSerialize:
         ],
     )
     def test_what_the_parser_refuses_is_not_written(self, tmp_path, text, label, message):
-        corpus = Corpus([LabeledSentence(text, label, "D")], ["D"])
         # Written as it stands, the sentence would not parse back.
         try:
             parsed = parse_corpus(f"#doc\tD\n{text}\t{label}\n")
-        except InputError:
-            parsed = None
+        except InputError as exc:
+            parsed = str(exc)
+        if label not in LABELS:  # the label column holds LABELS indices only
+            assert parsed == message
+            return
+        corpus = Corpus([text], [LABELS.index(label)], ["D"], [0, 1])
         assert parsed != corpus
         with pytest.raises(InputError) as exc:
             serialize_corpus(corpus)
@@ -142,10 +149,11 @@ class TestSerialize:
     def test_document_ids_the_parser_refuses_are_not_written(
         self, tmp_path, documents, message
     ):
-        corpus = Corpus([LabeledSentence("x", "Facts", documents[0])], documents)
+        corpus = Corpus(["x"], [0], documents, [0] + [1] * len(documents))
         # Written as it stands, each header followed by the document's sentences.
         try:
-            parsed = parse_corpus("".join(f"#doc\t{d}\nx\tFacts\n" for d in documents))
+            parsed = parse_corpus(f"#doc\t{documents[0]}\nx\tFacts\n"
+                                  + "".join(f"#doc\t{d}\n" for d in documents[1:]))
         except InputError:
             parsed = None
         assert parsed != corpus
@@ -156,85 +164,56 @@ class TestSerialize:
             save_corpus(corpus, tmp_path / "corpus.tsv")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "sentences, message",
-        [
-            ([("x", "a"), ("y", "b"), ("z", "a")],
-             "sentence 2 would read back as None, not "
-             "LabeledSentence(text='z', label='Facts', doc_id='a')"),
-            ([("x", "b"), ("y", "a")],
-             "sentence 1 would read back as None, not "
-             "LabeledSentence(text='y', label='Facts', doc_id='a')"),
-            ([("x", "a"), ("y", "ghost")],
-             "sentence 1 would read back as None, not "
-             "LabeledSentence(text='y', label='Facts', doc_id='ghost')"),
-        ],
-        ids=["interleaved", "documents_reversed", "unknown_document"],
-    )
-    def test_sentences_out_of_document_order_are_not_written(self, tmp_path, sentences, message):
-        documents = ["a", "b"]
-        corpus = Corpus([LabeledSentence(t, "Facts", d) for t, d in sentences], documents)
-        # Written grouped by document, the sentences would read back reordered or lost.
-        grouped = "".join(
-            f"#doc\t{d}\n" + "".join(f"{t}\tFacts\n" for t, sd in sentences if sd == d)
-            for d in documents
-        )
-        assert parse_corpus(grouped) != corpus
+    def test_document_ranges_that_read_back_changed_are_not_written(self):
+        # Document "a" would start at sentence 1, but its range 1:0 is empty:
+        # written with no sentence, it reads back starting at 0.
+        corpus = Corpus(["x", "y"], [0, 0], ["a", "b"], [1, 0, 2])
         with pytest.raises(InputError) as exc:
             serialize_corpus(corpus)
-        assert str(exc.value) == message
-        with pytest.raises(InputError):
-            save_corpus(corpus, tmp_path / "corpus.tsv")
-        assert list(tmp_path.iterdir()) == []
+        assert str(exc.value) == "document start 0 would read back as 0, not 1"
 
 
 # Values the TSV can hold, and values it may not: texts and document ids
 # built from a tab, a CR, an LF, a "#doc" that could start a header, or
-# nothing, and unknown labels.
+# nothing.
 PLAIN = st.text(alphabet="abcdefgh XYZ.,;'()0-9§302¶", min_size=1, max_size=20)
 EDGY = st.lists(st.sampled_from(["a", " ", "\t", "\r", "\n", "#doc", "#doc\t"]),
                 max_size=3).map("".join)
-UNKNOWN_LABELS = st.sampled_from(["", "Verdict", "facts", "Facts\r", "Facts\t"])
 
 
 @st.composite
 def corpora(draw):
-    """Corpora whose texts, labels and document ids are each, one draw in
-    ten, edgy or unknown; some draws then interleave the documents'
-    sentences, or move one sentence to a document not in ``documents``."""
-    def value(plain, edgy=EDGY):
-        return draw(edgy if draw(st.integers(0, 9)) == 0 else plain)
+    """Corpora of 0 to 6 sentences a document whose texts and document ids
+    are each, one draw in ten, edgy; labels are ``LABELS`` indices."""
+    def value(plain):
+        return draw(EDGY if draw(st.integers(0, 9)) == 0 else plain)
 
     documents = [value(st.just(f"doc{j}")) for j in range(draw(st.integers(1, 4)))]
-    sentences = [
-        LabeledSentence(value(PLAIN), value(st.sampled_from(LABELS), UNKNOWN_LABELS), doc)
-        for doc in documents for _ in range(draw(st.integers(1, 6)))
-    ]
-    if draw(st.booleans()):
-        sentences = draw(st.permutations(sentences))
-    if draw(st.booleans()):
-        i = draw(st.integers(0, len(sentences) - 1))
-        sentences[i] = LabeledSentence(sentences[i].text, sentences[i].label, "ghost")
-    return Corpus(sentences=sentences, documents=documents)
+    texts, labels, starts = [], [], [0]
+    for _ in documents:
+        for _ in range(draw(st.integers(0, 6))):
+            texts.append(value(PLAIN))
+            labels.append(draw(st.integers(0, len(LABELS) - 1)))
+        starts.append(len(texts))
+    return Corpus(texts, labels, documents, starts)
 
 
 def naive_tsv(corpus):
     """The corpus written as it stands, each document's sentences after its header."""
     return "".join(
-        f"#doc\t{d}\n" + "".join(f"{s.text}\t{s.label}\n" for s in corpus.sentences
-                                if s.doc_id == d)
-        for d in corpus.documents
+        f"#doc\t{d}\n" + "".join(f"{corpus.texts[i]}\t{LABELS[corpus.labels[i]]}\n"
+                                for i in range(corpus.starts[j], corpus.starts[j + 1]))
+        for j, d in enumerate(corpus.documents)
     )
 
 
 @given(corpora())
-@example(Corpus([LabeledSentence("x", "Facts", "doc0"), LabeledSentence("y", "Facts", "doc1"),
-                 LabeledSentence("z", "Facts", "doc0")], ["doc0", "doc1"]))
-@example(Corpus([LabeledSentence("x", "Facts", "ghost")], ["doc0"]))
-@example(Corpus([LabeledSentence("\nx", "Facts", "doc0")], ["doc0"]))
-@example(Corpus([LabeledSentence("x", "Facts\r", "doc0")], ["doc0"]))
-@example(Corpus([LabeledSentence(" ", "Facts", "#doc")], ["#doc"]))
-@example(Corpus([LabeledSentence("x", "Facts", "d\t")], ["d\t"]))
+@example(Corpus(["x"], [0], ["doc0", "doc1"], [0, 0, 1]))
+@example(Corpus(["x", "y"], [0, 3], ["doc0", "doc1", "doc2"], [0, 1, 1, 2]))
+@example(Corpus(["x"], [6], ["doc0", "doc1"], [0, 1, 1]))
+@example(Corpus(["\nx"], [0], ["doc0"], [0, 1]))
+@example(Corpus([" "], [0], ["#doc"], [0, 1]))
+@example(Corpus(["x"], [0], ["d\t"], [0, 1]))
 @settings(max_examples=200)
 def test_serialize_parse_round_trip(tmp_path_factory, corpus):
     """A corpus is saved and reads back equal, or the save refuses it and
@@ -257,20 +236,16 @@ def test_serialize_parse_round_trip(tmp_path_factory, corpus):
 
 class TestDistribution:
     def test_counts_sum_to_corpus_size(self):
-        corpus = make_corpus(25)
-        counts = class_distribution(corpus.sentences)
-        assert sum(counts.values()) == 25
-        assert set(counts) == set(LABELS)
+        counts = label_counts(make_corpus(25).labels)
+        assert counts == [4, 4, 4, 4, 3, 3, 3]
 
     def test_empty_corpus_all_zero(self):
-        counts = class_distribution([])
-        assert all(v == 0 for v in counts.values())
+        assert label_counts([]) == [0] * len(LABELS)
 
     def test_single_label(self):
-        corpus = make_corpus(3, labels=["Statute"])
-        counts = class_distribution(corpus.sentences)
-        assert counts["Statute"] == 3
-        assert sum(counts.values()) == 3
+        counts = label_counts(make_corpus(3, labels=["Statute"]).labels)
+        assert counts[LABELS.index("Statute")] == 3
+        assert sum(counts) == 3
 
 
 class TestSplit:
@@ -293,17 +268,15 @@ class TestSplit:
     def test_partition_no_loss_no_duplicates(self):
         corpus = make_corpus(37, docs=4)
         train, val = split(corpus, RunConfig(train_fraction=0.6, seed=1))
-        # split hands back the corpus's own sentence objects.
-        keys = [id(s) for s in train + val]
-        assert len(keys) == len(set(keys)) == 37
-        assert set(keys) == {id(s) for s in corpus.sentences}
+        assert sorted(train + val) == list(range(37))
 
     def test_document_level_keeps_documents_whole(self):
         corpus = make_corpus(50, docs=7)
         cfg = RunConfig(train_fraction=0.8, seed=3, split_mode="document_level")
         train, val = split(corpus, cfg)
-        train_docs = {s.doc_id for s in train}
-        val_docs = {s.doc_id for s in val}
+        doc_of = document_of(corpus)
+        train_docs = {doc_of[i] for i in train}
+        val_docs = {doc_of[i] for i in val}
         assert not train_docs & val_docs
         assert len(train) >= math.floor(0.8 * 50)
 
@@ -332,11 +305,8 @@ def whitespace_tokens(text):
 
 class TestLengthPercentile:
     def corpus_with_token_counts(self, counts):
-        sentences = [
-            LabeledSentence(text=" ".join(["tok"] * c), label="Facts", doc_id="d")
-            for c in counts
-        ]
-        return Corpus(sentences=sentences, documents=["d"])
+        texts = [" ".join(["tok"] * c) for c in counts]
+        return Corpus(texts, [0] * len(texts), ["d"], [0, len(texts)])
 
     def test_nearest_rank_1_to_100(self):
         corpus = self.corpus_with_token_counts(range(1, 101))

@@ -3,11 +3,14 @@
 hold each to a reference copy of the code that first wrote them, kept here
 as it was, rather than to a digest: numpy does not promise the same
 ``Generator`` streams across its versions, but it does promise that the
-same calls draw the same numbers within one."""
+same calls draw the same numbers within one. The references read records of
+a sentence's text, label and document, built here from the corpus columns."""
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhetrole.config import RunConfig
-from rhetrole.corpus import LABELS, SPLIT_MODES, Corpus, LabeledSentence, split
+from rhetrole.corpus import LABELS, SPLIT_MODES, Corpus, split
 from rhetrole.errors import InputError
 from rhetrole.imbalance import oversample, undersample
 
@@ -88,6 +91,33 @@ def reference_oversample(dataset, seed):
     return out
 
 
+class Record(NamedTuple):
+    """A sentence as the reference copies read it."""
+
+    text: str
+    label: str
+    doc_id: str
+
+
+def records(corpus):
+    """The corpus's sentences as records, and the corpus as the reference split reads it."""
+    doc_of = [d for d, doc_id in enumerate(corpus.documents)
+              for _ in range(corpus.starts[d], corpus.starts[d + 1])]
+    sentences = [Record(text, LABELS[y], corpus.documents[d])
+                 for text, y, d in zip(corpus.texts, corpus.labels, doc_of)]
+    return sentences, SimpleNamespace(sentences=sentences, documents=corpus.documents)
+
+
+def columns(documents):
+    """A corpus of documents given as lists of label names, sentence texts s0, s1, ..."""
+    labels = [LABELS.index(label) for doc in documents for label in doc]
+    starts = [0]
+    for doc in documents:
+        starts.append(starts[-1] + len(doc))
+    return Corpus([f"s{i}" for i in range(len(labels))], labels,
+                  [f"doc{j}" for j in range(len(documents))], starts)
+
+
 @st.composite
 def corpora(draw):
     """Corpora in file order over a drawn subset of the labels, so some
@@ -95,28 +125,21 @@ def corpora(draw):
     common draws."""
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=len(LABELS),
                            unique=True))
-    sentences, documents = [], []
-    for j in range(draw(st.integers(1, 5))):
-        documents.append(f"doc{j}")
-        for _ in range(draw(st.integers(1, 6))):
-            label = draw(st.sampled_from(labels))
-            sentences.append(LabeledSentence(f"s{len(sentences)}", label, f"doc{j}"))
-    return Corpus(sentences=sentences, documents=documents)
+    return columns([draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6))
+                    for _ in range(draw(st.integers(1, 5)))])
 
 
 def ids(sentences):
-    """Identity, not equality: which of the corpus's objects, in which order."""
+    """Identity, not equality: which of the corpus's records, in which order."""
     return [id(s) for s in sentences]
 
 
 def single_document(*labels):
-    return Corpus([LabeledSentence(f"s{i}", label, "doc0") for i, label in enumerate(labels)],
-                  ["doc0"])
+    return columns([labels])
 
 
 def one_sentence_documents(*labels):
-    return Corpus([LabeledSentence(f"s{i}", label, f"doc{i}") for i, label in enumerate(labels)],
-                  [f"doc{i}" for i in range(len(labels))])
+    return columns([[label] for label in labels])
 
 
 @given(
@@ -130,14 +153,18 @@ def one_sentence_documents(*labels):
 @example(corpus=single_document("Facts"), mode="sentence_shuffled", train_fraction=0.8, seed=0)
 @example(corpus=one_sentence_documents("Facts", "Argument", "Facts", "Precedent", "Facts"),
          mode="document_level", train_fraction=0.5, seed=3)
+@example(corpus=columns([["Facts", "Statute"], [], ["Argument", "Facts"], ["Facts"]]),
+         mode="document_level", train_fraction=0.5, seed=1)
 @settings(max_examples=150, deadline=None)
 def test_split_and_resampling_draw_as_the_reference(corpus, mode, train_fraction, seed):
-    """``split`` returns the reference's sides whenever both are non-empty and
-    refuses the split otherwise; ``undersample`` and ``oversample`` return the
-    reference's sentences, in its order, on the corpus and on each side."""
+    """``split`` returns the indices of the reference's sides whenever both are
+    non-empty and refuses the split otherwise; ``undersample`` and
+    ``oversample`` return the positions of the reference's sentences, in its
+    order, on the corpus and on each side."""
+    sentences, reference_corpus = records(corpus)
     cfg = RunConfig(train_fraction=train_fraction, seed=seed, split_mode=mode)
     try:
-        expected = reference_split(corpus, cfg)
+        expected = reference_split(reference_corpus, cfg)
     except InputError:
         expected = ([], [])
     if not all(expected):
@@ -146,7 +173,12 @@ def test_split_and_resampling_draw_as_the_reference(corpus, mode, train_fraction
         sides = []
     else:
         sides = split(corpus, cfg)
-        assert [ids(side) for side in sides] == [ids(side) for side in expected]
-    for dataset in (corpus.sentences, *sides):
-        assert ids(undersample(dataset, seed)) == ids(reference_undersample(dataset, seed))
-        assert ids(oversample(dataset, seed)) == ids(reference_oversample(dataset, seed))
+        assert [ids(sentences[i] for i in side) for side in sides] == [
+            ids(side) for side in expected]
+    for idx in (range(len(sentences)), *sides):
+        dataset = [sentences[i] for i in idx]
+        labels = [corpus.labels[i] for i in idx]
+        assert ids(dataset[p] for p in undersample(labels, seed)) == ids(
+            reference_undersample(dataset, seed))
+        assert ids(dataset[p] for p in oversample(labels, seed)) == ids(
+            reference_oversample(dataset, seed))

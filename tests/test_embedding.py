@@ -690,15 +690,15 @@ class TestEmbCache:
         assert list(cold[0]._rows) == keys
 
     def test_train_on_a_warm_load_gives_the_cold_params(self, toy, tmp_path, monkeypatch):
-        texts = list(dict.fromkeys(s.text for s in toy.sentences))
+        texts = list(dict.fromkeys(toy.texts))
         encoder = HashedBowProvider(32, "cased", 50)
         path = tmp_path / "toy.emb"
         save_embeddings(zip(texts, encoder.embed(texts)), 32, path)
         cfg = RunConfig(epochs=2, learning_rate=1e-2)
-        train_set, val_set = toy.sentences[:500], toy.sentences[500:]
-        cold = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
+        train_idx, val_idx = range(500), range(500, len(toy.texts))
+        cold = train(toy, train_idx, val_idx, load_precomputed(path), np.ones(7), cfg)
         self.no_parse(monkeypatch)
-        warm = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
+        warm = train(toy, train_idx, val_idx, load_precomputed(path), np.ones(7), cfg)
         assert warm.params.tobytes() == cold.params.tobytes()
         assert warm.provider_id == cold.provider_id == f"precomputed:{path}"
 
@@ -1034,11 +1034,11 @@ class TestRowStore:
 
     def test_hashed_rows_are_embedded_in_blocks_and_kept_exactly(self, toy):
         provider = HashedBowProvider(4096, "cased", 50)
-        texts = [s.text for s in toy.sentences[:40]]
+        texts = toy.texts[:40]
         calls = []
         real_embed = provider.embed
         provider.embed = lambda t: calls.append(len(t)) or real_embed(t)
-        store, rows = embedding.table_rows(toy.sentences[:40], provider)
+        store, rows = embedding.table_rows(texts, provider)
         assert calls == [16, 16, 8]  # 0.5 MiB of dense rows at a time
         assert store.take(rows, out=np.empty((40, 4096))).tobytes() == real_embed(
             texts).tobytes()

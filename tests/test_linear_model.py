@@ -21,7 +21,7 @@ from rhetrole.embedding import (
 )
 from rhetrole.errors import InputError, RhetroleError
 from rhetrole.config import RunConfig
-from rhetrole.corpus import LABELS, LabeledSentence
+from rhetrole.corpus import LABELS, Corpus
 from rhetrole.linear_model import (
     SELECTION_METRICS,
     EpochStats,
@@ -381,15 +381,15 @@ class TestCoreMatchesReferenceBits:
         assert state.t == ref_state.t == 50
 
 
-def reference_train(train_set, val_set, provider, weights, cfg):
+def reference_train(corpus, train_idx, val_idx, provider, weights, cfg):
     """train's loop written from the reference expressions: the same initial
     parameters and (seed, epoch) shuffle, batches of ``embed_batch`` rows,
     and the best validation epoch kept, ties going to the earlier one.
     Returns the selected epoch's (score, params)."""
-    index = {label: i for i, label in enumerate(LABELS)}
-    X, X_val = embed_batch(train_set, provider), embed_batch(val_set, provider)
-    y = np.array([index[s.label] for s in train_set])
-    y_val = np.array([index[s.label] for s in val_set])
+    X = embed_batch([corpus.texts[i] for i in train_idx], provider)
+    X_val = embed_batch([corpus.texts[i] for i in val_idx], provider)
+    y = np.array([corpus.labels[i] for i in train_idx])
+    y_val = np.array([corpus.labels[i] for i in val_idx])
     params = initial_params(provider.dimension, len(LABELS), cfg.seed)
     state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     best = None
@@ -423,17 +423,17 @@ class TestTrainIsTheReferenceLoop:
         provider = HashedBowProvider(32, "cased", 50)
         if table == "lent":
             # Records in reverse order, so the lent table's row ids are not 0 .. n-1.
-            texts = list(dict.fromkeys(s.text for s in toy.sentences))[::-1]
+            texts = list(dict.fromkeys(toy.texts))[::-1]
             save_embeddings(zip(texts, provider.embed(texts)), 32, tmp_path / "toy.emb")
             provider = load_precomputed(tmp_path / "toy.emb")
         # 203 training rows: batches of 8 and a short last batch of 3.
-        train_set, val_set = toy.sentences[:203], toy.sentences[600:]
+        train_idx, val_idx = range(203), range(600, len(toy.texts))
         weights = np.array([2.0, 0.5, 0.0, 1.0, 3.0, 1.0, 0.25])
         cfg = RunConfig(batch_size=8, epochs=6, learning_rate=1e-2, seed=7,
                           weight_decay=weight_decay, selection_metric=metric)
         epochs = []
-        ckpt = train(train_set, val_set, provider, weights, cfg, on_epoch=epochs.append)
-        ref_score, ref_params = reference_train(train_set, val_set, provider, weights, cfg)
+        ckpt = train(toy, train_idx, val_idx, provider, weights, cfg, on_epoch=epochs.append)
+        ref_score, ref_params = reference_train(toy, train_idx, val_idx, provider, weights, cfg)
         assert ckpt.params.tobytes() == ref_params.tobytes()
         assert ckpt.selected.val_score == ref_score
         assert ckpt.selected is epochs[ckpt.selected.epoch - 1]
@@ -449,92 +449,89 @@ def two_class_toy(n=200, d=8, seed=123):
     for i in range(n):
         sign = 1.0 if i % 2 == 0 else -1.0
         X.append(sign * center + 0.25 * rng.normal(size=d))
-        labels.append("Facts" if sign > 0 else "Argument")
+        labels.append(LABELS.index("Facts" if sign > 0 else "Argument"))
     X = np.array(X)
     keys = [f"point {i}" for i in range(n)]
     provider = PrecomputedProvider(X, {k: i for i, k in enumerate(keys)}, "precomputed:test")
-    sentences = [
-        LabeledSentence(text=k, label=lab, doc_id="t")
-        for k, lab in zip(keys, labels)
-    ]
-    return sentences, provider, X, labels
+    return Corpus(keys, labels, ["t"], [0, n]), provider, X, labels
 
 
 class TestTrain:
     def test_learns_separable_two_class_toy(self):
-        sentences, provider, X, labels = two_class_toy()
-        y = np.array([LABELS.index(l) for l in labels])
-        assert multiclass_perceptron_separates(X, y)
+        corpus, provider, X, labels = two_class_toy()
+        assert multiclass_perceptron_separates(X, np.array(labels))
 
-        train_set, val_set = sentences[:160], sentences[160:]
         cfg = RunConfig(batch_size=8, epochs=20, learning_rate=1e-2, seed=42)
-        ckpt = train(train_set, val_set, provider, np.ones(7), cfg)
-        preds = logits(ckpt.params, embed_batch(val_set, provider)).argmax(axis=1)
-        correct = sum(ckpt.labels[i] == s.label for i, s in zip(preds, val_set))
-        assert correct / len(val_set) >= 0.95
+        ckpt = train(corpus, range(160), range(160, 200), provider, np.ones(7), cfg)
+        preds = logits(ckpt.params, embed_batch(corpus.texts[160:], provider)).argmax(axis=1)
+        correct = sum(ckpt.labels[i] == LABELS[y] for i, y in zip(preds, labels[160:]))
+        assert correct / 40 >= 0.95
 
     def test_single_epoch_checkpoint_is_that_epoch(self):
-        sentences, provider, _, _ = two_class_toy(n=40)
+        corpus, provider, _, _ = two_class_toy(n=40)
         cfg = RunConfig(batch_size=8, epochs=1, learning_rate=1e-2, seed=0)
         stats = []
-        ckpt = train(sentences[:32], sentences[32:], provider, np.ones(7), cfg, on_epoch=stats.append)
+        ckpt = train(corpus, range(32), range(32, 40), provider, np.ones(7), cfg,
+                     on_epoch=stats.append)
         assert len(stats) == 1
         assert ckpt.selected is stats[0]
 
     def test_deterministic_bit_identical(self):
-        sentences, provider, _, _ = two_class_toy(n=60)
+        corpus, provider, _, _ = two_class_toy(n=60)
         cfg = RunConfig(batch_size=8, epochs=3, learning_rate=1e-2, seed=42)
-        run = lambda: train(sentences[:48], sentences[48:], provider, np.ones(7), cfg)
+        run = lambda: train(corpus, range(48), range(48, 60), provider, np.ones(7), cfg)
         a, b = run(), run()
         assert serialize_checkpoint(a) == serialize_checkpoint(b)
 
     def test_val_loss_selection_picks_minimum(self):
-        sentences, provider, _, _ = two_class_toy(n=60)
+        corpus, provider, _, _ = two_class_toy(n=60)
         cfg = RunConfig(
             batch_size=8, epochs=5, learning_rate=1e-2, seed=1, selection_metric="val_loss"
         )
         stats = []
-        ckpt = train(sentences[:48], sentences[48:], provider, np.ones(7), cfg, on_epoch=stats.append)
+        ckpt = train(corpus, range(48), range(48, 60), provider, np.ones(7), cfg,
+                     on_epoch=stats.append)
         # min returns the first of equal scores, as ties keep the earlier epoch.
         assert ckpt.selected is min(stats, key=lambda s: s.val_score)
 
     def test_macro_f1_selection_keeps_the_earliest_best_epoch(self):
-        sentences, provider, _, _ = two_class_toy(n=60)
+        corpus, provider, _, _ = two_class_toy(n=60)
         cfg = RunConfig(batch_size=8, epochs=6, learning_rate=1e-2, seed=1)
         stats = []
-        ckpt = train(sentences[:48], sentences[48:], provider, ONES7, cfg, on_epoch=stats.append)
+        ckpt = train(corpus, range(48), range(48, 60), provider, ONES7, cfg,
+                     on_epoch=stats.append)
         best = max(stats, key=lambda s: s.val_score)  # the first of equal scores
         assert sum(s.val_score == best.val_score for s in stats) > 1  # a tie was broken
         assert [s.epoch for s in stats] == list(range(1, 7))
         assert ckpt.selected is best
         assert best.val_report.macro_f1 == best.val_score
         assert ckpt.params.tobytes() == train(
-            sentences[:48], sentences[48:], provider, ONES7,
+            corpus, range(48), range(48, 60), provider, ONES7,
             dataclasses.replace(cfg, epochs=best.epoch)).params.tobytes()
 
     def test_val_loss_run_reports_the_selected_epochs_predictions(self):
-        sentences, provider, _, _ = two_class_toy(n=60)
-        val_set = sentences[48:]
+        corpus, provider, _, labels = two_class_toy(n=60)
         cfg = RunConfig(batch_size=8, epochs=3, learning_rate=1e-2, seed=1,
                         selection_metric="val_loss")
-        ckpt = train(sentences[:48], val_set, provider, ONES7, cfg)
-        gold = [LABELS.index(s.label) for s in val_set]
-        preds = logits(ckpt.params, embed_batch(val_set, provider)).argmax(axis=1).tolist()
+        ckpt = train(corpus, range(48), range(48, 60), provider, ONES7, cfg)
+        gold = labels[48:]
+        Z = logits(ckpt.params, embed_batch(corpus.texts[48:], provider))
+        preds = Z.argmax(axis=1).tolist()
         assert ckpt.selected.val_report == evaluate_predictions(gold, preds, len(LABELS))
 
     def test_shuffled_emb_trains_as_its_source_provider(self, toy, tmp_path):
         """Batches are gathered by row id, so an EMB whose records are in
         another order than the corpus trains to the same bytes."""
         hashed = HashedBowProvider(32, "cased", 50)
-        texts = list(dict.fromkeys(s.text for s in toy.sentences))
+        texts = list(dict.fromkeys(toy.texts))
         shuffled = [texts[i] for i in np.random.default_rng(5).permutation(len(texts))]
         assert shuffled != texts
         path = tmp_path / "shuffled.emb"
         save_embeddings(zip(shuffled, hashed.embed(shuffled)), 32, path)
         cfg = RunConfig(batch_size=8, epochs=2, learning_rate=1e-2, seed=3)
-        train_set, val_set = toy.sentences[:560], toy.sentences[560:]
-        from_emb = train(train_set, val_set, load_precomputed(path), np.ones(7), cfg)
-        from_hashed = train(train_set, val_set, hashed, np.ones(7), cfg)
+        train_idx, val_idx = range(560), range(560, len(toy.texts))
+        from_emb = train(toy, train_idx, val_idx, load_precomputed(path), np.ones(7), cfg)
+        from_hashed = train(toy, train_idx, val_idx, hashed, np.ones(7), cfg)
         assert from_emb.params.tobytes() == from_hashed.params.tobytes()
 
     @pytest.mark.parametrize("dim,batch_size,n_train", [
@@ -553,13 +550,13 @@ class TestTrain:
         from rhetrole import linear_model
 
         hashed = HashedBowProvider(dim, "cased", 50)
-        train_set, val_set = toy.sentences[:n_train], toy.sentences[n_train:n_train + 40]
-        texts = list(dict.fromkeys(s.text for s in [*train_set, *val_set]))
+        train_idx, val_idx = range(n_train), range(n_train, n_train + 40)
+        texts = list(dict.fromkeys(toy.texts[:n_train + 40]))
         shuffled = [texts[i] for i in np.random.default_rng(5).permutation(len(texts))]
         emb = PrecomputedProvider(hashed.embed(shuffled), dict(zip(shuffled, range(len(texts)))),
                                   "precomputed:shuffled")
         cfg = RunConfig(batch_size=batch_size, epochs=2, learning_rate=1e-2, seed=3)
-        run = lambda provider: train(train_set, val_set, provider, np.ones(7), cfg).params
+        run = lambda provider: train(toy, train_idx, val_idx, provider, np.ones(7), cfg).params
         params = run(hashed)
         assert run(emb).tobytes() == params.tobytes()
         monkeypatch.setattr(linear_model, "_GATHER_BYTES", 1)  # one batch a block
@@ -582,8 +579,8 @@ class TestTrain:
         assert peak < whole_table / 2, (peak, whole_table)
 
     def test_lent_table_is_the_providers_read_only_matrix(self):
-        sentences, provider, X, _ = two_class_toy(n=20)
-        table, rows = table_rows(sentences[::-1] + sentences[:2], provider)
+        corpus, provider, X, _ = two_class_toy(n=20)
+        table, rows = table_rows(corpus.texts[::-1] + corpus.texts[:2], provider)
         assert np.shares_memory(table, X)
         assert not table.flags.writeable
         assert X.flags.writeable  # the caller's array is left as it was
@@ -592,11 +589,13 @@ class TestTrain:
         assert table_rows([], provider)[1].shape == (0,)
 
     def test_training_sentence_absent_from_emb_raises(self):
-        sentences, provider, _, _ = two_class_toy(n=20)
-        absent = LabeledSentence(text="not in the table", label="Facts", doc_id="t")
+        corpus, provider, _, _ = two_class_toy(n=20)
+        corpus.texts.append("not in the table")
+        corpus.labels.append(0)
+        corpus.starts[-1] += 1
         cfg = RunConfig(epochs=1)
         with pytest.raises(RhetroleError, match="sentence 'not in the table'$") as exc:
-            train(sentences[:10] + [absent], sentences[10:], provider, np.ones(7), cfg)
+            train(corpus, [*range(10), 20], range(10, 20), provider, np.ones(7), cfg)
         assert type(exc.value) is RhetroleError  # exit 1, not InputError's 2
 
     @pytest.mark.parametrize(

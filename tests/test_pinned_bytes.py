@@ -17,7 +17,7 @@ from bisect import bisect_right
 
 import pytest
 
-from rhetrole.corpus import LABELS, Corpus, LabeledSentence, length_percentile, save_corpus
+from rhetrole.corpus import LABELS, Corpus, length_percentile, save_corpus
 from rhetrole.embedding import HashedBowProvider, save_embeddings, tokenize
 from rhetrole.imbalance import weights_for_scheme
 from rhetrole.metrics import evaluate_predictions, report_to_json
@@ -52,7 +52,7 @@ def zipf_corpus(num_sentences: int = 400, vocab: int = 600, seed: int = 2022,
     label_cum = list(itertools.accumulate(TASK_COUNTS[label] for label in LABELS))
     words = [_SYLLABLES[r % 10] + _SYLLABLES[r // 10 % 10] + ("" if r < 100 else str(r))
              for r in range(vocab)]
-    sentences, documents = [], []
+    texts, labels, documents = [], [], []
     for i in range(num_sentences):
         if i % 25 == 0:
             documents.append(f"zipf{len(documents):03d}")
@@ -62,9 +62,9 @@ def zipf_corpus(num_sentences: int = 400, vocab: int = 600, seed: int = 2022,
             if draw(8) == 0:
                 word = word.capitalize()
             tokens.append(forms[draw(len(forms))].format(word))
-        label = LABELS[bisect_right(label_cum, draw(label_cum[-1]))]
-        sentences.append(LabeledSentence(" ".join(tokens), label, documents[-1]))
-    return Corpus(sentences=sentences, documents=documents)
+        texts.append(" ".join(tokens))
+        labels.append(bisect_right(label_cum, draw(label_cum[-1])))
+    return Corpus(texts, labels, documents, [*range(0, num_sentences, 25), num_sentences])
 
 
 def sha256(data: bytes) -> str:
@@ -111,14 +111,14 @@ LENGTH_PERCENTILES = {"toy": (6, 8, 8, 6, 8, 8), "zipf": (25, 48, 48, 25, 48, 48
 @pytest.mark.parametrize("casing", ["cased", "uncased"])
 def test_hashed_embed_matrix(named, casing):
     name, corpus = named
-    texts = [s.text for s in corpus.sentences]
+    texts = corpus.texts
     matrix = HashedBowProvider(256, casing, 40).embed(texts)
     assert sha256(matrix.tobytes()) == EMBED_SHA256[name, casing]
 
 
 def test_save_embeddings_bytes(named, tmp_path):
     name, corpus = named
-    texts = list(dict.fromkeys(s.text for s in corpus.sentences))
+    texts = list(dict.fromkeys(corpus.texts))
     path = tmp_path / "vectors.emb"
     save_embeddings(zip(texts, HashedBowProvider(32, "cased", 40).embed(texts)), 32, path)
     assert sha256(path.read_bytes()) == EMB_FILE_SHA256[name]

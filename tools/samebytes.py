@@ -114,7 +114,7 @@ LONG_TOKENS = " " + "s.302" * 8 + " " + "é" * 150 + " " + "ab" * 500
 
 def build_inputs(out: Path) -> None:
     """Write the corpora, sentence files, EMB files and bad files that ``ROWS`` read."""
-    from rhetrole.corpus import LABELS, Corpus, LabeledSentence, load_corpus, save_corpus
+    from rhetrole.corpus import LABELS, Corpus, load_corpus, save_corpus
     from rhetrole.embedding import HashedBowProvider, save_embeddings
     from rhetrole.linear_model import LinearCheckpoint, save_checkpoint
     from rhetrole.toydata import toy_corpus
@@ -124,16 +124,16 @@ def build_inputs(out: Path) -> None:
     toy = toy_corpus()
     save_corpus(toy, out / "toy.tsv")
     for name, suffix in (("toy_sym.tsv", SYMBOLS), ("toy_long.tsv", LONG_TOKENS)):
-        sentences = [LabeledSentence(s.text + suffix, s.label, s.doc_id) for s in toy.sentences]
-        save_corpus(Corpus(sentences, toy.documents), out / name)
-    texts = list(dict.fromkeys(s.text for s in toy.sentences))
+        texts = [text + suffix for text in toy.texts]
+        save_corpus(Corpus(texts, toy.labels, toy.documents, toy.starts), out / name)
+    texts = list(dict.fromkeys(toy.texts))
     save_embeddings(zip(texts, HashedBowProvider(32, "cased", 50).embed(texts)), 32,
                     out / "toy.emb")
     shutil.copyfile(out / "toy.emb", out / "toy_copy.emb")
     (out / "toy_sentences.txt").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
     task = load_corpus(out / "task" / "corpus.tsv")
     (out / "task_sentences.txt").write_text(
-        "".join(s.text + "\n" for s in task.sentences), encoding="utf-8")
+        "".join(text + "\n" for text in task.texts), encoding="utf-8")
     (out / "bad.emb").write_text('EMB v1 2 2\n"a" 1 2\n"b" 3 x\n', encoding="utf-8")
     (out / "bad_checkpoint.txt").write_text(
         "CKPT v1 7 32 precomputed:toy.emb\n" + "\t".join(LABELS) + "\n", encoding="utf-8")
