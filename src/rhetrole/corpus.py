@@ -106,10 +106,12 @@ def serialize_corpus(corpus: Corpus) -> str:
     raises its InputError, whose line numbers count in this text, and a corpus
     that reads back changed is refused."""
     texts, labels, starts = corpus.texts, corpus.labels, corpus.starts
+    # An index outside LABELS is written as no label, which the parser refuses.
+    name = dict(enumerate(LABELS)).get
     lines: list[str] = []
     for d, doc_id in enumerate(corpus.documents):
         lines.append(f"#doc\t{doc_id}")
-        lines += (f"{texts[i]}\t{LABELS[labels[i]]}" for i in range(starts[d], starts[d + 1]))
+        lines += (f"{texts[i]}\t{name(labels[i], '')}" for i in range(starts[d], starts[d + 1]))
     text = "".join(line + "\n" for line in lines)
     back = parse_corpus(text)
     check_unchanged("document", corpus.documents, back.documents)

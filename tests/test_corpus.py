@@ -172,6 +172,13 @@ class TestSerialize:
             serialize_corpus(corpus)
         assert str(exc.value) == "document start 0 would read back as 0, not 1"
 
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_label_indices_outside_labels_are_not_written(self, tmp_path, label):
+        corpus = Corpus(["x"], [label], ["D"], [0, 1])
+        with pytest.raises(InputError, match=r"^line 2: unknown label ''$"):
+            save_corpus(corpus, tmp_path / "corpus.tsv")
+        assert list(tmp_path.iterdir()) == []
+
 
 # Values the TSV can hold, and values it may not: texts and document ids
 # built from a tab, a CR, an LF, a "#doc" that could start a header, or
