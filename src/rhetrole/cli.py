@@ -7,10 +7,12 @@ the config seed. ``--help`` is the flag reference: a flag that sets a
 ``RunConfig`` field gives that field's default, read from the class.
 
 ``evaluate`` and ``predict`` score through ``_score``, which embeds
-``_SCORE_BLOCK_ROWS`` inputs at a time, so their memory does not grow with
-the number of inputs times the embedding dimension. Output is written only
-once every block is scored. ``reproduce-run`` scores nothing itself: its
-metrics are the validation report of the epoch that ``train`` selected.
+``linear_model.SCORE_BLOCK_ROWS`` inputs at a time, a shorter tail joining
+the block before it. So their memory does not grow with the number of
+inputs times the embedding dimension, and no block is small enough to
+change the bytes of the logits. Output is written only once every block is
+scored. ``reproduce-run`` scores nothing itself: its metrics are the
+validation report of the epoch that ``train`` selected.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .errors import InputError, RhetroleError
 from .fileio import check_output_path, naming, read_count, read_real, read_text, write_atomic
 from .imbalance import oversample, undersample, uniform_weights, weights_for_scheme
 from .linear_model import (
+    SCORE_BLOCK_ROWS,
     SELECTION_METRICS,
     EpochStats,
     input_dim,
@@ -236,27 +239,22 @@ def cmd_train(args) -> None:
     _run_training(_resolve_from_args(args), out_dir)
 
 
-# Rows that evaluate and predict embed and score at a time, so their float
-# matrices are (_SCORE_BLOCK_ROWS, dim) however long the input is: 2 MB at
-# dim 256, 6 MB at dim 768. Keep blocks large. OpenBLAS runs
-# small products through another kernel: against one product over all rows,
-# every block below 172 rows changed the last bits of the logits at dims 32
-# to 768, and every block below 140 rows at dim 1024 (by up to 3e-14), while
-# blocks of 172 to 1599 rows, and of 512 to 4096 rows, gave the same bytes.
-# The last block holds 1 to 1024 rows, so a short tail can take that kernel.
-_SCORE_BLOCK_ROWS = 1024
-
-
 def _score(ckpt, provider, texts, with_prob=False):
     """Each text's best label index, or ``(index, softmax probability)`` with
-    ``with_prob``, embedding and scoring ``_SCORE_BLOCK_ROWS`` texts at a time."""
-    for start in range(0, len(texts), _SCORE_BLOCK_ROWS):
-        Z = logits(ckpt.params, embed_batch(texts[start:start + _SCORE_BLOCK_ROWS], provider))
+    ``with_prob``, embedding and scoring ``SCORE_BLOCK_ROWS`` texts at a
+    time; a tail of fewer rows joins the block before it."""
+    start = 0
+    while start < len(texts):
+        stop = start + SCORE_BLOCK_ROWS
+        if len(texts) - stop < SCORE_BLOCK_ROWS:
+            stop = len(texts)
+        Z = logits(ckpt.params, embed_batch(texts[start:stop], provider))
         best = Z.argmax(axis=1)
         if with_prob:
             yield from zip(best.tolist(), softmax(Z)[range(len(Z)), best].tolist())
         else:
             yield from best.tolist()
+        start = stop
 
 
 def cmd_evaluate(args) -> None:

@@ -35,12 +35,6 @@ between chunks. Each row is then one ``bincount`` over its tokens' buckets
 and signs, with the same bytes as hashing token by token. ``tokenize``
 strips edge punctuation with ``str.strip`` over the constant table
 ``_PUNCTUATION``, then looks up the category of an edge left non-alphanumeric.
-
-Training reads its vectors through ``table_rows``. A hashed row of dim 256
-has about 30 nonzero cells, so its training rows are kept as the cells whose
-bytes are not all zero, in a private CSR row store. Its ``take`` writes
-dense rows into the caller's buffer, as ``ndarray.take`` does: each kept
-cell bit for bit and +0.0 elsewhere, so a row has the dense matrix's bytes.
 """
 
 from __future__ import annotations
@@ -67,9 +61,6 @@ _FNV64_PRIME = 0x100000001B3
 # to 1,024 rows ran equally fast on a 5k-sentence corpus; each chunk's
 # token lists and vocabulary add about 1 MB per 1,000 rows to the peak.
 _EMBED_CHUNK_ROWS = 256
-# Dense bytes of the training rows table_rows embeds at a time before it keeps
-# their nonzeros: 256 rows at dim 256, one chunk of embed.
-_TABLE_BLOCK_BYTES = 1 << 19
 
 _KEY_DECODER = json.JSONDecoder()
 # Every P* character of U+0000-U+00FF and U+2000-U+206F; a test checks it against unicodedata.
@@ -235,13 +226,13 @@ class PrecomputedProvider:
 
     def __init__(self, matrix: np.ndarray, rows: dict[str, int], provider_id: str):
         self.dimension, self.provider_id = matrix.shape[1], provider_id
-        # A read-only view: the matrix is lent out by table_rows, and the
+        # A read-only view: training reads the matrix without a copy, and the
         # caller's own array stays writeable.
-        self._matrix = matrix.view()
-        self._matrix.flags.writeable = False
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
         self._rows = rows
 
-    def _row_ids(self, texts: Sequence[str]) -> np.ndarray:
+    def row_ids(self, texts: Sequence[str]) -> np.ndarray:
         """The matrix row of each text, as ``np.intp``; a RhetroleError (exit 1)
         names the first absent one."""
         try:
@@ -251,7 +242,7 @@ class PrecomputedProvider:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """A copy of the rows of ``texts``; a RhetroleError names the first absent one."""
-        return self._matrix.take(self._row_ids(texts), axis=0)
+        return self.matrix.take(self.row_ids(texts), axis=0)
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
@@ -386,60 +377,3 @@ def embed_batch(texts: Sequence[str], provider) -> np.ndarray:
     Missing-embedding errors propagate."""
     return provider.embed(texts)
 
-
-class _RowStore:
-    """The cells of an ``(n, dim)`` float64 table whose bytes are not all
-    zero, in CSR form: row i has ``lengths[i]`` cells, which end at
-    ``ends[i]`` in the int32 ``cols`` and float64 ``values``."""
-
-    def __init__(self, lengths: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int):
-        self.lengths, self.ends = lengths, lengths.cumsum()
-        self.cols, self.values, self.dim = cols, values, dim
-
-    def take(self, rows: np.ndarray, axis: int = 0, *, out: np.ndarray,
-             mode: str = "raise") -> np.ndarray:
-        """``ndarray.take``'s answer for the table: the dense ``rows`` written
-        into ``out``, a C-contiguous ``(len(rows), dim)`` float64 buffer that
-        is zeroed whole first. ``axis`` is 0, and ``mode`` is ignored: every
-        row id is in range."""
-        flat_out = out.reshape(-1)
-        flat_out.fill(0.0)
-        # Each gathered nonzero's position in cols and values: a row's run
-        # ends where the row ends in the store. Then its cell in flat_out.
-        counts = self.lengths.take(rows)
-        src = (self.ends.take(rows) - counts.cumsum()).repeat(counts)
-        src += np.arange(len(src))
-        flat = np.arange(0, out.size, self.dim).repeat(counts)
-        flat += self.cols.take(src)
-        flat_out[flat] = self.values.take(src)
-        return out
-
-
-def table_rows(texts: Sequence[str], provider) -> tuple[np.ndarray | _RowStore, np.ndarray]:
-    """``(table, rows)`` with ``table[rows[i]]`` the vector of ``texts[i]``
-    and ``rows`` in ``np.intp``; ``table.take(ids, axis=0, out=buf,
-    mode="clip")`` writes the vectors of row ids ``ids`` into ``buf``.
-
-    A precomputed provider lends its matrix through a read-only view, so a
-    reader holds no copy of the vectors and cannot write into the provider,
-    and gives each text's row id (a repeated text repeats it). Any
-    other provider gives ``0 .. n-1`` and a ``_RowStore`` of ``embed_batch``'s
-    rows, embedded ``_TABLE_BLOCK_BYTES`` of rows at a time, so the dense
-    matrix is never built. Missing-embedding errors propagate."""
-    if isinstance(provider, PrecomputedProvider):
-        return provider._matrix, provider._row_ids(texts)
-    n, dim = len(texts), provider.dimension
-    block = max(1, _TABLE_BLOCK_BYTES // (8 * dim))
-    counts, cols, values = [np.empty(0, np.intp)], [np.empty(0, np.int32)], [np.empty(0)]
-    for start in range(0, n, block):
-        chunk = texts[start:start + block]
-        X = embed_batch(chunk, provider).reshape(-1)
-        # A cell is left out only when all its bytes are zero, so a -0.0 is
-        # kept. A flat bool scan is several times faster than a 2-D one.
-        (flat,) = (X.view(np.int64) != 0).nonzero()
-        row, col = np.divmod(flat, dim)
-        counts.append(np.bincount(row, minlength=len(chunk)))
-        cols.append(col.astype(np.int32))
-        values.append(X.take(flat))
-    store = _RowStore(np.concatenate(counts), np.concatenate(cols), np.concatenate(values), dim)
-    return store, np.arange(n, dtype=np.intp)

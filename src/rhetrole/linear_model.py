@@ -32,6 +32,19 @@ Each step slices them. A batch's slice holds the C-contiguous rows, and
 values, that a ``take`` of that batch alone gives, so no byte depends on
 the block size.
 
+``train`` reads its vectors through ``table_rows``, which lends a
+precomputed provider's matrix as it is. A hashed row of dim 256 has about
+30 nonzero cells, so a hashed provider's training rows, and its validation
+rows, are kept as the cells whose bytes are not all zero, in a private CSR
+row store whose arrays grow in place as each block of rows is embedded.
+Its ``take`` writes dense rows into the caller's buffer, as ``ndarray.take``
+does: each kept cell bit for bit and +0.0 elsewhere, so a row has the dense
+matrix's bytes. Each epoch scores the validation side in blocks of
+``SCORE_BLOCK_ROWS`` rows, gathered into one reused buffer; the last block
+is the side's last ``SCORE_BLOCK_ROWS`` rows, and a smaller side is one
+block, gathered once. No product is then small enough to change the bytes
+of the logits, which are those of one product over the whole side.
+
 All math runs in float64. Training is deterministic given (data, config,
 seed): parameter init draws from the config seed, each epoch's shuffle from
 a generator seeded by (seed, epoch), and batch reductions keep a fixed
@@ -56,7 +69,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._lazynp import np
 from .corpus import LABELS, Corpus
-from .embedding import embed_batch, table_rows
+from .embedding import PrecomputedProvider, embed_batch
 from .errors import InputError, RhetroleError
 from .fileio import check_unchanged, format_reals, naming, read_count, read_reals, read_text
 from .fileio import write_atomic
@@ -69,6 +82,19 @@ SELECTION_METRICS = ("macro_f1", "val_loss")
 # Bytes of training vectors train gathers at a time, rounded to whole batches
 # (at least one): 128 rows at dim 256.
 _GATHER_BYTES = 1 << 18
+# Dense bytes of the rows table_rows embeds at a time before it keeps their
+# nonzeros: 256 rows at dim 256, one chunk of embed.
+_TABLE_BLOCK_BYTES = 1 << 19
+# Rows of one logits product: train scores its validation side, and
+# cli._score the inputs of evaluate and predict, in blocks of this many rows
+# (_score's last block up to twice as many, less one), so their float
+# matrices do not grow with the number of rows: 1 MB a block at dim 256.
+# OpenBLAS runs small products through another kernel: against one product
+# over all rows, every block below 172 rows changed the last bits of the
+# logits at dims 32 to 768, and every block below 140 rows at dim 1024 (by
+# up to 3e-14), while every full block of 172, 256, 384 and 512 rows kept
+# them. So every product holds at least this many rows, or all of them.
+SCORE_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -210,6 +236,74 @@ def initial_params(dim: int, num_labels: int, seed: int) -> np.ndarray:
     return np.column_stack([W, np.zeros(num_labels, dtype=np.float64)])
 
 
+class _RowStore:
+    """The cells of an ``(n, dim)`` float64 table whose bytes are not all
+    zero, in CSR form: row i has ``lengths[i]`` cells, which end at
+    ``ends[i]`` in the int32 ``cols`` and float64 ``values``."""
+
+    def __init__(self, lengths: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int):
+        self.lengths, self.ends = lengths, lengths.cumsum()
+        self.cols, self.values, self.dim = cols, values, dim
+
+    def take(self, rows: np.ndarray, axis: int = 0, *, out: np.ndarray,
+             mode: str = "raise") -> np.ndarray:
+        """``ndarray.take``'s answer for the table: the dense ``rows`` written
+        into ``out``, a C-contiguous ``(len(rows), dim)`` float64 buffer that
+        is zeroed whole first. ``axis`` is 0, and ``mode`` is ignored: every
+        row id is in range."""
+        flat_out = out.reshape(-1)
+        flat_out.fill(0.0)
+        # Each gathered nonzero's position in cols and values: a row's run
+        # ends where the row ends in the store. Then its cell in flat_out.
+        counts = self.lengths.take(rows)
+        src = (self.ends.take(rows) - counts.cumsum()).repeat(counts)
+        src += np.arange(len(src))
+        flat = np.arange(0, out.size, self.dim).repeat(counts)
+        flat += self.cols.take(src)
+        flat_out[flat] = self.values.take(src)
+        return out
+
+
+def table_rows(texts: Sequence[str], provider) -> tuple[np.ndarray | _RowStore, np.ndarray]:
+    """``(table, rows)`` with ``table[rows[i]]`` the vector of ``texts[i]``
+    and ``rows`` in ``np.intp``; ``table.take(ids, axis=0, out=buf,
+    mode="clip")`` writes the vectors of row ids ``ids`` into ``buf``.
+
+    A precomputed provider lends its read-only ``matrix``, so a reader holds
+    no copy of the vectors and cannot write into the provider, and gives
+    each text's row id (a repeated text repeats it). Any other provider
+    gives ``0 .. n-1`` and a ``_RowStore`` of ``embed_batch``'s rows,
+    embedded ``_TABLE_BLOCK_BYTES`` of rows at a time, so the dense matrix
+    is never built. Missing-embedding errors propagate."""
+    if isinstance(provider, PrecomputedProvider):
+        return provider.matrix, provider.row_ids(texts)
+    n, dim = len(texts), provider.dimension
+    block = max(1, _TABLE_BLOCK_BYTES // (8 * dim))
+    lengths = np.empty(n, np.intp)
+    # Doubled in place (no view of them exists yet) as blocks add cells, then
+    # trimmed once, so the store is never held twice.
+    cols, values, kept = np.empty(0, np.int32), np.empty(0), 0
+    for start in range(0, n, block):
+        chunk = texts[start:start + block]
+        X = embed_batch(chunk, provider).reshape(-1)
+        # A cell is left out only when all its bytes are zero, so a -0.0 is
+        # kept. A flat bool scan is several times faster than a 2-D one.
+        (flat,) = (X.view(np.int64) != 0).nonzero()
+        row, col = np.divmod(flat, dim)
+        lengths[start:start + len(chunk)] = np.bincount(row, minlength=len(chunk))
+        end = kept + len(flat)
+        if end > len(cols):
+            size = max(end, 2 * len(cols))
+            cols.resize(size, refcheck=False)
+            values.resize(size, refcheck=False)
+        cols[kept:end] = col
+        values[kept:end] = X.take(flat)
+        kept = end
+    cols.resize(kept, refcheck=False)
+    values.resize(kept, refcheck=False)
+    return _RowStore(lengths, cols, values, dim), np.arange(n, dtype=np.intp)
+
+
 def train(
     corpus: Corpus,
     train_idx: Sequence[int],
@@ -228,14 +322,16 @@ def train(
     InputError refuses weights below 0 or all 0.
 
     Each epoch shuffles train indices with a generator seeded by
-    (cfg.seed, epoch); the last batch may be smaller. The training vectors
-    are not copied: ``table_rows`` lends a precomputed provider's matrix or
-    keeps a hashed provider's nonzero cells, and each block of batches is
-    gathered from that table by row id into one reused buffer. Each epoch
-    scores the validation set once, into its ``EpochStats``; the checkpoint
-    holds the best epoch's parameters and, as ``selected``, its stats (ties
-    keep the earlier epoch). A non-finite batch loss or validation logit
-    stops training with a RhetroleError.
+    (cfg.seed, epoch); the last batch may be smaller. Neither side's
+    vectors are held dense beyond one block: ``table_rows`` lends a
+    precomputed provider's matrix or keeps a hashed provider's nonzero
+    cells, and each block of batches is gathered from that table by row id
+    into one reused buffer. Each epoch scores the validation set once, in
+    blocks of ``SCORE_BLOCK_ROWS`` rows gathered the same way (see the
+    module docstring), into its ``EpochStats``; the checkpoint holds the
+    best epoch's parameters and, as ``selected``, its stats (ties keep the
+    earlier epoch). A non-finite batch loss or validation logit stops
+    training with a RhetroleError.
     """
     _check_provider_id(provider.provider_id)
     w_vec = np.asarray(class_weights, dtype=np.float64)
@@ -245,13 +341,15 @@ def train(
     y_train = np.array([labels[i] for i in train_idx], dtype=np.int64)
     y_val = [labels[i] for i in val_idx]
     table, rows = table_rows([texts[i] for i in train_idx], provider)
-    X_val = embed_batch([texts[i] for i in val_idx], provider)
-    n, k, batch_size = len(y_train), len(LABELS), cfg.batch_size
-    val_w, val_flat = w_vec.take(y_val), np.arange(len(y_val)) * k + y_val
+    n, n_val, k, batch_size = len(y_train), len(y_val), len(LABELS), cfg.batch_size
 
     params = initial_params(provider.dimension, k, cfg.seed)
     state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     grads = np.empty_like(params)
+    # Built after the optimiser's arrays: built before them, it left the
+    # toy-loop benchmark's training steps about 2% slower.
+    val_table, val_rows = table_rows([texts[i] for i in val_idx], provider)
+    val_w, val_flat = w_vec.take(y_val), np.arange(n_val) * k + y_val
     views = (params[:, :-1].T, params[:, -1], grads[:, :-1], grads[:, -1])
     sign = 1.0 if cfg.selection_metric == "macro_f1" else -1.0  # the winner maximises sign * score
     selected = best_params = None
@@ -265,6 +363,11 @@ def train(
     slots = np.arange(n) % batch_size * k
     block = max(1, _GATHER_BYTES // (8 * provider.dimension) // batch_size) * batch_size
     gathered = np.empty((min(block, n), provider.dimension))
+    # The validation blocks: each starts at a multiple of the block size,
+    # and the last one holds the side's last rows.
+    val_block = min(SCORE_BLOCK_ROWS, n_val)
+    val_starts = [*range(0, n_val - val_block, val_block), n_val - val_block]
+    val_gathered, Z_val = np.empty((val_block, provider.dimension)), np.empty((n_val, k))
     # The finiteness checks below report divergence; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
@@ -293,7 +396,11 @@ def train(
                 loss_total += batch_sum
                 optimizer_step(params, grads, state, cfg)
 
-            Z_val = logits(params, X_val)
+            for start in val_starts:
+                if epoch == 1 or n_val > val_block:  # a side of one block stays gathered
+                    ids = val_rows[start:start + val_block]
+                    val_table.take(ids, axis=0, out=val_gathered, mode="clip")
+                Z_val[start:start + val_block] = logits(params, val_gathered)
             if not np.isfinite(Z_val).all():
                 raise RhetroleError(
                     f"training diverged: non-finite validation logits in epoch {epoch}")
@@ -301,7 +408,7 @@ def train(
             if sign > 0:
                 score = report.macro_f1
             else:  # only the per-row losses, not their gradient
-                score = float(_row_losses(Z_val, val_w, val_flat)[0].sum()) / len(y_val)
+                score = float(_row_losses(Z_val, val_w, val_flat)[0].sum()) / n_val
             stats = EpochStats(epoch, loss_total / n, score, report)
             if selected is None or sign * score > sign * selected.val_score:
                 selected, best_params = stats, params.copy()

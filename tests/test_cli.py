@@ -16,13 +16,20 @@ from rhetrole import cli
 from rhetrole.cli import main
 from rhetrole.config import PRESETS, RunConfig, config_to_json, load_config_file, resolve_config
 from rhetrole.corpus import LABELS, Corpus, load_corpus, save_corpus, split
-from rhetrole.embedding import HashedBowProvider, parse_provider_spec, save_embeddings
+from rhetrole.embedding import (
+    HashedBowProvider,
+    PrecomputedProvider,
+    parse_provider_spec,
+    save_embeddings,
+)
 from rhetrole.errors import InputError
 from rhetrole.linear_model import (
+    SCORE_BLOCK_ROWS,
     SELECTION_METRICS,
     LinearCheckpoint,
     input_dim,
     load_checkpoint,
+    logits,
     save_checkpoint,
 )
 from rhetrole.metrics import evaluate_predictions, report_to_json
@@ -900,13 +907,15 @@ class TestClosedOutputPipe:
 
 
 class TestScoreBlocks:
-    """evaluate and predict embed and score their inputs cli._SCORE_BLOCK_ROWS
-    rows at a time; the block size must not show in any output.
-    reproduce-run scores nothing in blocks: its metrics are training's, which
+    """evaluate and predict embed and score their inputs SCORE_BLOCK_ROWS
+    rows at a time, a shorter tail joining the block before it; the block
+    size must not show in any output. reproduce-run scores nothing in
+    blocks: its metrics are training's, which
     TestReproduceRunMetricsAreTheSelectedEpochs holds to blocked scoring."""
 
-    DEFAULT = cli._SCORE_BLOCK_ROWS
-    SIZES = sorted({n for b in (1, 3, DEFAULT) for n in (b - 1, b, b + 1, 2 * b + 1)} - {0})
+    DEFAULT = SCORE_BLOCK_ROWS
+    SIZES = sorted({n for b in (1, 3, DEFAULT, 2 * DEFAULT)
+                    for n in (b - 1, b, b + 1, 2 * b + 1)} - {0})
 
     @staticmethod
     def write_inputs(toy, d, n):
@@ -929,7 +938,7 @@ class TestScoreBlocks:
         ckpt = str(trained / "checkpoint.txt")
         outputs = {}
         for rows in (self.DEFAULT, 1, 3):
-            monkeypatch.setattr(cli, "_SCORE_BLOCK_ROWS", rows)
+            monkeypatch.setattr(cli, "SCORE_BLOCK_ROWS", rows)
             rc, metrics, _ = run_cli(capsys, "evaluate", "--checkpoint", ckpt,
                                      "--corpus", str(corpus))
             assert rc == 0
@@ -955,7 +964,7 @@ class TestScoreBlocks:
                       encoding="utf-8")
         out = tmp_path / "predict.tsv"
         out.write_text("previous\n", encoding="utf-8")
-        monkeypatch.setattr(cli, "_SCORE_BLOCK_ROWS", 2)
+        monkeypatch.setattr(cli, "SCORE_BLOCK_ROWS", 2)
         for extra in ([], ["--out", str(out)]):
             rc, stdout, stderr = run_cli(capsys, "predict", "--checkpoint", str(ckpt),
                                          "--sentences", str(sf), *extra)
@@ -966,6 +975,26 @@ class TestScoreBlocks:
         # The load keeps its cache beside the EMB file; nothing else is left.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             ".few.emb.cache", "ckpt.txt", "few.emb", "predict.tsv", "s.txt"]
+
+    def test_blocks_have_the_bytes_of_one_whole_product(self, monkeypatch):
+        """At 1,025 rows the last row joins the block before it: a block of
+        one row would run OpenBLAS's small-product kernel, whose logits
+        differ from the whole product's in their last bits."""
+        n, dim = 1025, 256
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(n, dim))
+        keys = [f"row {i}" for i in range(n)]
+        provider = PrecomputedProvider(X, dict(zip(keys, range(n))), "precomputed:rows")
+        ckpt = LinearCheckpoint(rng.normal(size=(len(LABELS), dim + 1)), LABELS,
+                                provider.provider_id)
+        blocks = []
+        monkeypatch.setattr(cli, "logits", lambda params, rows: blocks.append(
+            logits(params, rows)) or blocks[-1])
+        preds = list(cli._score(ckpt, provider, keys))
+        whole = logits(ckpt.params, X)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert preds == whole.argmax(axis=1).tolist()
+        assert [len(Z) for Z in blocks] == [512, 513]
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_peak_memory_under_half_a_whole_matrix(
@@ -1283,7 +1312,7 @@ class TestReproduceRunMetricsAreTheSelectedEpochs:
         cfg = resolve_config(file_config=load_config_file(out / "config.json"))
         corpus = load_corpus(cfg.corpus)
         _, val_idx = split(corpus, cfg)
-        assert len(val_idx) == cli._SCORE_BLOCK_ROWS + 1  # a one-row tail block
+        assert len(val_idx) == 2 * SCORE_BLOCK_ROWS + 1  # a one-row tail joins the last block
         ckpt = load_checkpoint(out / "checkpoint.txt")
         inference = cli._provider_for_inference(
             argparse.Namespace(checkpoint=str(out / "checkpoint.txt"), provider=None), ckpt)

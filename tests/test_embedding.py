@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rhetrole import _embcache, embedding
+from rhetrole import _embcache, embedding, linear_model
 from rhetrole.cli import main
 from rhetrole.config import RunConfig
 from rhetrole.embedding import (
@@ -664,7 +664,7 @@ class TestEmbCache:
         return calls
 
     def assert_same(self, a, b):
-        assert a._matrix.tobytes() == b._matrix.tobytes()
+        assert a.matrix.tobytes() == b.matrix.tobytes()
         assert a._rows == b._rows and list(a._rows) == list(b._rows)
         assert a.provider_id == b.provider_id and a.dimension == b.dimension
 
@@ -675,7 +675,7 @@ class TestEmbCache:
         self.no_parse(monkeypatch)
         warm = load_precomputed(path)
         self.assert_same(warm, cold)
-        assert not warm._matrix.flags.writeable
+        assert not warm.matrix.flags.writeable
 
     def test_keys_with_escapes_and_zero_records_round_trip(self, tmp_path, monkeypatch):
         keys = ['"quoted"', "back\\slash", "tab\tnew\nline", "\u00e9\u2028", "\ud800", ""]
@@ -928,7 +928,7 @@ class TestEmbCache:
         cold = load_precomputed(link)
         assert cache_of(path).is_file() and not cache_of(link).exists()
         self.no_parse(monkeypatch)
-        assert load_precomputed(path)._matrix.tobytes() == cold._matrix.tobytes()
+        assert load_precomputed(path).matrix.tobytes() == cold.matrix.tobytes()
         assert load_precomputed(link).provider_id == f"precomputed:{link}"
 
     def test_without_blake2_every_load_parses(self, tmp_path, monkeypatch):
@@ -988,9 +988,9 @@ class TestRowStore:
 
     def test_gathers_write_the_dense_rows(self, monkeypatch):
         dense = self.sparse_rows(50, 13, seed=4)
-        monkeypatch.setattr(embedding, "_TABLE_BLOCK_BYTES", 3 * 13 * 8)
+        monkeypatch.setattr(linear_model, "_TABLE_BLOCK_BYTES", 3 * 13 * 8)
         provider = _RowsProvider(dense)
-        store, rows = embedding.table_rows([str(i) for i in range(50)], provider)
+        store, rows = linear_model.table_rows([str(i) for i in range(50)], provider)
         # Embedded three rows at a time, the last block short.
         assert provider.calls == [3] * 16 + [2]
         assert rows.tolist() == list(range(50))
@@ -1020,11 +1020,23 @@ class TestRowStore:
         buf.reshape(-1)[zero[0]] = 5.0
         assert store.take(ids[8:16], out=buf).tobytes() == expected.tobytes()
 
+    def test_a_store_grown_over_many_blocks_holds_exactly_its_cells(self, monkeypatch):
+        dense = self.sparse_rows(200, 13, seed=6)
+        monkeypatch.setattr(linear_model, "_TABLE_BLOCK_BYTES", 7 * 13 * 8)
+        provider = _RowsProvider(dense)
+        store, rows = linear_model.table_rows([str(i) for i in range(200)], provider)
+        assert provider.calls == [7] * 28 + [4]
+        # Grown by doubling, then trimmed to the cells kept.
+        kept = np.count_nonzero(dense.view(np.int64))
+        assert len(store.cols) == len(store.values) == store.lengths.sum() == kept
+        assert store.cols.dtype == np.int32 and store.values.dtype == np.float64
+        assert store.take(rows, out=np.empty((200, 13))).tobytes() == dense.tobytes()
+
     @given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_any_gather_sequence_writes_the_dense_rows(self, n, dim, seed):
         dense = self.sparse_rows(n, dim, seed) if n > 2 and dim > 2 else np.zeros((n, dim))
-        store, _ = embedding.table_rows([str(i) for i in range(n)], _RowsProvider(dense))
+        store, _ = linear_model.table_rows([str(i) for i in range(n)], _RowsProvider(dense))
         rng = np.random.default_rng(seed)
         buf = np.empty((6, dim))
         for _ in range(5):
@@ -1038,14 +1050,14 @@ class TestRowStore:
         calls = []
         real_embed = provider.embed
         provider.embed = lambda t: calls.append(len(t)) or real_embed(t)
-        store, rows = embedding.table_rows(texts, provider)
+        store, rows = linear_model.table_rows(texts, provider)
         assert calls == [16, 16, 8]  # 0.5 MiB of dense rows at a time
         assert store.take(rows, out=np.empty((40, 4096))).tobytes() == real_embed(
             texts).tobytes()
         assert store.values.nbytes + store.cols.nbytes < 40 * 4096 * 8 / 100
 
     def test_empty_training_set(self):
-        store, rows = embedding.table_rows([], HashedBowProvider(8, "cased", 5))
+        store, rows = linear_model.table_rows([], HashedBowProvider(8, "cased", 5))
         assert rows.shape == (0,)
         assert store.values.shape == store.cols.shape == (0,)
         assert store.take(rows, out=np.empty((0, 8))).shape == (0, 8)

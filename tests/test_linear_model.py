@@ -17,12 +17,12 @@ from rhetrole.embedding import (
     embed_batch,
     load_precomputed,
     save_embeddings,
-    table_rows,
 )
 from rhetrole.errors import InputError, RhetroleError
 from rhetrole.config import RunConfig
 from rhetrole.corpus import LABELS, Corpus
 from rhetrole.linear_model import (
+    SCORE_BLOCK_ROWS,
     SELECTION_METRICS,
     EpochStats,
     LinearCheckpoint,
@@ -35,6 +35,7 @@ from rhetrole.linear_model import (
     save_checkpoint,
     serialize_checkpoint,
     softmax,
+    table_rows,
     train,
 )
 from rhetrole.metrics import evaluate_predictions
@@ -43,6 +44,7 @@ from .conftest import (
     FINITE_DOUBLES, batch_loss_and_grads, fused, multiclass_perceptron_separates,
     row_losses_and_grads,
 )
+from .test_embedding import _RowsProvider
 
 ONES7 = np.ones(7)
 
@@ -565,7 +567,7 @@ class TestTrain:
 
     def test_hashed_training_holds_no_dense_table(self, toy_tsv, tmp_path, capsys):
         # The dense training table of the toy corpus at dim 4096 is 18.4 MB;
-        # the validation matrix, 4.6 MB of it, is still dense.
+        # the 140 validation rows are one 4.6 MB block.
         tracemalloc.start()
         try:
             rc = main(["train", "--corpus", str(toy_tsv), "--out", str(tmp_path / "run"),
@@ -606,6 +608,51 @@ class TestTrain:
     def test_wrong_typed_field_rejected_at_construction(self, name, value):
         with pytest.raises(InputError, match=name):
             RunConfig(**{name: value})
+
+
+class TestBlockedValidation:
+    """train scores its validation side SCORE_BLOCK_ROWS rows at a time, the
+    last block being the side's last rows, and every epoch's logits are
+    those of one product over the dense side, whether the side is a lent
+    matrix or a row store."""
+
+    @pytest.mark.parametrize("table", ["lent", "store"])
+    @pytest.mark.parametrize("dim", [32, 256, 768, 1024])
+    @pytest.mark.parametrize("n_val", [511, 512, 513, 1025])
+    def test_validation_logits_are_the_whole_products(self, n_val, dim, table, monkeypatch):
+        from rhetrole import linear_model
+
+        rng = np.random.default_rng([n_val, dim])
+        X = rng.normal(size=(8 + n_val, dim))
+        keys = [str(i) for i in range(len(X))]
+        provider = _RowsProvider(X) if table == "store" else PrecomputedProvider(
+            X, dict(zip(keys, range(len(X)))), "precomputed:rows")
+        corpus = Corpus(keys, rng.integers(0, 7, len(X)).tolist(), ["D"], [0, len(X)])
+        scored = []  # the parameters and logits of each validation product
+
+        def recorded(params, rows):
+            scored.append((params.copy(), logits(params, rows)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(linear_model, "logits", recorded)
+        cfg = RunConfig(batch_size=8, epochs=2, learning_rate=1e-2, seed=1,
+                        selection_metric="val_loss")
+        stats = []
+        train(corpus, range(8), range(8, len(X)), provider, ONES7, cfg, on_epoch=stats.append)
+        block = min(SCORE_BLOCK_ROWS, n_val)
+        starts = [*range(0, n_val - block, block), n_val - block]
+        assert [len(Z) for _, Z in scored] == [block] * len(starts) * 2
+        y_val = np.array(corpus.labels[8:])
+        for epoch, at in zip(stats, range(0, len(scored), len(starts))):
+            params = scored[at][0]
+            whole = logits(params, X[8:])
+            for start, (block_params, Z) in zip(starts, scored[at:at + len(starts)]):
+                assert block_params.tobytes() == params.tobytes()
+                assert Z.tobytes() == whole[start:start + block].tobytes()
+            assert epoch.val_score == float(
+                reference_weighted_ce(whole, y_val, ONES7)[0].sum()) / n_val
+            assert epoch.val_report == evaluate_predictions(
+                y_val.tolist(), whole.argmax(axis=1).tolist(), len(LABELS))
 
 
 class TestPredict:

@@ -28,11 +28,16 @@ resampling draw order. Three rows train across the boundaries of the
 blocks of batches that ``train`` gathers at a time: the toy corpus with
 batches of 7, which do not divide a block, and at ``hashed:33``, whose rows
 are no multiple of 64 bytes, and the task corpus at ``hashed:4096``, where
-one batch fills a block. The three presets through ``reproduce-run``, one
+one batch fills a block. One more toy row trains on a tenth of the corpus
+and selects by val_loss, so its 630 validation rows span two of the
+512-row blocks that ``train`` scores at a time, the second overlapping the
+first. The three presets through ``reproduce-run``, one
 selecting by val_loss and one split by document, check that the
 metrics.json of the epoch training selected keeps its bytes. ``evaluate``
 and ``predict`` score with a hashed and a precomputed checkpoint, which runs
 the logits, softmax and metrics code, and ``stats`` runs the weight schemes.
+One ``predict`` scores 1,025 toy lines, more than two 512-row blocks, so
+its one-row tail joins the block before it.
 One more ``evaluate`` points the precomputed checkpoint at a copy of its EMB
 file with ``--provider``, so it parses that copy cold and writes its cache.
 Two rows load no numpy: ``ingest`` writes the task corpus back, and an
@@ -80,6 +85,8 @@ ROWS = {
     "task-over": "train --corpus task/corpus.tsv --out task-over --lr 1e-2 --balance over"
                  " --weights uniform",
     "hashed-b7": "train --corpus toy.tsv --out hashed-b7 --lr 1e-2 --batch-size 7",
+    "val-630": "train --corpus toy.tsv --out val-630 --lr 1e-2 --train-fraction 0.1"
+               " --selection-metric val_loss",
     "hashed-33": "train --corpus toy.tsv --out hashed-33 --lr 1e-2 --provider hashed:33",
     "task-4096": "train --corpus task/corpus.tsv --out task-4096 --lr 1e-2"
                  " --provider hashed:4096",
@@ -93,6 +100,8 @@ ROWS = {
                      " --out task-metrics.json",
     "task-predict": "predict --checkpoint task-cased/checkpoint.txt"
                     " --sentences task_sentences.txt --out task-predict.tsv",
+    "predict-1025": "predict --checkpoint hashed/checkpoint.txt --sentences toy_1025.txt"
+                    " --out predict-1025.tsv",
     "task-stats": "stats --corpus task/corpus.tsv",
     "task-ingest": "ingest --corpus task/corpus.tsv --out task-ingest.tsv",
     "evaluate-out-refused": "evaluate --checkpoint task-cased/checkpoint.txt"
@@ -131,6 +140,8 @@ def build_inputs(out: Path) -> None:
                     out / "toy.emb")
     shutil.copyfile(out / "toy.emb", out / "toy_copy.emb")
     (out / "toy_sentences.txt").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    (out / "toy_1025.txt").write_text(
+        "".join(toy.texts[i % len(toy.texts)] + "\n" for i in range(1025)), encoding="utf-8")
     task = load_corpus(out / "task" / "corpus.tsv")
     (out / "task_sentences.txt").write_text(
         "".join(text + "\n" for text in task.texts), encoding="utf-8")
